@@ -1,87 +1,33 @@
 #!/usr/bin/env python3
-"""Reproduce every headline number in one run.
+"""Reproduce every headline number in one run, through the quatbox CLI.
 
-Covers: the order-dependent states and their orthogonality, the behavior
-table of the timing-based box, the CHSH comparison (classical / complex /
-perfect box), and the one-bit protocol on the built-in functions.
+Runs the time-order demo with both gate kinds, the behavior table of the
+timing-based box, the CHSH comparison (classical / complex / timing-based /
+ideal box) and the one-bit protocol on the built-in functions.  Exits with
+the worst exit code of the runs, so 1 means a checked expectation failed.
 """
 
-import itertools
-import math
+import sys
 
-import numpy as np
+from quatbox import cli
 
-from quatbox.boxes import complex_quantum_box, ideal_pr_box, quaternionic_box
-from quatbox.chsh import CLASSICAL_WIN_BOUND, TSIRELSON_WIN_BOUND, chsh_value, lhv_optimum
-from quatbox.qlinalg import inner, phase_gate
-from quatbox.quaternion import I, J
-from quatbox.register import ScheduledOp, bell_state, run_schedule
-from quatbox.vandam import builtin_function, verify_exhaustive
-
-BITS = (0, 1)
+RUNS = (
+    ["order-demo", "--gates", "quaternionic"],
+    ["order-demo", "--gates", "complex"],
+    ["prbox", "--strategy", "quaternionic"],
+    *(["chsh", "--strategy", s] for s in ("classical", "complex", "quaternionic", "ideal")),
+    *(["vandam", "--function", f] for f in ("AND", "XOR", "IP2", "IP4")),
+)
 
 
-def show_order_dependence():
-    print("== time-ordering of local gates ==")
-    start = bell_state(1.0)
-    gate0, gate1 = phase_gate(I), phase_gate(J)
-    first = run_schedule(start, [ScheduledOp(1, 0, gate0), ScheduledOp(2, 1, gate1)])
-    second = run_schedule(start, [ScheduledOp(1, 1, gate1), ScheduledOp(2, 0, gate0)])
-    for name, reg in (("party 0 first", first), ("party 1 first", second)):
-        amps = ", ".join(f"|{lbl}> {reg.amplitude(lbl)}" for lbl in ("00", "11"))
-        print(f"  {name}: {amps}")
-    print(f"  inner product: {inner(first.state, second.state)}")
-    print()
-
-
-def show_box_table():
-    print("== timing-based box behavior (exact) ==")
-    box = quaternionic_box()
-    print("  a b | P(00)  P(01)  P(10)  P(11) | x^y=ab?")
-    for a, b in itertools.product(BITS, repeat=2):
-        probs = "  ".join(f"{box.prob(a, b, x, y):0.3f}" for x in BITS for y in BITS)
-        ok = all(
-            box.prob(a, b, x, y) < 1e-10
-            for x in BITS
-            for y in BITS
-            if x ^ y != (a & b)
-        )
-        print(f"  {a} {b} | {probs} | {'yes' if ok else 'NO'}")
-    print()
-
-
-def show_chsh_comparison():
-    print("== CHSH win probabilities ==")
-    best_classical, pair = lhv_optimum()
-    rows = [
-        ("best classical (16 strategies)", best_classical.win_probability, CLASSICAL_WIN_BOUND),
-        ("complex quantum", chsh_value(complex_quantum_box()).win_probability, TSIRELSON_WIN_BOUND),
-        ("timing-based box", chsh_value(quaternionic_box()).win_probability, 1.0),
-        ("ideal box", chsh_value(ideal_pr_box()).win_probability, 1.0),
-    ]
-    for name, got, want in rows:
-        print(f"  {name:32s} {got:.10f}   (reference {want:.10f})")
-    print(f"  classical argmax strategies: alice={pair[0]}, bob={pair[1]}")
-    print()
-
-
-def show_protocol():
-    print("== one-bit communication protocol, exhaustive ==")
-    box = quaternionic_box()
-    for name in ("AND", "XOR", "IP2", "IP4"):
-        f = builtin_function(name)
-        report = verify_exhaustive(f, box, rng=np.random.default_rng(0))
-        print(
-            f"  {name:4s}: success {report.success_rate:.1f} over {report.n_inputs:3d} inputs, "
-            f"{report.boxes_used} boxes, {report.bits_bob_to_alice} bit Bob->Alice, "
-            f"{report.bits_alice_to_bob} bits Alice->Bob"
-        )
-    print()
+def main() -> int:
+    worst = 0
+    for argv in RUNS:
+        print(f"== quatbox {' '.join(argv)} ==")
+        worst = max(worst, cli.main(argv))
+        print()
+    return worst
 
 
 if __name__ == "__main__":
-    show_order_dependence()
-    show_box_table()
-    show_chsh_comparison()
-    show_protocol()
-    print(f"reference: cos^2(pi/8) = {math.cos(math.pi / 8) ** 2:.10f}")
+    sys.exit(main())

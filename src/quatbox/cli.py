@@ -2,17 +2,17 @@
 
 Subcommands: prbox, chsh, vandam, order-demo.  Exact distributions are the
 default everywhere; --samples adds seeded Monte Carlo cross-checks.  Exit
-codes: 0 pass, 1 a checked expectation failed, 2 configuration error.
-Identical configuration and seed produce byte-identical output.
+codes: 0 pass, 1 a checked expectation failed, 2 bad input (a one-line
+error on stderr).  Identical arguments and seed produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,21 +41,6 @@ CELL_TOL = 1e-10
 ORTHO_TOL = 1e-12
 
 
-class ConfigError(Exception):
-    """Invalid configuration; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    fmt: str = "text"
-    seed: int = 0
-    strategy: str = "quaternionic"
-    function: str | None = None
-    gates: str = "quaternionic"
-    samples: int | None = None
-
-
 def resolve_box(strategy: str) -> BoxBehavior:
     if strategy == "ideal":
         return ideal_pr_box()
@@ -67,14 +52,8 @@ def resolve_box(strategy: str) -> BoxBehavior:
         _, (f_alice, f_bob) = lhv_optimum()
         return classical_box(f_alice, f_bob)
     if strategy.startswith("noisy:"):
-        try:
-            p = float(strategy.partition(":")[2])
-        except ValueError:
-            raise ConfigError(f"cannot parse noise level in {strategy!r}") from None
-        if not 0.5 <= p <= 1.0:
-            raise ConfigError(f"noise level must lie in [0.5, 1], got {p!r}")
-        return noisy_box(ideal_pr_box(), p)
-    raise ConfigError(
+        return noisy_box(ideal_pr_box(), float(strategy.partition(":")[2]))
+    raise ValueError(
         f"unknown strategy {strategy!r}; choose classical, complex, quaternionic, "
         "ideal or noisy:p"
     )
@@ -87,9 +66,9 @@ def load_function(selector: str) -> BooleanFunction:
         try:
             with open(selector, encoding="utf-8") as fh:
                 return BooleanFunction.from_json_obj(json.load(fh))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad truth-table file {selector!r}: {exc}") from exc
-    raise ConfigError(
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"bad truth-table file {selector!r}: {exc}") from exc
+    raise ValueError(
         f"unknown function {selector!r}: not a built-in ({sorted(BUILTIN_FUNCTIONS)}) "
         "and not a readable file"
     )
@@ -99,8 +78,8 @@ def _cell_key(a: int, b: int) -> str:
     return f"{a},{b}"
 
 
-def run_prbox(config: ExperimentConfig) -> tuple[dict, int]:
-    box = resolve_box(config.strategy)
+def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
+    box = resolve_box(args.strategy)
     game = chsh_value(box)
     cells_pass = {
         _cell_key(a, b): bool(abs(game.per_cell[(a, b)] - 1.0) <= CELL_TOL)
@@ -108,11 +87,11 @@ def run_prbox(config: ExperimentConfig) -> tuple[dict, int]:
         for b in BITS
     }
     all_pass = all(cells_pass.values())
-    expected_perfect = config.strategy in PERFECT_STRATEGIES
+    expected_perfect = args.strategy in PERFECT_STRATEGIES
     payload = {
         "command": "prbox",
-        "strategy": config.strategy,
-        "seed": config.seed,
+        "strategy": args.strategy,
+        "seed": args.seed,
         "behavior": box.to_json_obj(),
         "chsh": {
             "win_probability": game.win_probability,
@@ -122,63 +101,62 @@ def run_prbox(config: ExperimentConfig) -> tuple[dict, int]:
         "pass": all_pass,
         "expected_perfect": expected_perfect,
     }
-    if config.samples:
-        rng = np.random.default_rng(config.seed)
+    if args.samples:
+        rng = np.random.default_rng(args.seed)
         deviation = 0.0
         for a in BITS:
             for b in BITS:
                 counts = {(x, y): 0 for x in BITS for y in BITS}
-                for _ in range(config.samples):
+                for _ in range(args.samples):
                     counts[box.sample(a, b, rng)] += 1
                 for (x, y), c in counts.items():
-                    deviation = max(deviation, abs(c / config.samples - box.prob(a, b, x, y)))
-        payload["samples"] = {"per_cell": config.samples, "max_abs_deviation": deviation}
+                    deviation = max(deviation, abs(c / args.samples - box.prob(a, b, x, y)))
+        payload["samples"] = {"per_cell": args.samples, "max_abs_deviation": deviation}
     return payload, 0 if all_pass or not expected_perfect else 1
 
 
-def run_chsh(config: ExperimentConfig) -> tuple[dict, int]:
-    if config.strategy == "classical":
+def run_chsh(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.strategy == "classical":
         game, (f_alice, f_bob) = lhv_optimum()
         box = classical_box(f_alice, f_bob)
         strategies = {"alice": list(f_alice), "bob": list(f_bob)}
     else:
-        box = resolve_box(config.strategy)
+        box = resolve_box(args.strategy)
         game = chsh_value(box)
         strategies = None
     payload = {
         "command": "chsh",
-        "strategy": config.strategy,
-        "seed": config.seed,
+        "strategy": args.strategy,
+        "seed": args.seed,
         "win_probability": game.win_probability,
         "per_cell": {_cell_key(a, b): game.per_cell[(a, b)] for a in BITS for b in BITS},
     }
     if strategies is not None:
         payload["optimal_strategies"] = strategies
-    if config.samples:
-        rng = np.random.default_rng(config.seed)
+    if args.samples:
+        rng = np.random.default_rng(args.seed)
         wins = 0
-        for _ in range(config.samples):
+        for _ in range(args.samples):
             a, b = int(rng.integers(2)), int(rng.integers(2))
             x, y = box.sample(a, b, rng)
             wins += (x ^ y) == (a & b)
-        payload["samples"] = {"n": config.samples, "empirical_win": wins / config.samples}
+        payload["samples"] = {"n": args.samples, "empirical_win": wins / args.samples}
     return payload, 0
 
 
-def run_vandam(config: ExperimentConfig) -> tuple[dict, int]:
-    assert config.function is not None
-    func = load_function(config.function)
-    box = resolve_box(config.strategy)
-    report = verify_exhaustive(func, box, rng=np.random.default_rng(config.seed))
-    expected_perfect = config.strategy in PERFECT_STRATEGIES
+def run_vandam(args: argparse.Namespace) -> tuple[dict, int]:
+    func = load_function(args.function)
+    box = resolve_box(args.strategy)
+    report = verify_exhaustive(func, box, rng=np.random.default_rng(args.seed))
+    expected_perfect = args.strategy in PERFECT_STRATEGIES
     ok = not expected_perfect or report.success_rate >= 1.0
     payload = {
         "command": "vandam",
-        "strategy": config.strategy,
-        "function": config.function,
+        "strategy": args.strategy,
+        "function": args.function,
         "n_alice": func.n_alice,
         "n_bob": func.n_bob,
-        "seed": config.seed,
+        "seed": args.seed,
         "n_inputs": report.n_inputs,
         "success_rate": report.success_rate,
         "empirical_rate": report.empirical_rate,
@@ -190,9 +168,9 @@ def run_vandam(config: ExperimentConfig) -> tuple[dict, int]:
     return payload, 0 if ok else 1
 
 
-def run_order_demo(config: ExperimentConfig) -> tuple[dict, int]:
+def run_order_demo(args: argparse.Namespace) -> tuple[dict, int]:
     gate0 = phase_gate(I)
-    gate1 = phase_gate(J) if config.gates == "quaternionic" else phase_gate(I)
+    gate1 = phase_gate(J) if args.gates == "quaternionic" else phase_gate(I)
     start = bell_state(1.0)
     party0_first = run_schedule(
         start, [ScheduledOp(1, 0, gate0), ScheduledOp(2, 1, gate1)]
@@ -203,10 +181,10 @@ def run_order_demo(config: ExperimentConfig) -> tuple[dict, int]:
     ip = inner(party0_first.state, party1_first.state)
     orthogonal = ip.norm() <= ORTHO_TOL
     identical = party0_first.state.approx_eq(party1_first.state, ORTHO_TOL)
-    ok = orthogonal if config.gates == "quaternionic" else identical
+    ok = orthogonal if args.gates == "quaternionic" else identical
     payload = {
         "command": "order-demo",
-        "gates": config.gates,
+        "gates": args.gates,
         "party0_first": state_dump(party0_first),
         "party1_first": state_dump(party1_first),
         "inner_product": [ip.w, ip.x, ip.y, ip.z],
@@ -309,7 +287,9 @@ def render(payload: dict, fmt: str) -> str:
     return _render_text(payload)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The quatbox argument parser; built on first use, then shared."""
     parser = argparse.ArgumentParser(
         prog="quatbox",
         description="Quaternion-amplitude simulator experiments: PR box, CHSH, "
@@ -324,28 +304,26 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"output format (default: ${FORMAT_ENV_VAR} or text)",
     )
     common.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    strategy = argparse.ArgumentParser(add_help=False)
+    strategy.add_argument("--strategy", default="quaternionic",
+                          help="classical | complex | quaternionic | ideal | noisy:p")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prbox", parents=[common],
+    p = sub.add_parser("prbox", parents=[common, strategy],
                        help="behavior table and CHSH value of a box strategy")
-    p.add_argument("--strategy", default="quaternionic",
-                   help="classical | complex | quaternionic | ideal | noisy:p")
     p.add_argument("--samples", type=int, default=None,
                    help="per-cell Monte Carlo cross-check draws")
 
-    p = sub.add_parser("chsh", parents=[common], help="CHSH game value of a strategy")
-    p.add_argument("--strategy", default="quaternionic",
-                   help="classical | complex | quaternionic | ideal | noisy:p")
+    p = sub.add_parser("chsh", parents=[common, strategy],
+                       help="CHSH game value of a strategy")
     p.add_argument("--samples", type=int, default=None,
                    help="Monte Carlo game rounds")
 
-    p = sub.add_parser("vandam", parents=[common],
+    p = sub.add_parser("vandam", parents=[common, strategy],
                        help="exhaustively verify the one-bit protocol on a function")
     p.add_argument("--function", required=True,
                    help="built-in name (AND, XOR, IP2, IP4) or truth-table JSON file")
-    p.add_argument("--strategy", default="quaternionic",
-                   help="classical | complex | quaternionic | ideal | noisy:p")
 
     p = sub.add_parser("order-demo", parents=[common],
                        help="apply two local gates in both time orders and compare")
@@ -354,41 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    fmt = args.fmt or os.environ.get(FORMAT_ENV_VAR, "text")
-    if fmt not in FORMATS:
-        raise ConfigError(f"unknown output format {fmt!r} (from ${FORMAT_ENV_VAR}?)")
-    if fmt == "csv" and args.command != "prbox":
-        raise ConfigError("csv output is only defined for the prbox behavior table")
-    samples = getattr(args, "samples", None)
-    if samples is not None and samples < 1:
-        raise ConfigError("--samples must be positive")
-    return ExperimentConfig(
-        command=args.command,
-        fmt=fmt,
-        seed=args.seed,
-        strategy=getattr(args, "strategy", "quaternionic"),
-        function=getattr(args, "function", None),
-        gates=getattr(args, "gates", "quaternionic"),
-        samples=samples,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        payload, code = _RUNNERS[config.command](config)
-    except ConfigError as exc:
+        fmt = args.fmt or os.environ.get(FORMAT_ENV_VAR, "text")
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown output format {fmt!r} (from ${FORMAT_ENV_VAR}?)")
+        if fmt == "csv" and args.command != "prbox":
+            raise ValueError("csv output is only defined for the prbox behavior table")
+        if getattr(args, "samples", None) is not None and args.samples < 1:
+            raise ValueError("--samples must be positive")
+        payload, code = _RUNNERS[args.command](args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(payload, config.fmt))
+    print(render(payload, fmt))
     return code
-
-
-def cli_entry() -> int:
-    return main()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .boxes import BoxBehavior
+from .chsh import chsh_value
 
-#: refuse exhaustive verification beyond 2**20 inputs
+#: refuse truth-table files and exhaustive verification beyond 2**20 inputs
 VERIFY_SIZE_CAP = 20
 
 
@@ -70,6 +72,8 @@ class BooleanFunction:
     @classmethod
     def from_json_obj(cls, obj: dict) -> BooleanFunction:
         n_alice, n_bob = int(obj["n_alice"]), int(obj["n_bob"])
+        if n_alice + n_bob > VERIFY_SIZE_CAP:  # before anything of size 2**n is built
+            raise ValueError(f"refusing a truth table over 2**{n_alice + n_bob} inputs")
         packed = int(obj["table"], 16)
         size = 1 << (n_alice + n_bob)
         if packed >> size:
@@ -120,17 +124,17 @@ class ANF:
             acc ^= (x & a_mask) == a_mask and (y & b_mask) == b_mask
         return int(acc)
 
-    @property
+    @cached_property
     def mixed(self) -> tuple[tuple[int, int], ...]:
         """Monomials touching both parties; these each consume one box."""
         return tuple(m for m in self.monomials if m[0] and m[1])
 
-    @property
+    @cached_property
     def pure_alice(self) -> tuple[tuple[int, int], ...]:
         """Monomials Alice can fold locally (includes the constant term)."""
         return tuple(m for m in self.monomials if not m[1])
 
-    @property
+    @cached_property
     def pure_bob(self) -> tuple[tuple[int, int], ...]:
         return tuple(m for m in self.monomials if not m[0] and m[1])
 
@@ -205,21 +209,16 @@ def _run_with_anf(
 def success_probability(f: BooleanFunction, x: int, y: int, box: BoxBehavior) -> float:
     """Exact probability that the protocol outputs f(x, y), averaging over
     the boxes' randomness (every mixed monomial drawing from `box`)."""
-    return _success_with_anf(anf_transform(f), x, y, box)
+    return _success_with_anf(anf_transform(f), x, y, chsh_value(box).per_cell)
 
 
-def _success_with_anf(anf: ANF, x: int, y: int, box: BoxBehavior) -> float:
+def _success_with_anf(anf: ANF, x: int, y: int, win_rate: dict[tuple[int, int], float]) -> float:
     # The output is wrong iff an odd number of boxes miss x^y = ab on their
     # cell; for independent boxes Pr[even] = (1 + prod(1 - 2 e_k)) / 2.
     prod = 1.0
     for a_mask, b_mask in anf.mixed:
-        alpha = int((x & a_mask) == a_mask)
-        beta = int((y & b_mask) == b_mask)
-        win = math.fsum(
-            box.prob(alpha, beta, u, v) for u in (0, 1) for v in (0, 1) if u ^ v == alpha & beta
-        )
-        win = min(max(win, 0.0), 1.0)  # absorb 1-ulp excess from simulated boxes
-        prod *= 2.0 * win - 1.0
+        win = win_rate[int((x & a_mask) == a_mask), int((y & b_mask) == b_mask)]
+        prod *= 2.0 * min(max(win, 0.0), 1.0) - 1.0  # clamp: 1-ulp excess of simulated boxes
     return (1.0 + prod) / 2.0
 
 
@@ -248,6 +247,7 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     if rng is None:
         rng = np.random.default_rng(0)
     anf = anf_transform(f)
+    win_rate = chsh_value(box).per_cell
     supply = [box] * len(anf.mixed)
     exact_terms = []
     hits = 0
@@ -255,7 +255,7 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
         for y in range(1 << f.n_bob):
             run = _run_with_anf(anf, x, y, supply, rng)
             hits += run.output == f.evaluate(x, y)
-            exact_terms.append(_success_with_anf(anf, x, y, box))
+            exact_terms.append(_success_with_anf(anf, x, y, win_rate))
     n_inputs = 1 << n
     return VerifyReport(
         success_rate=math.fsum(exact_terms) / n_inputs,

@@ -125,6 +125,23 @@ def test_vandam_bad_function_file_is_config_error(capsys, tmp_path):
     assert "bad truth-table file" in err
 
 
+def test_vandam_directory_as_function_exits_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["vandam", "--function", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert "bad truth-table file" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_vandam_oversized_function_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n_alice": 11, "n_bob": 11, "table": "0"}), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vandam", "--function", str(path)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_vandam_exit_one_when_perfect_strategy_fails(capsys, monkeypatch):
     from quatbox.vandam import VerifyReport
 
@@ -171,6 +188,14 @@ def test_unknown_strategy_is_config_error(capsys):
 def test_bad_noise_levels_are_config_errors(capsys, level):
     code, _, err = run_cli(capsys, ["chsh", "--strategy", level])
     assert code == 2
+
+
+def test_library_value_error_exits_two(capsys):
+    # numpy rejects the negative seed; the CLI boundary turns that into exit 2
+    code, out, err = run_cli(capsys, ["vandam", "--function", "AND", "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_csv_limited_to_prbox(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,18 @@ def test_truth_table_json_examples():
 def test_truth_table_json_rejects_oversized_table():
     with pytest.raises(ValueError):
         BooleanFunction.from_json_obj({"n_alice": 1, "n_bob": 1, "table": "1f"})
+
+
+def test_truth_table_json_width_is_checked_before_the_table_is_built():
+    wide = {"n_alice": 11, "n_bob": 11, "table": "0"}  # 2**22 entries if built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\*\\*22"):
+            BooleanFunction.from_json_obj(wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_boolean_function_validation():
