@@ -39,6 +39,8 @@ PERFECT_STRATEGIES = frozenset({"ideal", "quaternionic"})
 
 CELL_TOL = 1e-10
 ORTHO_TOL = 1e-12
+#: largest --samples accepted; a draw costs microseconds, so this bounds a run to seconds
+MAX_SAMPLES = 10**6
 
 
 def resolve_box(strategy: str) -> BoxBehavior:
@@ -66,7 +68,7 @@ def load_function(selector: str) -> BooleanFunction:
         try:
             with open(selector, encoding="utf-8") as fh:
                 return BooleanFunction.from_json_obj(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"bad truth-table file {selector!r}: {exc}") from exc
     raise ValueError(
         f"unknown function {selector!r}: not a built-in ({sorted(BUILTIN_FUNCTIONS)}) "
@@ -287,10 +289,17 @@ def render(payload: dict, fmt: str) -> str:
     return _render_text(payload)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose syntax errors are one `error: ...` line and exit 2, like every bad input."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The quatbox argument parser; built on first use, then shared."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quatbox",
         description="Quaternion-amplitude simulator experiments: PR box, CHSH, "
         "one-bit communication, gate-order demo.",
@@ -340,8 +349,9 @@ def main(argv=None) -> int:
             raise ValueError(f"unknown output format {fmt!r} (from ${FORMAT_ENV_VAR}?)")
         if fmt == "csv" and args.command != "prbox":
             raise ValueError("csv output is only defined for the prbox behavior table")
-        if getattr(args, "samples", None) is not None and args.samples < 1:
-            raise ValueError("--samples must be positive")
+        samples = getattr(args, "samples", None)
+        if samples is not None and not 1 <= samples <= MAX_SAMPLES:
+            raise ValueError(f"--samples must lie in [1, {MAX_SAMPLES}]")
         payload, code = _RUNNERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

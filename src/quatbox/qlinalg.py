@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from itertools import starmap
+from operator import attrgetter
+from typing import Iterable
 
-from .quaternion import ONE, ZERO, Quaternion, as_quaternion
+import numpy as np
+
+from .quaternion import ONE, Quaternion, as_quaternion
 
 #: entry-wise tolerance for accepting a matrix as unitary
 UNITARY_TOL = 1e-10
@@ -25,28 +30,80 @@ SUBFIELD_TOL = 1e-14
 
 INV_SQRT2 = math.sqrt(0.5)
 
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+#: term k of component c of a Hamilton product is p[k] * _SIGN[k][c] * q[k ^ c]
+_PERM = np.arange(4)[:, None] ^ np.arange(4)
+_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0],
+                  [-1.0, -1.0, 1.0, 1.0]])
 
-@dataclass(frozen=True)
-class QVector:
-    """Column vector of quaternion amplitudes."""
 
-    amps: tuple[Quaternion, ...]
+def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product p * q of (..., 4) arrays, broadcast over the leading axes.
+
+    Each component adds its terms for k = w, x, y, z in the order
+    `Quaternion.__mul__` does; a sign flip is exact and a + (-b) is a - b,
+    so the result matches the scalar product bit for bit.
+    """
+    terms = p[..., :, None] * (q[..., _PERM] * _SIGN)
+    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
+
+
+def norm_sq(a: np.ndarray) -> np.ndarray:
+    """w*w + x*x + y*y + z*z of each quaternion in a (..., 4) array."""
+    squares = a * a
+    return squares[..., 0] + squares[..., 1] + squares[..., 2] + squares[..., 3]
+
+
+def _fold_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """ZERO + t0 + t1 + ... along an axis.  A left-to-right sum is -0.0 only
+    when every term is, and adding +0.0 afterwards changes exactly that case."""
+    return 0.0 + np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+
+
+def _pack(quaternions: Iterable[Quaternion]) -> np.ndarray:
+    return np.array(list(map(attrgetter("w", "x", "y", "z"), quaternions))).reshape(-1, 4)
+
+
+@dataclass(frozen=True, eq=False)
+class _QuaternionArray:
+    """Read-only float array `data` of NDIM axes, the last holding (w, x, y, z)."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        data = self.data if isinstance(self.data, np.ndarray) else _pack(self.data)
+        data = np.asarray(data, dtype=float).view()
+        if data.ndim != self.NDIM or data.shape[-1] != 4:
+            raise ValueError(f"{type(self).__name__} data needs {self.NDIM} axes, the last of 4")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.data.shape == other.data.shape and bool((self.data == other.data).all())
+
+    def approx_eq(self, other, tol: float = 1e-12) -> bool:
+        return self.data.shape == other.data.shape and bool(
+            (np.abs(self.data - other.data) <= tol).all()
+        )
+
+
+class QVector(_QuaternionArray):
+    """Column vector of quaternion amplitudes: `data` of shape (dim, 4) or a Quaternion tuple."""
+
+    NDIM = 2
+
+    @property
+    def amps(self) -> tuple[Quaternion, ...]:
+        return tuple(starmap(Quaternion, self.data.tolist()))
 
     @property
     def dim(self) -> int:
-        return len(self.amps)
-
-    def __len__(self) -> int:
-        return len(self.amps)
-
-    def __iter__(self) -> Iterator[Quaternion]:
-        return iter(self.amps)
-
-    def __getitem__(self, idx: int) -> Quaternion:
-        return self.amps[idx]
+        return len(self.data)
 
     def norm_sq(self) -> float:
-        return math.fsum(a.norm_sq() for a in self.amps)
+        return math.fsum(norm_sq(self.data).tolist())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -54,82 +111,49 @@ class QVector:
     def is_normalized(self, tol: float = 1e-10) -> bool:
         return abs(self.norm_sq() - 1.0) <= tol
 
-    def approx_eq(self, other: QVector, tol: float = 1e-12) -> bool:
-        return self.dim == other.dim and all(
-            a.approx_eq(b, tol) for a, b in zip(self.amps, other.amps)
-        )
 
+class QMatrix(_QuaternionArray):
+    """Matrix of quaternion entries; `data` has shape (rows, cols, 4)."""
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Row-major matrix of quaternion entries."""
-
-    entries: tuple[tuple[Quaternion, ...], ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    NDIM = 3
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.rows, self.cols
+        return self.data.shape[:2]
 
-    def __getitem__(self, r: int) -> tuple[Quaternion, ...]:
-        return self.entries[r]
+    @cached_property
+    def unitary(self) -> bool:
+        """`is_unitary(self)` at the default tolerance, worked out once per matrix."""
+        return is_unitary(self)
 
     def dagger(self) -> QMatrix:
         """Transpose followed by entry-wise quaternionic conjugation."""
-        return QMatrix(
-            tuple(
-                tuple(self.entries[r][c].conjugate() for r in range(self.rows))
-                for c in range(self.cols)
-            )
-        )
+        return QMatrix(self.data.transpose(1, 0, 2) * _CONJUGATE)
 
     def is_real(self, tol: float = SUBFIELD_TOL) -> bool:
-        return all(e.is_real(tol) for row in self.entries for e in row)
+        return bool((np.abs(self.data[..., 1:]) <= tol).all())
 
     def in_complex_subfield(self, tol: float = SUBFIELD_TOL) -> bool:
-        return all(e.in_complex_subfield(tol) for row in self.entries for e in row)
-
-    def approx_eq(self, other: QMatrix, tol: float = 1e-12) -> bool:
-        return self.shape == other.shape and all(
-            a.approx_eq(b, tol)
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb)
-        )
-
-    def __matmul__(self, other):
-        if isinstance(other, QMatrix):
-            return matmul(self, other)
-        if isinstance(other, QVector):
-            return matvec(self, other)
-        return NotImplemented
+        return bool((np.abs(self.data[..., 2:]) <= tol).all())
 
 
 def qvec(values: Iterable) -> QVector:
-    return QVector(tuple(as_quaternion(v) for v in values))
+    return QVector(map(as_quaternion, values))
 
 
 def qmat(rows: Iterable[Iterable]) -> QMatrix:
-    entries = tuple(tuple(as_quaternion(v) for v in row) for row in rows)
-    if entries and any(len(row) != len(entries[0]) for row in entries):
-        raise ValueError("ragged rows")
-    return QMatrix(entries)
+    return QMatrix(np.array([_pack(map(as_quaternion, row)) for row in rows]))
 
 
 def identity(n: int) -> QMatrix:
-    return QMatrix(tuple(tuple(ONE if r == c else ZERO for c in range(n)) for r in range(n)))
+    return diag(*[ONE] * n)
 
 
 def diag(*values) -> QMatrix:
-    qs = [as_quaternion(v) for v in values]
-    n = len(qs)
-    return QMatrix(tuple(tuple(qs[r] if r == c else ZERO for c in range(n)) for r in range(n)))
+    n = len(values)
+    data = np.zeros((n, n, 4))
+    data[range(n), range(n)] = _pack(map(as_quaternion, values))
+    return QMatrix(data)
 
 
 def dagger(m: QMatrix) -> QMatrix:
@@ -138,54 +162,32 @@ def dagger(m: QMatrix) -> QMatrix:
 
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     """Matrix product with entry factors kept in left-to-right order."""
-    if a.cols != b.rows:
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    out = []
-    for r in range(a.rows):
-        row = []
-        for c in range(b.cols):
-            acc = ZERO
-            for k in range(a.cols):
-                acc = acc + a.entries[r][k] * b.entries[k][c]
-            row.append(acc)
-        out.append(tuple(row))
-    return QMatrix(tuple(out))
+    return QMatrix(_fold_sum(hamilton(a.data[:, :, None], b.data[None]), axis=1))
 
 
 def matvec(m: QMatrix, v: QVector) -> QVector:
     """Left action: out[r] = sum_c M[r][c] * v[c], products in that order."""
-    if m.cols != v.dim:
+    if m.shape[1] != v.dim:
         raise ValueError(f"shape mismatch: {m.shape} @ vector of dim {v.dim}")
-    out = []
-    for r in range(m.rows):
-        acc = ZERO
-        for c in range(m.cols):
-            acc = acc + m.entries[r][c] * v.amps[c]
-        out.append(acc)
-    return QVector(tuple(out))
+    return QVector(_fold_sum(hamilton(m.data, v.data[None]), axis=1))
 
 
 def inner(u: QVector, v: QVector) -> Quaternion:
     """<u|v> = sum_i conj(u_i) * v_i; conjugate-linear in the left slot."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    acc = ZERO
-    for a, b in zip(u.amps, v.amps):
-        acc = acc + a.conjugate() * b
-    return acc
+    return Quaternion(*_fold_sum(hamilton(u.data * _CONJUGATE, v.data), axis=0).tolist())
 
 
 def is_unitary(m: QMatrix, tol: float = UNITARY_TOL) -> bool:
     """True iff M * dagger(M) deviates from the identity by at most tol per entry."""
-    if m.rows != m.cols:
+    rows, cols = m.shape
+    if rows != cols:
         raise ValueError("unitarity is only defined for square matrices")
-    prod = matmul(m, m.dagger())
-    eye = identity(m.rows)
-    return all(
-        (p - e).norm() <= tol
-        for rp, re_ in zip(prod.entries, eye.entries)
-        for p, e in zip(rp, re_)
-    )
+    deviation = matmul(m, m.dagger()).data - identity(rows).data
+    return bool((np.sqrt(norm_sq(deviation)) <= tol).all())
 
 
 def hadamard() -> QMatrix:

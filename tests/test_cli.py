@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from quatbox import cli
+from quatbox.boxes import BoxBehavior
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "schemas", "cli_output.schema.json")
 with open(SCHEMA_PATH, encoding="utf-8") as fh:
@@ -133,6 +134,21 @@ def test_vandam_directory_as_function_exits_two(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"n_alice": Infinity, "n_bob": 1, "table": "0"}', "[" * 100000 + "]" * 100000],
+    ids=["infinite-width", "deeply-nested"],
+)
+def test_vandam_malformed_function_file_exits_two(capsys, tmp_path, text):
+    path = tmp_path / "f.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vandam", "--function", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "bad truth-table file" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_vandam_oversized_function_file_exits_two(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"n_alice": 11, "n_bob": 11, "table": "0"}), encoding="utf-8")
@@ -173,9 +189,29 @@ def test_order_demo_complex_gates_commute(capsys):
 
 
 def test_unknown_flag_exits_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["prbox", "--bogus"])
-    assert err.value.code == 2
+    for argv in (
+        ["prbox", "--bogus"],
+        ["prbox", "--format", "xml"],
+        ["vandam", "--strategy", "ideal"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert err_text.startswith("error: ") and len(err_text.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["prbox", "chsh"])
+def test_oversized_samples_refused_before_any_draw(capsys, monkeypatch, command):
+    def no_draws(*args):
+        raise AssertionError("a box was sampled")
+
+    monkeypatch.setattr(BoxBehavior, "sample", no_draws)
+    code, out, err = run_cli(capsys, [command, "--samples", str(cli.MAX_SAMPLES + 1)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --samples") and len(err.splitlines()) == 1
 
 
 def test_unknown_strategy_is_config_error(capsys):

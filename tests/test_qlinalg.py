@@ -8,6 +8,7 @@ from quatbox.qlinalg import (
     dagger,
     diag,
     hadamard,
+    hamilton,
     identity,
     inner,
     is_unitary,
@@ -18,7 +19,7 @@ from quatbox.qlinalg import (
     qvec,
     rotation,
 )
-from quatbox.quaternion import I, J, K, ONE, Quaternion
+from quatbox.quaternion import I, J, K, ONE, UNIT_GROUP, Quaternion
 
 from helpers import random_quaternion, random_state, random_unitary
 
@@ -28,6 +29,16 @@ R_J = phase_gate(J)
 
 def rand_matrix(rng, rows=2, cols=2):
     return qmat([[random_quaternion(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_hamilton_matches_scalar_product_bit_for_bit():
+    rng = np.random.default_rng(4)
+    signed_zeros = [Quaternion(*rng.choice([0.0, -0.0, 1.0, -2.5], size=4)) for _ in range(20)]
+    qs = list(UNIT_GROUP) + signed_zeros + [random_quaternion(rng) for _ in range(20)]
+    arr = np.array([[q.w, q.x, q.y, q.z] for q in qs])
+    want = np.array([[[(p * q).w, (p * q).x, (p * q).y, (p * q).z] for q in qs] for p in qs])
+    # tobytes tells -0.0 from 0.0, which == does not
+    assert hamilton(arr[:, None], arr[None]).tobytes() == want.tobytes()
 
 
 def test_dagger_of_phase_gate():

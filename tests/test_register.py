@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from quatbox.qlinalg import INV_SQRT2, hadamard, identity, inner, phase_gate, qvec, rotation
+from quatbox import qlinalg
+from quatbox.qlinalg import (
+    INV_SQRT2, QVector, hadamard, identity, inner, phase_gate, qvec, rotation,
+)
 from quatbox.quaternion import I, J, K, Quaternion
 from quatbox.register import (
     Register,
@@ -65,6 +68,57 @@ def test_apply_local_reproduces_order_dependent_states():
 def test_apply_identity_is_noop():
     reg = bell_state(K)
     assert apply_local(reg, 0, identity(2)).state == reg.state
+
+
+def scalar_apply_local(reg, party, gate):
+    """Reference: the per-amplitude fold new[r] = gate[r][0] * a0 + gate[r][1] * a1."""
+    g = [[Quaternion(*gate.data[r, c].tolist()) for c in range(2)] for r in range(2)]
+    old = reg.state.amps
+    new = list(old)
+    mask = 1 << (reg.n_parties - 1 - party)
+    for idx in range(len(old)):
+        if not idx & mask:
+            a0, a1 = old[idx], old[idx | mask]
+            new[idx] = g[0][0] * a0 + g[0][1] * a1
+            new[idx | mask] = g[1][0] * a0 + g[1][1] * a1
+    return np.array([[a.w, a.x, a.y, a.z] for a in new])
+
+
+def signed_zero_register(rng, n):
+    """Normalized register whose components are mostly +0.0 and -0.0."""
+    amps = rng.choice([0.0, -0.0, -0.0, 1.0, -1.0], size=(2**n, 4))
+    amps[0, 0] = 1.0
+    return Register(n, QVector(amps / np.sqrt((amps * amps).sum())))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_local_matches_scalar_fold(n):
+    rng = np.random.default_rng(30 + n)
+    gates = [
+        random_unitary(rng),
+        random_complex_unitary(rng),
+        rotation(rng.uniform(0.0, 2.0 * math.pi)),
+        phase_gate(-K),
+        hadamard(),
+    ]
+    for reg in (random_register(rng, n), signed_zero_register(rng, n)):
+        for party in range(n):
+            for gate in gates:
+                got = apply_local(reg, party, gate).state.data
+                # tobytes tells -0.0 from 0.0, which == does not
+                assert got.tobytes() == scalar_apply_local(reg, party, gate).tobytes()
+
+
+def test_gate_unitarity_is_computed_once(monkeypatch):
+    calls = []
+    check = qlinalg.is_unitary
+    monkeypatch.setattr(qlinalg, "is_unitary", lambda m, *args: calls.append(m) or check(m, *args))
+    gate = phase_gate(J)
+    reg = bell_state(1.0)
+    for k in range(6):
+        reg = apply_local(reg, k % 2, gate)
+    run_schedule(reg, [ScheduledOp(t, t % 2, gate) for t in range(6)])
+    assert calls == [gate]
 
 
 def test_apply_local_validates_inputs():
