@@ -13,7 +13,6 @@ from .quaternion import I, J, K, ONE, Quaternion, ZERO
 from .qlinalg import (
     QMatrix,
     QVector,
-    dagger,
     diag,
     hadamard,
     identity,
@@ -35,7 +34,6 @@ from .register import (
     computational_state,
     measure_product_basis,
     run_schedule,
-    sample_outcome,
     state_dump,
 )
 from .boxes import (

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,17 +73,6 @@ class BoxBehavior:
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         return float(self.probs[a, b, x, y])
 
-    def cell(self, a: int, b: int) -> dict[tuple[int, int], float]:
-        return {(x, y): float(self.probs[a, b, x, y]) for x in BITS for y in BITS}
-
-    def marginal_x(self, a: int, b: int) -> tuple[float, float]:
-        m = self.probs[a, b].sum(axis=1)
-        return float(m[0]), float(m[1])
-
-    def marginal_y(self, a: int, b: int) -> tuple[float, float]:
-        m = self.probs[a, b].sum(axis=0)
-        return float(m[0]), float(m[1])
-
     def sample(self, a: int, b: int, rng) -> tuple[int, int]:
         """Draw one output pair for inputs (a, b); deterministic under a seeded rng."""
         r = rng.random()
@@ -106,16 +95,6 @@ class BoxBehavior:
             for b in BITS
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> BoxBehavior:
-        arr = np.zeros((2, 2, 2, 2))
-        for key, outcomes in obj.items():
-            a_str, b_str = key.split(",")
-            a, b = int(a_str), int(b_str)
-            for entry in outcomes:
-                arr[a, b, entry["x"], entry["y"]] = entry["p"]
-        return cls(arr)
-
 
 def is_non_signalling(box: BoxBehavior, tol: float = NON_SIGNALLING_TOL) -> bool:
     """Check that each party's output marginal ignores the other party's input."""
@@ -125,6 +104,13 @@ def is_non_signalling(box: BoxBehavior, tol: float = NON_SIGNALLING_TOL) -> bool
     x_leak = np.max(np.abs(mx[:, 0, :] - mx[:, 1, :]))
     y_leak = np.max(np.abs(my[0, :, :] - my[1, :, :]))
     return bool(max(x_leak, y_leak) <= tol)
+
+
+def _measured_box(readout: Callable[[int, int], dict[str, float]]) -> BoxBehavior:
+    """Box whose cell (a, b) is readout(a, b), a distribution over xy = 00, 01, 10, 11
+    listed in that order."""
+    cells = [[list(readout(a, b).values()) for b in BITS] for a in BITS]
+    return BoxBehavior(np.reshape(cells, (2, 2, 2, 2)))
 
 
 def ideal_pr_box() -> BoxBehavior:
@@ -150,18 +136,15 @@ def quaternionic_box(schedule: Schedule = Schedule()) -> BoxBehavior:
     gate_bob = phase_gate(J)
     # both parties measure at t5, strictly after every scheduled gate
     measurement = [hadamard(), hadamard()]
-    arr = np.zeros((2, 2, 2, 2))
-    for a in BITS:
-        for b in BITS:
-            ops = [
-                ScheduledOp(schedule.t1 if a == 0 else schedule.t3, 0, gate_alice),
-                ScheduledOp(schedule.t4 if b == 0 else schedule.t2, 1, gate_bob),
-            ]
-            final = run_schedule(bell_state(K), ops)
-            dist = measure_product_basis(final, measurement)
-            for label, p in dist.items():
-                arr[a, b, int(label[0]), int(label[1])] = p
-    return BoxBehavior(arr)
+
+    def readout(a: int, b: int) -> dict[str, float]:
+        ops = [
+            ScheduledOp(schedule.t1 if a == 0 else schedule.t3, 0, gate_alice),
+            ScheduledOp(schedule.t4 if b == 0 else schedule.t2, 1, gate_bob),
+        ]
+        return measure_product_basis(run_schedule(bell_state(K), ops), measurement)
+
+    return _measured_box(readout)
 
 
 def classical_box(f_alice: Sequence[int], f_bob: Sequence[int]) -> BoxBehavior:
@@ -183,13 +166,9 @@ def complex_quantum_box() -> BoxBehavior:
     shared = bell_state(1.0)
     alice_basis = {0: rotation(0.0), 1: rotation(math.pi / 4)}
     bob_basis = {0: rotation(math.pi / 8), 1: rotation(-math.pi / 8)}
-    arr = np.zeros((2, 2, 2, 2))
-    for a in BITS:
-        for b in BITS:
-            dist = measure_product_basis(shared, [alice_basis[a], bob_basis[b]])
-            for label, p in dist.items():
-                arr[a, b, int(label[0]), int(label[1])] = p
-    return BoxBehavior(arr)
+    return _measured_box(
+        lambda a, b: measure_product_basis(shared, [alice_basis[a], bob_basis[b]])
+    )
 
 
 def noisy_box(inner: BoxBehavior, p: float) -> BoxBehavior:

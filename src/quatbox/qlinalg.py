@@ -156,10 +156,6 @@ def diag(*values) -> QMatrix:
     return QMatrix(data)
 
 
-def dagger(m: QMatrix) -> QMatrix:
-    return m.dagger()
-
-
 def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     """Matrix product with entry factors kept in left-to-right order."""
     if a.shape[1] != b.shape[0]:

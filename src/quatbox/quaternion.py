@@ -34,17 +34,6 @@ class Quaternion:
 
     __abs__ = norm
 
-    def parts(self) -> tuple[float, Quaternion]:
-        """Split into (scalar part, pure-imaginary part); the two sum back to self."""
-        return self.w, Quaternion(0.0, self.x, self.y, self.z)
-
-    def is_real(self, tol: float = 1e-14) -> bool:
-        return abs(self.x) <= tol and abs(self.y) <= tol and abs(self.z) <= tol
-
-    def in_complex_subfield(self, tol: float = 1e-14) -> bool:
-        """True when the j and k components vanish (the value lies in C)."""
-        return abs(self.y) <= tol and abs(self.z) <= tol
-
     def approx_eq(self, other: Quaternion, tol: float = 1e-12) -> bool:
         return (
             abs(self.w - other.w) <= tol

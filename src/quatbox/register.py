@@ -11,9 +11,8 @@ two-party register lists amplitudes for 00, 01, 10, 11 in that order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +29,8 @@ def basis_labels(n_parties: int) -> list[str]:
 
 @dataclass(frozen=True)
 class Register:
-    """An n-party state vector; always normalized within NORM_TOL."""
+    """An n-party state vector, normalized within NORM_TOL.  Caller amplitudes are
+    checked here; `apply_local` results, unitary images of checked ones, are not."""
 
     n_parties: int
     state: QVector
@@ -44,6 +44,14 @@ class Register:
             )
         if not self.state.is_normalized(NORM_TOL):
             raise ValueError(f"state is not normalized: |psi|^2 = {self.state.norm_sq()!r}")
+
+    @classmethod
+    def _evolved(cls, n_parties: int, state: QVector) -> Register:
+        """A unitary image of a checked register: dimension and norm hold, unchecked."""
+        reg = object.__new__(cls)
+        object.__setattr__(reg, "n_parties", n_parties)
+        object.__setattr__(reg, "state", state)
+        return reg
 
     def amplitude(self, label: str) -> Quaternion:
         return Quaternion(*self.state.data[int(label, 2)].tolist())
@@ -95,7 +103,7 @@ def apply_local(reg: Register, party: int, gate: QMatrix) -> Register:
     terms = hamilton(gate.data[:, :, None], amps)
     # the pair sum gate[r][0] * a0 + gate[r][1] * a1, added as the scalar algebra adds it
     new = terms[:, :, 0] + terms[:, :, 1]
-    return Register(reg.n_parties, QVector(new.reshape(-1, 4)))
+    return Register._evolved(reg.n_parties, QVector(new.reshape(-1, 4)))
 
 
 def run_schedule(reg: Register, ops: Iterable[ScheduledOp]) -> Register:
@@ -136,25 +144,6 @@ def measure_product_basis(
     for party, m in enumerate(basis_changes):
         out = apply_local(out, party, m)
     return dict(zip(basis_labels(reg.n_parties), norm_sq(out.state.data).tolist()))
-
-
-def sample_outcome(dist: Mapping[str, float], rng) -> str:
-    """Draw one outcome from a distribution; deterministic for a seeded rng."""
-    labels = list(dist)
-    if not labels:
-        raise ValueError("empty distribution")
-    probs = [dist[label] for label in labels]
-    if min(probs) < -1e-12:
-        raise ValueError("negative probability")
-    if abs(math.fsum(probs) - 1.0) > NORM_TOL:
-        raise ValueError("probabilities must sum to 1")
-    r = rng.random()
-    acc = 0.0
-    for label, p in zip(labels, probs):
-        acc += p
-        if r < acc:
-            return label
-    return labels[-1]  # guard against float shortfall in the cumulative sum
 
 
 def state_dump(reg: Register) -> dict:

@@ -27,6 +27,12 @@ from .chsh import chsh_value
 VERIFY_SIZE_CAP = 20
 
 
+def _table_size(n_alice: int, n_bob: int) -> int:
+    if n_alice < 0 or n_bob < 0:
+        raise ValueError("bit widths must be non-negative")
+    return 1 << (n_alice + n_bob)
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """A boolean function of n_alice + n_bob input bits, as a truth table."""
@@ -36,9 +42,7 @@ class BooleanFunction:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n_alice < 0 or self.n_bob < 0:
-            raise ValueError("bit widths must be non-negative")
-        expected = 1 << (self.n_alice + self.n_bob)
+        expected = _table_size(self.n_alice, self.n_bob)
         if len(self.table) != expected:
             raise ValueError(f"table must have {expected} entries, got {len(self.table)}")
         if any(bit not in (0, 1) for bit in self.table):
@@ -72,10 +76,13 @@ class BooleanFunction:
     @classmethod
     def from_json_obj(cls, obj: dict) -> BooleanFunction:
         n_alice, n_bob = int(obj["n_alice"]), int(obj["n_bob"])
-        if n_alice + n_bob > VERIFY_SIZE_CAP:  # before anything of size 2**n is built
+        # widths are checked before anything of size 2**n is built
+        if n_alice + n_bob > VERIFY_SIZE_CAP:
             raise ValueError(f"refusing a truth table over 2**{n_alice + n_bob} inputs")
+        size = _table_size(n_alice, n_bob)
         packed = int(obj["table"], 16)
-        size = 1 << (n_alice + n_bob)
+        if packed < 0:
+            raise ValueError(f"table must be a non-negative hex string, got {obj['table']!r}")
         if packed >> size:
             raise ValueError("table has more bits than 2**(n_alice+n_bob)")
         return cls(n_alice, n_bob, tuple((packed >> idx) & 1 for idx in range(size)))

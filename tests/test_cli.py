@@ -135,17 +135,22 @@ def test_vandam_directory_as_function_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ['{"n_alice": Infinity, "n_bob": 1, "table": "0"}', "[" * 100000 + "]" * 100000],
-    ids=["infinite-width", "deeply-nested"],
+    "text, reason",
+    [
+        ('{"n_alice": Infinity, "n_bob": 1, "table": "0"}', "bad truth-table file"),
+        ("[" * 100000 + "]" * 100000, "bad truth-table file"),
+        ('{"n_alice": 1, "n_bob": 1, "table": "-f"}', "table must be a non-negative hex string"),
+    ],
+    ids=["infinite-width", "deeply-nested", "negative-table"],
 )
-def test_vandam_malformed_function_file_exits_two(capsys, tmp_path, text):
+def test_vandam_malformed_function_file_exits_two(capsys, tmp_path, text, reason):
     path = tmp_path / "f.json"
     path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, ["vandam", "--function", str(path)])
     assert code == 2
     assert out == ""
-    assert "bad truth-table file" in err
+    assert err.startswith("error: bad truth-table file")
+    assert reason in err
     assert len(err.splitlines()) == 1
 
 

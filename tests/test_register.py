@@ -17,7 +17,6 @@ from quatbox.register import (
     computational_state,
     measure_product_basis,
     run_schedule,
-    sample_outcome,
     state_dump,
 )
 
@@ -119,6 +118,22 @@ def test_gate_unitarity_is_computed_once(monkeypatch):
         reg = apply_local(reg, k % 2, gate)
     run_schedule(reg, [ScheduledOp(t, t % 2, gate) for t in range(6)])
     assert calls == [gate]
+
+
+def test_evolved_register_norm_is_not_rechecked(monkeypatch):
+    rng = np.random.default_rng(31)
+    reg = random_register(rng, 6)
+    ops = [ScheduledOp(t, int(rng.integers(6)), random_unitary(rng)) for t in range(8)]
+    calls = []
+    for name in ("norm_sq", "is_normalized"):
+        check = getattr(QVector, name)
+        monkeypatch.setattr(
+            QVector, name, lambda v, *args, check=check: calls.append(v) or check(v, *args)
+        )
+    final = run_schedule(reg, ops)
+    probs = measure_product_basis(final, [hadamard()] * 6)
+    assert calls == []
+    assert abs(math.fsum(probs.values()) - 1.0) <= 1e-12
 
 
 def test_apply_local_validates_inputs():
@@ -259,37 +274,6 @@ def test_measure_allows_single_nonreal_basis_change():
 def test_measure_requires_one_basis_change_per_party():
     with pytest.raises(ValueError):
         measure_product_basis(bell_state(K), [hadamard()])
-
-
-def test_sample_point_distribution():
-    rng = np.random.default_rng(0)
-    assert sample_outcome({"00": 1.0, "11": 0.0}, rng) == "00"
-
-
-def test_sample_is_deterministic_for_fixed_seed():
-    dist = {"00": 0.5, "11": 0.5}
-    draws1 = [sample_outcome(dist, np.random.default_rng(99)) for _ in range(10)]
-    draws2 = [sample_outcome(dist, np.random.default_rng(99)) for _ in range(10)]
-    # same seed, same stream; note each call above restarts the generator
-    assert draws1 == draws2
-
-
-def test_sample_frequencies_converge():
-    dist = {"00": 0.5, "11": 0.5}
-    rng = np.random.default_rng(123)
-    n = 100_000
-    hits = sum(sample_outcome(dist, rng) == "00" for _ in range(n))
-    assert abs(hits / n - 0.5) <= 0.01
-
-
-def test_sample_rejects_malformed_distributions():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_outcome({"00": 0.7, "11": 0.7}, rng)
-    with pytest.raises(ValueError):
-        sample_outcome({"00": -0.5, "11": 1.5}, rng)
-    with pytest.raises(ValueError):
-        sample_outcome({}, rng)
 
 
 def test_register_validation():

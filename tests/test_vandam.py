@@ -306,15 +306,19 @@ def test_truth_table_json_rejects_oversized_table():
 
 
 def test_truth_table_json_width_is_checked_before_the_table_is_built():
-    wide = {"n_alice": 11, "n_bob": 11, "table": "0"}  # 2**22 entries if built
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="2\\*\\*22"):
-            BooleanFunction.from_json_obj(wide)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    cases = [
+        ({"n_alice": 11, "n_bob": 11, "table": "0"}, "2\\*\\*22"),  # 2**22 entries if built
+        ({"n_alice": -1, "n_bob": 21, "table": "0"}, "non-negative"),  # 2**20 entries if built
+    ]
+    for wide, message in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                BooleanFunction.from_json_obj(wide)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, wide
 
 
 def test_boolean_function_validation():
