@@ -98,9 +98,8 @@ class BoxBehavior:
 
 def is_non_signalling(box: BoxBehavior, tol: float = NON_SIGNALLING_TOL) -> bool:
     """Check that each party's output marginal ignores the other party's input."""
-    probs = box.probs if isinstance(box, BoxBehavior) else np.asarray(box)
-    mx = probs.sum(axis=3)  # [a, b, x]
-    my = probs.sum(axis=2)  # [a, b, y]
+    mx = box.probs.sum(axis=3)  # [a, b, x]
+    my = box.probs.sum(axis=2)  # [a, b, y]
     x_leak = np.max(np.abs(mx[:, 0, :] - mx[:, 1, :]))
     y_leak = np.max(np.abs(my[0, :, :] - my[1, :, :]))
     return bool(max(x_leak, y_leak) <= tol)

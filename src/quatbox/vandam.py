@@ -1,11 +1,12 @@
 """One-bit communication protocols for boolean functions, powered by boxes.
 
 With enough perfect nonlocal boxes, any boolean function f(x, y) of split
-inputs costs a single bit of communication (van Dam 2005): write f in
-algebraic normal form over GF(2), feed each monomial that mixes Alice and
-Bob variables through one box, and XOR-fold everything locally.  Bob sends
-one bit; Alice sends nothing.  Functions like the inner product, whose
-classical and quantum communication cost is maximal, collapse just the same.
+inputs costs one bit of communication (van Dam 2005).  Over GF(2), f(x, y) =
+f(x, 0) + f(0, y) + f(0, 0) + the mixed monomials of f's algebraic normal
+form, those touching both parties, each computed by one box.  Alice adds her
+box outputs to f(x, 0); Bob adds his to f(0, y) + f(0, 0) and sends that one
+bit.  Functions like the inner product, whose classical and quantum
+communication cost is maximal, collapse just the same.
 
 Truth-table indexing: index = (x << n_bob) | y with x and y little-endian
 bit-packed, i.e. bit i of the integer x is Alice's input bit x_i.
@@ -47,12 +48,17 @@ class BooleanFunction:
             raise ValueError(f"table must have {expected} entries, got {len(self.table)}")
         if any(bit not in (0, 1) for bit in self.table):
             raise ValueError("table entries must be bits")
+        # numpy or float bits (np.uint8(1), 1.0) would break bit packing downstream
+        object.__setattr__(self, "table", tuple(map(int, self.table)))
 
-    def evaluate(self, x: int, y: int) -> int:
+    def _check_inputs(self, x: int, y: int) -> None:
         if not 0 <= x < (1 << self.n_alice):
             raise ValueError(f"x = {x} out of range for {self.n_alice} bits")
         if not 0 <= y < (1 << self.n_bob):
             raise ValueError(f"y = {y} out of range for {self.n_bob} bits")
+
+    def evaluate(self, x: int, y: int) -> int:
+        self._check_inputs(x, y)
         return self.table[(x << self.n_bob) | y]
 
     @classmethod
@@ -136,29 +142,15 @@ class ANF:
         """Monomials touching both parties; these each consume one box."""
         return tuple(m for m in self.monomials if m[0] and m[1])
 
-    @cached_property
-    def pure_alice(self) -> tuple[tuple[int, int], ...]:
-        """Monomials Alice can fold locally (includes the constant term)."""
-        return tuple(m for m in self.monomials if not m[1])
-
-    @cached_property
-    def pure_bob(self) -> tuple[tuple[int, int], ...]:
-        return tuple(m for m in self.monomials if not m[0] and m[1])
-
 
 def anf_transform(f: BooleanFunction) -> ANF:
     """Binary Moebius transform of the truth table; exact, and an involution."""
-    n = f.n_alice + f.n_bob
-    coef = list(f.table)
-    for v in range(n):
-        bit = 1 << v
-        for z in range(1 << n):
-            if z & bit:
-                coef[z] ^= coef[z ^ bit]
+    coef = np.array(f.table, dtype=np.uint8)
+    for v in range(f.n_alice + f.n_bob):
+        pairs = coef.reshape(-1, 2, 1 << v)  # axis 1 is bit v of the index
+        pairs[:, 1] ^= pairs[:, 0]
     b_mask_all = (1 << f.n_bob) - 1
-    monomials = tuple(
-        (m >> f.n_bob, m & b_mask_all) for m in range(1 << n) if coef[m]
-    )
+    monomials = tuple((m >> f.n_bob, m & b_mask_all) for m in np.flatnonzero(coef).tolist())
     return ANF(f.n_alice, f.n_bob, monomials)
 
 
@@ -178,55 +170,57 @@ def vandam_protocol(
     """Run the one-bit protocol on inputs (x, y), consuming one box per
     mixed monomial.  With perfect boxes the output equals f(x, y) for every
     input and rng; with imperfect boxes it is a random variable."""
-    return _run_with_anf(anf_transform(f), x, y, box_supply, rng)
+    f._check_inputs(x, y)
+    anf = anf_transform(f)
+    if len(box_supply) < len(anf.mixed):
+        raise ValueError(f"need {len(anf.mixed)} boxes, have {len(box_supply)}")
+    output = _run(f, x, y, _box_inputs(anf, x, y), box_supply, rng)
+    return ProtocolRun(output=output, **_cost(anf))
 
 
-def _run_with_anf(
-    anf: ANF, x: int, y: int, box_supply: Sequence[BoxBehavior], rng
-) -> ProtocolRun:
-    mixed = anf.mixed
-    if len(box_supply) < len(mixed):
-        raise ValueError(f"need {len(mixed)} boxes, have {len(box_supply)}")
+def _cost(anf: ANF) -> dict[str, int]:
+    # one box per mixed monomial, and Bob's one bit unless f is identically zero
+    bits = 1 if anf.monomials else 0
+    return {"boxes_used": len(anf.mixed), "bits_bob_to_alice": bits, "bits_alice_to_bob": 0}
+
+
+def _box_inputs(anf: ANF, x: int, y: int) -> list[tuple[int, int]]:
+    # the input cell of each mixed monomial's box: does x hold its Alice
+    # variables, and y its Bob ones
+    return [
+        (int((x & a_mask) == a_mask), int((y & b_mask) == b_mask))
+        for a_mask, b_mask in anf.mixed
+    ]
+
+
+def _run(f: BooleanFunction, x: int, y: int, cells, box_supply: Sequence[BoxBehavior], rng) -> int:
     u_fold = 0
     v_fold = 0
-    for box, (a_mask, b_mask) in zip(box_supply, mixed):
-        alpha = int((x & a_mask) == a_mask)
-        beta = int((y & b_mask) == b_mask)
-        u, v = box.sample(alpha, beta, rng)
+    for box, cell in zip(box_supply, cells):
+        u, v = box.sample(*cell, rng)
         u_fold ^= u
         v_fold ^= v
-    alice_local = 0
-    for a_mask, _ in anf.pure_alice:
-        alice_local ^= (x & a_mask) == a_mask
-    bob_local = 0
-    for _, b_mask in anf.pure_bob:
-        bob_local ^= (y & b_mask) == b_mask
-    # Bob's one bit; sent whenever the function is not identically zero.
-    v_bit = v_fold ^ bob_local
-    output = u_fold ^ alice_local ^ v_bit
-    bits = 1 if anf.monomials else 0
-    return ProtocolRun(
-        output=int(output),
-        bits_bob_to_alice=bits,
-        bits_alice_to_bob=0,
-        boxes_used=len(mixed),
-    )
+    bob_bit = f.table[y] ^ f.table[0] ^ v_fold  # f(0, y) + f(0, 0) + his box outputs
+    return f.table[x << f.n_bob] ^ u_fold ^ bob_bit  # Alice: f(x, 0) + hers + Bob's bit
 
 
 def success_probability(f: BooleanFunction, x: int, y: int, box: BoxBehavior) -> float:
     """Exact probability that the protocol outputs f(x, y), averaging over
     the boxes' randomness (every mixed monomial drawing from `box`)."""
-    return _success_with_anf(anf_transform(f), x, y, chsh_value(box).per_cell)
+    f._check_inputs(x, y)
+    return _success(_box_inputs(anf_transform(f), x, y), _gains(box))
 
 
-def _success_with_anf(anf: ANF, x: int, y: int, win_rate: dict[tuple[int, int], float]) -> float:
+def _gains(box: BoxBehavior) -> dict[tuple[int, int], float]:
+    # 2 win - 1 per input cell; the clamp absorbs the 1-ulp excess of simulated boxes
+    win_rate = chsh_value(box).per_cell
+    return {cell: 2.0 * min(max(win, 0.0), 1.0) - 1.0 for cell, win in win_rate.items()}
+
+
+def _success(cells, gain: dict[tuple[int, int], float]) -> float:
     # The output is wrong iff an odd number of boxes miss x^y = ab on their
     # cell; for independent boxes Pr[even] = (1 + prod(1 - 2 e_k)) / 2.
-    prod = 1.0
-    for a_mask, b_mask in anf.mixed:
-        win = win_rate[int((x & a_mask) == a_mask), int((y & b_mask) == b_mask)]
-        prod *= 2.0 * min(max(win, 0.0), 1.0) - 1.0  # clamp: 1-ulp excess of simulated boxes
-    return (1.0 + prod) / 2.0
+    return (1.0 + math.prod(gain[cell] for cell in cells)) / 2.0  # left to right
 
 
 @dataclass(frozen=True)
@@ -254,21 +248,19 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     if rng is None:
         rng = np.random.default_rng(0)
     anf = anf_transform(f)
-    win_rate = chsh_value(box).per_cell
+    gain = _gains(box)
     supply = [box] * len(anf.mixed)
     exact_terms = []
     hits = 0
     for x in range(1 << f.n_alice):
         for y in range(1 << f.n_bob):
-            run = _run_with_anf(anf, x, y, supply, rng)
-            hits += run.output == f.evaluate(x, y)
-            exact_terms.append(_success_with_anf(anf, x, y, win_rate))
+            cells = _box_inputs(anf, x, y)
+            hits += _run(f, x, y, cells, supply, rng) == f.table[(x << f.n_bob) | y]
+            exact_terms.append(_success(cells, gain))
     n_inputs = 1 << n
     return VerifyReport(
         success_rate=math.fsum(exact_terms) / n_inputs,
         empirical_rate=hits / n_inputs,
-        boxes_used=len(anf.mixed),
-        bits_bob_to_alice=1 if anf.monomials else 0,
-        bits_alice_to_bob=0,
         n_inputs=n_inputs,
+        **_cost(anf),
     )

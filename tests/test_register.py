@@ -285,6 +285,12 @@ def test_register_validation():
         Register(0, qvec([1]))
 
 
+@pytest.mark.parametrize("label", ["1", "111", " 1", "12"])
+def test_computational_state_refuses_malformed_labels(label):
+    with pytest.raises(ValueError, match="2 bits"):
+        computational_state(2, label)
+
+
 def test_computational_state_and_dump():
     reg = computational_state(2, "10")
     assert reg.amplitude("10") == Quaternion(1.0)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import pathlib
+import runpy
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatbox.boxes import ideal_pr_box, noisy_box, quaternionic_box
+import quatbox.vandam
+from quatbox.boxes import BoxBehavior, ideal_pr_box, noisy_box, quaternionic_box
 from quatbox.vandam import (
     ANF,
     BooleanFunction,
@@ -52,7 +55,6 @@ def test_anf_of_constants():
     assert anf_transform(zero).monomials == ()
     one = BooleanFunction(1, 1, (1, 1, 1, 1))
     assert anf_transform(one).monomials == ((0, 0),)
-    assert anf_transform(one).pure_alice == ((0, 0),)
 
 
 def test_anf_of_inner_product_two_bits():
@@ -98,6 +100,24 @@ def test_anf_roundtrip_large_random_tables():
         for x in range(16):
             for y in range(16):
                 assert anf.evaluate(x, y) == f.evaluate(x, y)
+
+
+def scalar_moebius(table, n):
+    """The transform as a scalar loop over indices, the reference for the array version."""
+    coef = list(table)
+    for v in range(n):
+        for z in range(1 << n):
+            if z >> v & 1:
+                coef[z] ^= coef[z ^ (1 << v)]
+    return coef
+
+
+@pytest.mark.parametrize("n_alice, n_bob", [(1, 1), (3, 2), (5, 5), (4, 7)])
+def test_anf_transform_matches_scalar_moebius(n_alice, n_bob):
+    f = random_function(np.random.default_rng(n_alice * 16 + n_bob), n_alice, n_bob)
+    coef = scalar_moebius(f.table, n_alice + n_bob)
+    want = tuple((m >> n_bob, m & ((1 << n_bob) - 1)) for m, c in enumerate(coef) if c)
+    assert anf_transform(f).monomials == want
 
 
 def test_mixed_monomials_sorted_for_reproducibility():
@@ -163,6 +183,39 @@ def test_protocol_validates_input_ranges():
         f.evaluate(2, 0)
     with pytest.raises(ValueError):
         f.evaluate(0, -1)
+    for x, y in ((5, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            vandam_protocol(f, x, y, [ideal_pr_box()], np.random.default_rng(5))
+        with pytest.raises(ValueError, match="out of range"):
+            success_probability(f, x, y, ideal_pr_box())
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Replace owner.name by a wrapper that counts its calls in the returned one-item list."""
+    count = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count
+
+
+def test_each_piece_of_protocol_work_is_done_once(monkeypatch):
+    anf_calls = count_calls(monkeypatch, quatbox.vandam, "anf_transform")
+    chsh_calls = count_calls(monkeypatch, quatbox.vandam, "chsh_value")
+    draws = count_calls(monkeypatch, BoxBehavior, "sample")
+    # verify_exhaustive makes its inputs in range, so it neither re-checks them
+    # through evaluate nor builds a ProtocolRun per input to read its output
+    evaluations = count_calls(monkeypatch, BooleanFunction, "evaluate")
+    runs = count_calls(monkeypatch, quatbox.vandam, "ProtocolRun")
+    f = builtin_function("IP4")
+    report = verify_exhaustive(f, quaternionic_box(), np.random.default_rng(6))
+    assert (anf_calls[0], chsh_calls[0]) == (1, 1)
+    assert draws[0] == report.n_inputs * report.boxes_used == 256 * 4
+    assert (evaluations[0], runs[0]) == (0, 0)
 
 
 def test_boxes_used_counts_mixed_monomials():
@@ -321,6 +374,17 @@ def test_truth_table_json_width_is_checked_before_the_table_is_built():
         assert peak < 1 << 20, wide
 
 
+def test_numpy_and_float_bits_are_stored_as_ints():
+    bits = np.random.default_rng(13).integers(0, 2, 256).astype(np.uint8)
+    ints = BooleanFunction(4, 4, tuple(bits.tolist()))
+    for table in (tuple(bits), tuple(bits.astype(float))):
+        f = BooleanFunction(4, 4, table)
+        assert f == ints
+        assert f.to_json_obj() == ints.to_json_obj()
+        assert BooleanFunction.from_json_obj(f.to_json_obj()) == ints
+        assert anf_transform(f) == anf_transform(ints)
+
+
 def test_boolean_function_validation():
     with pytest.raises(ValueError):
         BooleanFunction(1, 1, (0, 1, 2, 0))
@@ -328,3 +392,19 @@ def test_boolean_function_validation():
         BooleanFunction(1, 1, (0, 1))
     with pytest.raises(ValueError):
         BooleanFunction(-1, 1, ())
+
+
+# ---------------------------------------------------------------- scripts
+
+
+def test_noise_sweep_matches_its_closed_form():
+    """scripts/noise_sweep.py: success = (1 + (2p - 1)^m) / 2 for m mixed monomials."""
+    sweep = runpy.run_path(str(pathlib.Path(__file__).parents[1] / "scripts" / "noise_sweep.py"))
+    mixed = {"AND": 1, "IP2": 2, "IP4": 4}
+    assert tuple(sweep["FUNCTIONS"]) == tuple(mixed)
+    for name, m in mixed.items():
+        f = builtin_function(name)
+        for p in sweep["GRID"]:
+            box = noisy_box(ideal_pr_box(), p)
+            rate = verify_exhaustive(f, box, rng=np.random.default_rng(0)).success_rate
+            assert abs(rate - (1 + (2 * p - 1) ** m) / 2) <= 1e-15, (name, p)
