@@ -22,7 +22,6 @@ from .qlinalg import (
     matvec,
     phase_gate,
     qmat,
-    qvec,
     rotation,
 )
 from .register import (

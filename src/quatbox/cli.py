@@ -31,7 +31,6 @@ from .quaternion import I, J, Quaternion
 from .register import ScheduledOp, bell_state, run_schedule, state_dump
 from .vandam import BUILTIN_FUNCTIONS, BooleanFunction, builtin_function, verify_exhaustive
 
-FORMAT_ENV_VAR = "QUATBOX_FORMAT"
 FORMATS = ("text", "json", "csv")
 
 #: strategies whose box is expected to win every CHSH cell exactly
@@ -309,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         dest="fmt",
         choices=FORMATS,
-        default=None,
-        help=f"output format (default: ${FORMAT_ENV_VAR} or text)",
+        default="text",
+        help="output format (default: text)",
     )
     common.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     strategy = argparse.ArgumentParser(add_help=False)
@@ -344,10 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        fmt = args.fmt or os.environ.get(FORMAT_ENV_VAR, "text")
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown output format {fmt!r} (from ${FORMAT_ENV_VAR}?)")
-        if fmt == "csv" and args.command != "prbox":
+        if args.fmt == "csv" and args.command != "prbox":
             raise ValueError("csv output is only defined for the prbox behavior table")
         samples = getattr(args, "samples", None)
         if samples is not None and not 1 <= samples <= MAX_SAMPLES:
@@ -356,5 +352,5 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(payload, fmt))
+    print(render(payload, args.fmt))
     return code

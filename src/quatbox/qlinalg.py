@@ -137,10 +137,6 @@ class QMatrix(_QuaternionArray):
         return bool((np.abs(self.data[..., 2:]) <= tol).all())
 
 
-def qvec(values: Iterable) -> QVector:
-    return QVector(map(as_quaternion, values))
-
-
 def qmat(rows: Iterable[Iterable]) -> QMatrix:
     return QMatrix(np.array([_pack(map(as_quaternion, row)) for row in rows]))
 

@@ -9,7 +9,6 @@ so multiplication order is never normalized away here.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 
@@ -32,8 +31,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    __abs__ = norm
-
     def approx_eq(self, other: Quaternion, tol: float = 1e-12) -> bool:
         return (
             abs(self.w - other.w) <= tol
@@ -41,29 +38,6 @@ class Quaternion:
             and abs(self.y - other.y) <= tol
             and abs(self.z - other.z) <= tol
         )
-
-    def __add__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(
-                self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z
-            )
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w + other, self.x, self.y, self.z)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(
-                self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z
-            )
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w - other, self.x, self.y, self.z)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __neg__(self):
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
@@ -81,12 +55,6 @@ class Quaternion:
             return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # Only reals reach here, and reals commute with every quaternion.
-        if isinstance(other, (int, float)):
-            return Quaternion(other * self.w, other * self.x, other * self.y, other * self.z)
-        return NotImplemented
-
     def __str__(self) -> str:
         pieces = []
         for value, unit in zip((self.w, self.x, self.y, self.z), ("", "i", "j", "k")):
@@ -99,30 +67,6 @@ class Quaternion:
             pieces.append(f"{sign}{mag}{unit}")
         return "".join(pieces) or "0"
 
-    @classmethod
-    def parse(cls, text: str) -> Quaternion:
-        """Parse the rendering produced by str(), e.g. ``1-2i+0.5k``."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty quaternion literal")
-        comps = {"": 0.0, "i": 0.0, "j": 0.0, "k": 0.0}
-        pos = 0
-        while pos < len(s):
-            m = _TERM_RE.match(s, pos)
-            if m is None or m.end() == pos or (m.group(2) is None and not m.group(3)):
-                raise ValueError(f"bad quaternion literal: {text!r}")
-            sign = -1.0 if m.group(1) == "-" else 1.0
-            mag = float(m.group(2)) if m.group(2) is not None else 1.0
-            comps[m.group(3) or ""] += sign * mag
-            pos = m.end()
-        return cls(comps[""], comps["i"], comps["j"], comps["k"])
-
-
-_TERM_RE = re.compile(
-    r"([+-]?)"  # sign
-    r"(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)?"  # magnitude
-    r"([ijk])?"  # unit
-)
 
 ZERO = Quaternion()
 ONE = Quaternion(1.0)

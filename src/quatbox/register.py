@@ -53,9 +53,6 @@ class Register:
         object.__setattr__(reg, "state", state)
         return reg
 
-    def amplitude(self, label: str) -> Quaternion:
-        return Quaternion(*self.state.data[int(label, 2)].tolist())
-
 
 @dataclass(frozen=True)
 class ScheduledOp:

@@ -27,6 +27,10 @@ from .chsh import chsh_value
 #: refuse truth-table files and exhaustive verification beyond 2**20 inputs
 VERIFY_SIZE_CAP = 20
 
+#: refuse exhaustive verification beyond this many (input, mixed monomial) box
+#: cells, one draw each; at a few microseconds per cell this bounds a run to seconds
+VERIFY_CELL_BUDGET = 1 << 21
+
 
 def _table_size(n_alice: int, n_bob: int) -> int:
     if n_alice < 0 or n_bob < 0:
@@ -73,15 +77,18 @@ class BooleanFunction:
     def to_json_obj(self) -> dict:
         """{"n_alice", "n_bob", "table"} with the table hex-packed little-endian:
         bit position idx of the integer holds table[idx]."""
-        packed = 0
-        for idx, bit in enumerate(self.table):
-            packed |= bit << idx
+        packed = int("".join(map(str, reversed(self.table))), 2)
         digits = max(1, (len(self.table) + 3) // 4)
         return {"n_alice": self.n_alice, "n_bob": self.n_bob, "table": f"{packed:0{digits}x}"}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> BooleanFunction:
-        n_alice, n_bob = int(obj["n_alice"]), int(obj["n_bob"])
+        n_alice, n_bob = obj["n_alice"], obj["n_bob"]
+        # bool is an int subclass; a width of true or 1.9 is a malformed file, not 1
+        if type(n_alice) is not int or type(n_bob) is not int:
+            raise ValueError("n_alice and n_bob must be integers")
+        if not isinstance(obj["table"], str):
+            raise ValueError("table must be a hex string")
         # widths are checked before anything of size 2**n is built
         if n_alice + n_bob > VERIFY_SIZE_CAP:
             raise ValueError(f"refusing a truth table over 2**{n_alice + n_bob} inputs")
@@ -91,7 +98,7 @@ class BooleanFunction:
             raise ValueError(f"table must be a non-negative hex string, got {obj['table']!r}")
         if packed >> size:
             raise ValueError("table has more bits than 2**(n_alice+n_bob)")
-        return cls(n_alice, n_bob, tuple((packed >> idx) & 1 for idx in range(size)))
+        return cls(n_alice, n_bob, tuple(map(int, reversed(format(packed, f"0{size}b")))))
 
 
 def _inner_product(width: int) -> BooleanFunction:
@@ -248,6 +255,11 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     if rng is None:
         rng = np.random.default_rng(0)
     anf = anf_transform(f)
+    cells = len(anf.mixed) << n  # one box draw per input and mixed monomial
+    if cells > VERIFY_CELL_BUDGET:
+        raise ValueError(
+            f"refusing exhaustive run over {cells} box cells; the budget is {VERIFY_CELL_BUDGET}"
+        )
     gain = _gains(box)
     supply = [box] * len(anf.mixed)
     exact_terms = []

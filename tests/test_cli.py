@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import time
 
 import jsonschema
+import numpy as np
 import pytest
 
 from quatbox import cli
@@ -140,8 +142,13 @@ def test_vandam_directory_as_function_exits_two(capsys, tmp_path):
         ('{"n_alice": Infinity, "n_bob": 1, "table": "0"}', "bad truth-table file"),
         ("[" * 100000 + "]" * 100000, "bad truth-table file"),
         ('{"n_alice": 1, "n_bob": 1, "table": "-f"}', "table must be a non-negative hex string"),
+        ('{"n_alice": 1.9, "n_bob": 1, "table": "8"}', "must be integers"),
+        ('{"n_alice": true, "n_bob": 1, "table": "8"}', "must be integers"),
+        ('{"n_alice": 1, "n_bob": "1", "table": "8"}', "must be integers"),
+        ('{"n_alice": 1, "n_bob": 1, "table": 8}', "table must be a hex string"),
     ],
-    ids=["infinite-width", "deeply-nested", "negative-table"],
+    ids=["infinite-width", "deeply-nested", "negative-table", "float-width", "bool-width",
+         "string-width", "integer-table"],
 )
 def test_vandam_malformed_function_file_exits_two(capsys, tmp_path, text, reason):
     path = tmp_path / "f.json"
@@ -160,6 +167,26 @@ def test_vandam_oversized_function_file_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["vandam", "--function", str(path)])
     assert code == 2
     assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_vandam_over_cell_budget_exits_two_before_any_draw(capsys, monkeypatch, tmp_path):
+    # a random 6+6-bit table has about 2000 mixed monomials, 2**12 box cells each
+    packed = int.from_bytes(np.random.default_rng(5).bytes(1 << 9), "little")
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"n_alice": 6, "n_bob": 6, "table": f"{packed:x}"}),
+                    encoding="utf-8")
+
+    def no_draws(*args):
+        raise AssertionError("a box was sampled")
+
+    monkeypatch.setattr(BoxBehavior, "sample", no_draws)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["vandam", "--function", str(path)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: refusing exhaustive run over")
     assert len(err.splitlines()) == 1
 
 
@@ -245,17 +272,13 @@ def test_csv_limited_to_prbox(capsys):
     assert "csv" in err
 
 
-def test_format_env_var_default(capsys, monkeypatch):
-    monkeypatch.setenv(cli.FORMAT_ENV_VAR, "json")
+def test_output_does_not_depend_on_the_environment(capsys, monkeypatch):
+    monkeypatch.delenv("QUATBOX_FORMAT", raising=False)
+    _, unset, _ = run_cli(capsys, ["chsh"])
+    monkeypatch.setenv("QUATBOX_FORMAT", "json")
     code, out, _ = run_cli(capsys, ["chsh"])
     assert code == 0
-    json.loads(out)
-
-
-def test_bad_format_env_var_is_config_error(capsys, monkeypatch):
-    monkeypatch.setenv(cli.FORMAT_ENV_VAR, "yaml")
-    code, _, err = run_cli(capsys, ["chsh"])
-    assert code == 2
+    assert out == unset
 
 
 def test_output_is_reproducible(capsys):

@@ -19,7 +19,6 @@ REQUESTS = json.loads(GOLDEN.read_text(encoding="utf-8"))["requests"]
 
 @pytest.mark.parametrize("entry", REQUESTS, ids=[" ".join(e["argv"]) for e in REQUESTS])
 def test_cli_reproduces_golden_output(capsys, monkeypatch, entry):
-    monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
     argv = entry["argv"] + (["--seed", "0"] if entry["kind"] == "sampled" else [])
     try:
         code = cli.main(argv)

@@ -5,6 +5,7 @@ import pytest
 
 from quatbox.qlinalg import (
     INV_SQRT2,
+    QVector,
     diag,
     hadamard,
     hamilton,
@@ -15,10 +16,9 @@ from quatbox.qlinalg import (
     matvec,
     phase_gate,
     qmat,
-    qvec,
     rotation,
 )
-from quatbox.quaternion import I, J, K, ONE, UNIT_GROUP, Quaternion
+from quatbox.quaternion import I, J, K, ONE, UNIT_GROUP, ZERO, Quaternion
 
 from helpers import random_quaternion, random_state, random_unitary
 
@@ -87,37 +87,38 @@ def test_is_unitary_rejects_non_square():
 
 def test_matvec_phase_gate_examples():
     s = INV_SQRT2
-    plus = qvec([s, s])
-    assert matvec(R_I, plus).approx_eq(qvec([Quaternion(s), I * s]), 0.0)
+    plus = QVector((Quaternion(s), Quaternion(s)))
+    assert matvec(R_I, plus).approx_eq(QVector((Quaternion(s), I * s)), 0.0)
     assert matvec(identity(2), plus) == plus
     # j * i = -k shows up when the second gate hits an i-phased amplitude
-    assert matvec(R_J, qvec([Quaternion(s), I * s])).approx_eq(
-        qvec([Quaternion(s), -K * s]), 0.0
+    assert matvec(R_J, QVector((Quaternion(s), I * s))).approx_eq(
+        QVector((Quaternion(s), -K * s)), 0.0
     )
 
 
 def test_matvec_dimension_mismatch():
     with pytest.raises(ValueError):
-        matvec(identity(2), qvec([1, 0, 0]))
+        matvec(identity(2), QVector((ONE, ZERO, ZERO)))
 
 
 def test_inner_examples():
     s = INV_SQRT2
-    v = qvec([Quaternion(0.5, 0.5), Quaternion(0, 0, 0.5, -0.5)])
+    v = QVector((Quaternion(0.5, 0.5), Quaternion(0, 0, 0.5, -0.5)))
     self_inner = inner(v, v)
     assert abs(self_inner.w - v.norm_sq()) <= 1e-15
     assert self_inner.approx_eq(Quaternion(v.norm_sq()), 1e-15)
     # the two order-dependent states are orthogonal
-    minus_k = qvec([Quaternion(s), 0, 0, -K * s])
-    plus_k = qvec([Quaternion(s), 0, 0, K * s])
+    minus_k = QVector((Quaternion(s), ZERO, ZERO, -K * s))
+    plus_k = QVector((Quaternion(s), ZERO, ZERO, K * s))
     assert inner(minus_k, plus_k) == Quaternion()
     # distinct basis kets
-    assert inner(qvec([1, 0, 0, 0]), qvec([0, 0, 0, 1])) == Quaternion()
+    ket00, ket11 = QVector((ONE, ZERO, ZERO, ZERO)), QVector((ZERO, ZERO, ZERO, ONE))
+    assert inner(ket00, ket11) == Quaternion()
 
 
 def test_inner_dimension_mismatch():
     with pytest.raises(ValueError):
-        inner(qvec([1]), qvec([1, 0]))
+        inner(QVector((ONE,)), QVector((ONE, ZERO)))
 
 
 def test_unitary_preserves_norm():
@@ -172,7 +173,7 @@ def test_subfield_detection_on_matrices():
 
 
 def test_vector_norm_and_normalization():
-    v = qvec([Quaternion(0.6), Quaternion(0, 0.8)])
+    v = QVector((Quaternion(0.6), Quaternion(0, 0.8)))
     assert abs(v.norm() - 1.0) <= 1e-15
     assert v.is_normalized()
-    assert not qvec([1, 1]).is_normalized()
+    assert not QVector((ONE, ONE)).is_normalized()

@@ -37,17 +37,9 @@ def test_one_is_the_unit_element():
     assert q * ONE == q
 
 
-def test_addition_examples():
-    assert Quaternion(1) + I + (J + K) == Quaternion(1, 1, 1, 1)
-    q = Quaternion(2, -3, 4, -5)
-    assert q + ZERO == q
-    assert I + (-I) == ZERO
-
-
 def test_real_scalars_commute():
     q = Quaternion(1, 2, 3, 4)
-    assert 2 * q == q * 2 == Quaternion(2, 4, 6, 8)
-    assert q + 1 == 1 + q == Quaternion(2, 2, 3, 4)
+    assert q * 2 == Quaternion(2) * q == q * Quaternion(2) == Quaternion(2, 4, 6, 8)
 
 
 def test_conjugate_examples():
@@ -75,7 +67,7 @@ def test_norm_examples():
     assert K.norm() == 1.0
     assert Quaternion(1, 1, 1, 1).norm() == 2.0  # sqrt(1+1+1+1)
     assert ZERO.norm() == 0.0
-    assert abs(Quaternion(3, 4)) == 5.0
+    assert Quaternion(3, 4).norm() == 5.0
 
 
 def test_norm_multiplicative():
@@ -109,11 +101,6 @@ def test_associativity(p, q, r):
     assert (p * q) * r == p * (q * r)
 
 
-@given(int_quaternions, int_quaternions, int_quaternions)
-def test_left_distributivity(p, q, r):
-    assert p * (q + r) == p * q + p * r
-
-
 def test_subfield_predicates():
     # the predicates live on QMatrix; a 1x1 matrix classifies a single scalar
     assert diag(Quaternion(2.0)).is_real()
@@ -141,34 +128,6 @@ def test_approx_eq_tolerance():
 )
 def test_str_rendering(q, text):
     assert str(q) == text
-
-
-@pytest.mark.parametrize(
-    "text, q",
-    [
-        ("1+i+j+k", Quaternion(1, 1, 1, 1)),
-        ("-k", -K),
-        ("2", Quaternion(2)),
-        ("0.5 + 0.5i", Quaternion(0.5, 0.5)),
-        ("1e-3k", Quaternion(0, 0, 0, 1e-3)),
-        ("-2.5j+1", Quaternion(1, 0, -2.5, 0)),
-    ],
-)
-def test_parse(text, q):
-    assert Quaternion.parse(text) == q
-
-
-def test_parse_str_roundtrip():
-    rng = np.random.default_rng(44)
-    for _ in range(50):
-        q = Quaternion(*(rng.integers(-9, 10, size=4).astype(float) / 4.0))
-        assert Quaternion.parse(str(q)).approx_eq(q, 1e-12)
-
-
-@pytest.mark.parametrize("bad", ["", "q", "1+", "+-1", "++1", "i j k +"])
-def test_parse_rejects_garbage(bad):
-    with pytest.raises(ValueError):
-        Quaternion.parse(bad)
 
 
 def test_as_quaternion():

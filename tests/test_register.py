@@ -1,13 +1,14 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from quatbox import qlinalg
 from quatbox.qlinalg import (
-    INV_SQRT2, QVector, hadamard, identity, inner, phase_gate, qvec, rotation,
+    INV_SQRT2, QVector, hadamard, identity, inner, phase_gate, rotation,
 )
-from quatbox.quaternion import I, J, K, Quaternion
+from quatbox.quaternion import I, J, K, ONE, ZERO, Quaternion
 from quatbox.register import (
     Register,
     ScheduledOp,
@@ -37,12 +38,12 @@ def kron_probs(real_amps, mats):
 
 def test_bell_state_phases():
     phi_plus = bell_state(1.0)
-    assert phi_plus.amplitude("00") == Quaternion(S)
-    assert phi_plus.amplitude("11") == Quaternion(S)
-    assert bell_state(-1.0).amplitude("11") == Quaternion(-S)
+    assert phi_plus.state.amps[0b00] == Quaternion(S)
+    assert phi_plus.state.amps[0b11] == Quaternion(S)
+    assert bell_state(-1.0).state.amps[0b11] == Quaternion(-S)
     shared = bell_state(K)
-    assert shared.amplitude("11") == K * S
-    assert shared.amplitude("01") == Quaternion()
+    assert shared.state.amps[0b11] == K * S
+    assert shared.state.amps[0b01] == Quaternion()
 
 
 def test_bell_state_rejects_non_unit_phase():
@@ -53,14 +54,14 @@ def test_bell_state_rejects_non_unit_phase():
 def test_apply_local_reproduces_order_dependent_states():
     start = bell_state(1.0)
     step1 = apply_local(start, 0, R_I)
-    assert step1.amplitude("11") == I * S
+    assert step1.state.amps[0b11] == I * S
     both = apply_local(step1, 1, R_J)
     # j * i = -k
-    assert both.amplitude("11") == -K * S
-    assert both.amplitude("00") == Quaternion(S)
+    assert both.state.amps[0b11] == -K * S
+    assert both.state.amps[0b00] == Quaternion(S)
     reverse = apply_local(apply_local(start, 1, R_J), 0, R_I)
     # i * j = +k
-    assert reverse.amplitude("11") == K * S
+    assert reverse.state.amps[0b11] == K * S
     assert inner(both.state, reverse.state) == Quaternion()
 
 
@@ -70,17 +71,18 @@ def test_apply_identity_is_noop():
 
 
 def scalar_apply_local(reg, party, gate):
-    """Reference: the per-amplitude fold new[r] = gate[r][0] * a0 + gate[r][1] * a1."""
+    """Reference: the per-amplitude fold new[r] = gate[r][0] * a0 + gate[r][1] * a1,
+    each product by `Quaternion.__mul__`, the two added component by component."""
     g = [[Quaternion(*gate.data[r, c].tolist()) for c in range(2)] for r in range(2)]
     old = reg.state.amps
-    new = list(old)
+    new = reg.state.data.copy()
     mask = 1 << (reg.n_parties - 1 - party)
     for idx in range(len(old)):
         if not idx & mask:
             a0, a1 = old[idx], old[idx | mask]
-            new[idx] = g[0][0] * a0 + g[0][1] * a1
-            new[idx | mask] = g[1][0] * a0 + g[1][1] * a1
-    return np.array([[a.w, a.x, a.y, a.z] for a in new])
+            new[idx] = np.add(astuple(g[0][0] * a0), astuple(g[0][1] * a1))
+            new[idx | mask] = np.add(astuple(g[1][0] * a0), astuple(g[1][1] * a1))
+    return new
 
 
 def signed_zero_register(rng, n):
@@ -236,7 +238,7 @@ def test_measure_matches_numpy_kron_oracle():
     for _ in range(20):
         raw = rng.normal(size=4)
         raw /= np.linalg.norm(raw)
-        reg = Register(2, qvec([float(v) for v in raw]))
+        reg = Register(2, QVector(raw[:, None] * [1.0, 0.0, 0.0, 0.0]))
         theta0, theta1 = rng.uniform(0, 2 * math.pi, size=2)
         mats = [rotation(theta0), rotation(theta1)]
         got = measure_product_basis(reg, mats)
@@ -267,8 +269,8 @@ def test_measure_allows_single_nonreal_basis_change():
     reg = bell_state(K)
     got = measure_product_basis(reg, [R_I, identity(2)])
     direct = apply_local(reg, 0, R_I)
-    for label in basis_labels(2):
-        assert abs(got[label] - direct.amplitude(label).norm_sq()) <= 1e-15
+    for label, amp in zip(basis_labels(2), direct.state.amps):
+        assert abs(got[label] - amp.norm_sq()) <= 1e-15
 
 
 def test_measure_requires_one_basis_change_per_party():
@@ -278,11 +280,11 @@ def test_measure_requires_one_basis_change_per_party():
 
 def test_register_validation():
     with pytest.raises(ValueError):
-        Register(1, qvec([1, 0, 0, 0]))  # wrong dimension
+        Register(1, QVector((ONE, ZERO, ZERO, ZERO)))  # wrong dimension
     with pytest.raises(ValueError):
-        Register(2, qvec([1, 1, 0, 0]))  # not normalized
+        Register(2, QVector((ONE, ONE, ZERO, ZERO)))  # not normalized
     with pytest.raises(ValueError):
-        Register(0, qvec([1]))
+        Register(0, QVector((ONE,)))
 
 
 @pytest.mark.parametrize("label", ["1", "111", " 1", "12"])
@@ -293,7 +295,7 @@ def test_computational_state_refuses_malformed_labels(label):
 
 def test_computational_state_and_dump():
     reg = computational_state(2, "10")
-    assert reg.amplitude("10") == Quaternion(1.0)
+    assert reg.state.amps[0b10] == Quaternion(1.0)
     dump = state_dump(bell_state(K))
     assert dump["labels"] == ["00", "01", "10", "11"]
     assert dump["amplitudes"][3] == [0.0, 0.0, 0.0, S]

@@ -2,6 +2,7 @@ import itertools
 import math
 import pathlib
 import runpy
+import time
 import tracemalloc
 
 import numpy as np
@@ -342,6 +343,16 @@ def test_truth_table_json_roundtrip():
     again = BooleanFunction.from_json_obj(f.to_json_obj())
     assert again == f
     assert again.to_json_obj() == f.to_json_obj()
+
+
+def test_truth_table_json_codec_is_linear_in_the_table():
+    f = BooleanFunction(10, 10, (1,) * (1 << 20))
+    start = time.perf_counter()
+    obj = f.to_json_obj()
+    again = BooleanFunction.from_json_obj(obj)
+    assert time.perf_counter() - start < 5.0
+    assert obj["table"] == "f" * (1 << 18)
+    assert again == f
 
 
 def test_truth_table_json_examples():
