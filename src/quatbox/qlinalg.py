@@ -42,9 +42,11 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Each component adds its terms for k = w, x, y, z in the order
     `Quaternion.__mul__` does; a sign flip is exact and a + (-b) is a - b,
-    so the result matches the scalar product bit for bit.
+    so the result matches the scalar product bit for bit.  The signs go on
+    p, the left and (in `apply_local`) small factor: an IEEE product's sign
+    is the XOR of its factors' signs, so (p * s) * q is p * (q * s) exactly.
     """
-    terms = p[..., :, None] * (q[..., _PERM] * _SIGN)
+    terms = (p[..., :, None] * _SIGN) * q[..., _PERM]
     return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
 
 

@@ -11,6 +11,7 @@ two-party register lists amplitudes for 00, 01, 10, 11 in that order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,7 +25,11 @@ NORM_TOL = 1e-10
 
 
 def basis_labels(n_parties: int) -> list[str]:
-    return [format(idx, f"0{n_parties}b") for idx in range(2**n_parties)]
+    """'00...0' to '11...1' in index order, each list built from the one before."""
+    labels = [""]
+    for _ in range(n_parties):
+        labels = [label + bit for label in labels for bit in "01"]
+    return labels
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,9 @@ class ScheduledOp:
     gate: QMatrix
 
     def __post_init__(self):
+        # NaN compares false with every tag, so it would leave the order to the list
+        if not math.isfinite(self.time):
+            raise ValueError(f"time tag must be finite, got {self.time!r}")
         if self.party < 0:
             raise ValueError("party index must be non-negative")
         if self.gate.shape != (2, 2):

@@ -31,6 +31,9 @@ VERIFY_SIZE_CAP = 20
 #: cells, one draw each; at a few microseconds per cell this bounds a run to seconds
 VERIFY_CELL_BUDGET = 1 << 21
 
+#: the characters a truth-table file's hex `table` may hold
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 def _table_size(n_alice: int, n_bob: int) -> int:
     if n_alice < 0 or n_bob < 0:
@@ -93,9 +96,11 @@ class BooleanFunction:
         if n_alice + n_bob > VERIFY_SIZE_CAP:
             raise ValueError(f"refusing a truth table over 2**{n_alice + n_bob} inputs")
         size = _table_size(n_alice, n_bob)
-        packed = int(obj["table"], 16)
-        if packed < 0:
+        # int(text, 16) alone also takes a 0x prefix, a sign, underscores,
+        # surrounding whitespace and non-ASCII digits
+        if not obj["table"] or not _HEX_DIGITS.issuperset(obj["table"]):
             raise ValueError(f"table must be a non-negative hex string, got {obj['table']!r}")
+        packed = int(obj["table"], 16)
         if packed >> size:
             raise ValueError("table has more bits than 2**(n_alice+n_bob)")
         return cls(n_alice, n_bob, tuple(map(int, reversed(format(packed, f"0{size}b")))))

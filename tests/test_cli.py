@@ -146,9 +146,18 @@ def test_vandam_directory_as_function_exits_two(capsys, tmp_path):
         ('{"n_alice": true, "n_bob": 1, "table": "8"}', "must be integers"),
         ('{"n_alice": 1, "n_bob": "1", "table": "8"}', "must be integers"),
         ('{"n_alice": 1, "n_bob": 1, "table": 8}', "table must be a hex string"),
+        # int(text, 16) alone loads the first five as 8 (AND on 1+1 bits), "f_f" as 0xff
+        ('{"n_alice": 1, "n_bob": 1, "table": "0x8"}', "table must be a non-negative hex"),
+        ('{"n_alice": 1, "n_bob": 1, "table": "+8"}', "table must be a non-negative hex"),
+        ('{"n_alice": 1, "n_bob": 1, "table": " 8\\n"}', "table must be a non-negative hex"),
+        ('{"n_alice": 1, "n_bob": 1, "table": "\\u0668"}', "table must be a non-negative hex"),
+        ('{"n_alice": 1, "n_bob": 1, "table": "\\uff18"}', "table must be a non-negative hex"),
+        ('{"n_alice": 2, "n_bob": 2, "table": "f_f"}', "table must be a non-negative hex"),
+        ('{"n_alice": 1, "n_bob": 1, "table": ""}', "table must be a non-negative hex"),
     ],
     ids=["infinite-width", "deeply-nested", "negative-table", "float-width", "bool-width",
-         "string-width", "integer-table"],
+         "string-width", "integer-table", "hex-prefix", "plus-sign", "whitespace",
+         "arabic-indic-digit", "fullwidth-digit", "underscore", "empty-table"],
 )
 def test_vandam_malformed_function_file_exits_two(capsys, tmp_path, text, reason):
     path = tmp_path / "f.json"

@@ -92,7 +92,7 @@ def signed_zero_register(rng, n):
     return Register(n, QVector(amps / np.sqrt((amps * amps).sum())))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), 10, 12])
 def test_apply_local_matches_scalar_fold(n):
     rng = np.random.default_rng(30 + n)
     gates = [
@@ -102,8 +102,10 @@ def test_apply_local_matches_scalar_fold(n):
         phase_gate(-K),
         hadamard(),
     ]
+    # past n = 6, the first, middle and last party: 2**party = 1 and rest = 1 in the reshape
+    parties = range(n) if n <= 6 else (0, n // 2, n - 1)
     for reg in (random_register(rng, n), signed_zero_register(rng, n)):
-        for party in range(n):
+        for party in parties:
             for gate in gates:
                 got = apply_local(reg, party, gate).state.data
                 # tobytes tells -0.0 from 0.0, which == does not
@@ -174,6 +176,17 @@ def test_empty_schedule_is_noop():
 def test_duplicate_time_tags_rejected():
     with pytest.raises(ValueError):
         run_schedule(bell_state(K), [ScheduledOp(1, 0, R_I), ScheduledOp(1, 1, R_J)])
+
+
+@pytest.mark.parametrize(
+    "tags", [(float("nan"), float("nan")), (1.0, math.inf), (-math.inf, 1.0)],
+    ids=["two-nans", "inf", "minus-inf"],
+)
+def test_non_finite_time_tags_rejected(tags):
+    # two NaN tags are unordered, so the list order alone would pick the result
+    for first, second in (tags, tags[::-1]):
+        with pytest.raises(ValueError, match="finite"):
+            run_schedule(bell_state(K), [ScheduledOp(first, 0, R_I), ScheduledOp(second, 1, R_J)])
 
 
 def test_scheduled_op_validates_gate():
@@ -291,6 +304,11 @@ def test_register_validation():
 def test_computational_state_refuses_malformed_labels(label):
     with pytest.raises(ValueError, match="2 bits"):
         computational_state(2, label)
+
+
+def test_basis_labels_list_indices_in_binary():
+    for n in range(1, 13):
+        assert basis_labels(n) == [format(i, f"0{n}b") for i in range(2**n)]
 
 
 def test_computational_state_and_dump():
