@@ -37,7 +37,6 @@ from .register import (
 )
 from .boxes import (
     BoxBehavior,
-    Schedule,
     classical_box,
     complex_quantum_box,
     ideal_pr_box,

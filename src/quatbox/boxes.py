@@ -11,10 +11,9 @@ Measurement-backed boxes use the output convention + -> 0, - -> 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,21 +25,8 @@ from .register import ScheduledOp, bell_state, measure_product_basis, run_schedu
 NON_SIGNALLING_TOL = 1e-10
 
 BITS = (0, 1)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Five pre-agreed clock ticks; only their relative order matters."""
-
-    t1: int = 1
-    t2: int = 2
-    t3: int = 3
-    t4: int = 4
-    t5: int = 5
-
-    def __post_init__(self):
-        if not (self.t1 < self.t2 < self.t3 < self.t4 < self.t5):
-            raise ValueError("ticks must be strictly increasing")
+#: every pair of bits, in table order: the input cells (a, b), and the outputs (x, y) of a cell
+CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +39,8 @@ class BoxBehavior:
         arr = np.array(self.probs, dtype=float)
         if arr.shape != (2, 2, 2, 2):
             raise ValueError(f"behavior table must have shape (2,2,2,2), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("non-finite probability in behavior table")
         if arr.min() < -1e-12:
             raise ValueError("negative probability in behavior table")
         cell_sums = arr.sum(axis=(2, 3))
@@ -63,12 +51,7 @@ class BoxBehavior:
         if not is_non_signalling(self):
             raise ValueError("behavior table is signalling")
         # plain-float copy of each cell so sampling avoids numpy scalar overhead
-        cells = {
-            (a, b): tuple(float(arr[a, b, x, y]) for x in BITS for y in BITS)
-            for a in BITS
-            for b in BITS
-        }
-        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_cells", dict(zip(CELLS, arr.reshape(4, 4).tolist())))
 
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         return float(self.probs[a, b, x, y])
@@ -77,22 +60,17 @@ class BoxBehavior:
         """Draw one output pair for inputs (a, b); deterministic under a seeded rng."""
         r = rng.random()
         acc = 0.0
-        for idx, p in enumerate(self._cells[(a, b)]):
+        for outputs, p in zip(CELLS, self._cells[(a, b)]):
             acc += p
             if r < acc:
-                return idx >> 1, idx & 1
-        return 1, 1  # cumulative sum fell short of 1 by float dust
+                return outputs
+        return CELLS[-1]  # cumulative sum fell short of 1 by float dust
 
     def to_json_obj(self) -> dict:
         """Serialize as {"a,b": [{"x":..,"y":..,"p":..}, ...], ...}."""
         return {
-            f"{a},{b}": [
-                {"x": x, "y": y, "p": float(self.probs[a, b, x, y])}
-                for x in BITS
-                for y in BITS
-            ]
-            for a in BITS
-            for b in BITS
+            f"{a},{b}": [{"x": x, "y": y, "p": p} for (x, y), p in zip(CELLS, cell)]
+            for (a, b), cell in self._cells.items()
         }
 
 
@@ -105,54 +83,47 @@ def is_non_signalling(box: BoxBehavior, tol: float = NON_SIGNALLING_TOL) -> bool
     return bool(max(x_leak, y_leak) <= tol)
 
 
-def _measured_box(readout: Callable[[int, int], dict[str, float]]) -> BoxBehavior:
-    """Box whose cell (a, b) is readout(a, b), a distribution over xy = 00, 01, 10, 11
-    listed in that order."""
-    cells = [[list(readout(a, b).values()) for b in BITS] for a in BITS]
-    return BoxBehavior(np.reshape(cells, (2, 2, 2, 2)))
+def _box(cell: Callable[[int, int], Iterable[float]]) -> BoxBehavior:
+    """Box whose input cell (a, b) is cell(a, b): P(x, y | a, b) for (x, y) in CELLS order."""
+    return BoxBehavior(np.reshape([list(cell(a, b)) for a, b in CELLS], (2, 2, 2, 2)))
 
 
 def ideal_pr_box() -> BoxBehavior:
     """The perfect nonlocal box: x uniform and x ^ y = a*b always."""
-    arr = np.zeros((2, 2, 2, 2))
-    for a, b, x in itertools.product(BITS, repeat=3):
-        arr[a, b, x, x ^ (a & b)] = 0.5
-    return BoxBehavior(arr)
+    return _box(lambda a, b: [0.5 * (x ^ y == a & b) for x, y in CELLS])
 
 
-def quaternionic_box(schedule: Schedule = Schedule()) -> BoxBehavior:
+def quaternionic_box() -> BoxBehavior:
     """Perfect nonlocal box from timing-dependent local phase gates.
 
-    The parties share (|00> + k|11>)/sqrt(2).  Alice applies diag(1, i) at
-    t1 when a = 0 and at t3 when a = 1; Bob applies diag(1, j) at t4 when
-    b = 0 and at t2 when b = 1.  Unless a = b = 1, Alice acts first and the
-    |11> amplitude picks up (j*i)*k = +1; when both inputs are 1 Bob acts
-    first and it picks up (i*j)*k = -1.  Measuring both halves in the +/-
-    basis (+ -> 0, - -> 1) converts that sign into perfectly correlated or
-    anti-correlated outputs, so x ^ y = a*b in every cell.
+    The parties share (|00> + k|11>)/sqrt(2) and clock ticks t1 < ... < t5,
+    here 1 to 5.  Alice applies diag(1, i) at t1 when a = 0 and at t3 when
+    a = 1; Bob applies diag(1, j) at t4 when b = 0 and at t2 when b = 1.
+    Unless a = b = 1, Alice acts first and the |11> amplitude picks up
+    (j*i)*k = +1; when both inputs are 1 Bob acts first and it picks up
+    (i*j)*k = -1.  Measuring both halves in the +/- basis (+ -> 0, - -> 1)
+    at t5 converts that sign into perfectly correlated or anti-correlated
+    outputs, so x ^ y = a*b in every cell.
     """
     gate_alice = phase_gate(I)
     gate_bob = phase_gate(J)
-    # both parties measure at t5, strictly after every scheduled gate
     measurement = [hadamard(), hadamard()]
 
-    def readout(a: int, b: int) -> dict[str, float]:
+    def cell(a: int, b: int) -> Iterable[float]:
         ops = [
-            ScheduledOp(schedule.t1 if a == 0 else schedule.t3, 0, gate_alice),
-            ScheduledOp(schedule.t4 if b == 0 else schedule.t2, 1, gate_bob),
+            ScheduledOp(1 if a == 0 else 3, 0, gate_alice),
+            ScheduledOp(4 if b == 0 else 2, 1, gate_bob),
         ]
-        return measure_product_basis(run_schedule(bell_state(K), ops), measurement)
+        return measure_product_basis(run_schedule(bell_state(K), ops), measurement).values()
 
-    return _measured_box(readout)
+    return _box(cell)
 
 
 def classical_box(f_alice: Sequence[int], f_bob: Sequence[int]) -> BoxBehavior:
     """Deterministic local strategy: x = f_alice[a], y = f_bob[b]."""
-    arr = np.zeros((2, 2, 2, 2))
-    for a in BITS:
-        for b in BITS:
-            arr[a, b, f_alice[a] & 1, f_bob[b] & 1] = 1.0
-    return BoxBehavior(arr)
+    return _box(
+        lambda a, b: [float((x, y) == (f_alice[a] & 1, f_bob[b] & 1)) for x, y in CELLS]
+    )
 
 
 def complex_quantum_box() -> BoxBehavior:
@@ -165,8 +136,8 @@ def complex_quantum_box() -> BoxBehavior:
     shared = bell_state(1.0)
     alice_basis = {0: rotation(0.0), 1: rotation(math.pi / 4)}
     bob_basis = {0: rotation(math.pi / 8), 1: rotation(-math.pi / 8)}
-    return _measured_box(
-        lambda a, b: measure_product_basis(shared, [alice_basis[a], bob_basis[b]])
+    return _box(
+        lambda a, b: measure_product_basis(shared, [alice_basis[a], bob_basis[b]]).values()
     )
 
 

@@ -10,11 +10,10 @@ x ^ y = a*b.  Three reference points for the win probability:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .boxes import BITS, BoxBehavior, classical_box
+from .boxes import CELLS, BoxBehavior, classical_box
 
 #: Best CHSH win probability for local deterministic strategies, hence (by
 #: convexity) for any local hidden variable model.  Clauser, Horne, Shimony
@@ -43,11 +42,8 @@ class GameResult:
 def chsh_value(box: BoxBehavior) -> GameResult:
     """Exact CHSH win probability of a behavior under uniform inputs."""
     per_cell = {
-        (a, b): math.fsum(
-            box.prob(a, b, x, y) for x in BITS for y in BITS if x ^ y == a & b
-        )
-        for a in BITS
-        for b in BITS
+        (a, b): math.fsum(box.prob(a, b, x, y) for x, y in CELLS if x ^ y == a & b)
+        for a, b in CELLS
     }
     win = math.fsum(per_cell.values()) / 4.0
     return GameResult(win, per_cell)
@@ -61,12 +57,10 @@ def lhv_optimum() -> tuple[GameResult, tuple[tuple[int, int], tuple[int, int]]]:
     attained at a vertex.  Returns the optimum and one argmax pair, each
     strategy given as (output for input 0, output for input 1).
     """
-    best: GameResult | None = None
-    best_pair = None
-    for f_alice in itertools.product(BITS, repeat=2):
-        for f_bob in itertools.product(BITS, repeat=2):
-            result = chsh_value(classical_box(f_alice, f_bob))
-            if best is None or result.win_probability > best.win_probability:
-                best, best_pair = result, (f_alice, f_bob)
-    assert best is not None and best_pair is not None
-    return best, best_pair
+    games = {
+        (f_alice, f_bob): chsh_value(classical_box(f_alice, f_bob))
+        for f_alice in CELLS
+        for f_bob in CELLS
+    }
+    best_pair = max(games, key=lambda pair: games[pair].win_probability)
+    return games[best_pair], best_pair

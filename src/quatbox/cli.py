@@ -12,12 +12,13 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from .boxes import (
-    BITS,
+    CELLS,
     BoxBehavior,
     classical_box,
     complex_quantum_box,
@@ -29,7 +30,13 @@ from .chsh import chsh_value, lhv_optimum
 from .qlinalg import inner, phase_gate
 from .quaternion import I, J, Quaternion
 from .register import ScheduledOp, bell_state, run_schedule, state_dump
-from .vandam import BUILTIN_FUNCTIONS, BooleanFunction, builtin_function, verify_exhaustive
+from .vandam import (
+    BUILTIN_FUNCTIONS,
+    VERIFY_SIZE_CAP,
+    BooleanFunction,
+    builtin_function,
+    verify_exhaustive,
+)
 
 FORMATS = ("text", "json", "csv")
 
@@ -40,6 +47,8 @@ CELL_TOL = 1e-10
 ORTHO_TOL = 1e-12
 #: largest --samples accepted; a draw costs microseconds, so this bounds a run to seconds
 MAX_SAMPLES = 10**6
+#: longest truth-table file read, in characters: four times the hex digits of the widest table
+_MAX_TABLE_CHARS = 1 << VERIFY_SIZE_CAP
 
 
 def resolve_box(strategy: str) -> BoxBehavior:
@@ -53,7 +62,11 @@ def resolve_box(strategy: str) -> BoxBehavior:
         _, (f_alice, f_bob) = lhv_optimum()
         return classical_box(f_alice, f_bob)
     if strategy.startswith("noisy:"):
-        return noisy_box(ideal_pr_box(), float(strategy.partition(":")[2]))
+        level = strategy.partition(":")[2]
+        # an ASCII decimal, so the strategy the output echoes names the p that ran
+        if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", level):
+            raise ValueError(f"noise level must be a decimal such as 0.9, got {level!r}")
+        return noisy_box(ideal_pr_box(), float(level))
     raise ValueError(
         f"unknown strategy {strategy!r}; choose classical, complex, quaternionic, "
         "ideal or noisy:p"
@@ -66,7 +79,10 @@ def load_function(selector: str) -> BooleanFunction:
     if os.path.exists(selector):
         try:
             with open(selector, encoding="utf-8") as fh:
-                return BooleanFunction.from_json_obj(json.load(fh))
+                text = fh.read(_MAX_TABLE_CHARS + 1)
+            if len(text) > _MAX_TABLE_CHARS:
+                raise ValueError(f"larger than {_MAX_TABLE_CHARS} characters")
+            return BooleanFunction.from_json_obj(json.loads(text))
         except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"bad truth-table file {selector!r}: {exc}") from exc
     raise ValueError(
@@ -75,18 +91,16 @@ def load_function(selector: str) -> BooleanFunction:
     )
 
 
-def _cell_key(a: int, b: int) -> str:
-    return f"{a},{b}"
+def _cell_keys(per_cell: dict[tuple[int, int], float]) -> dict[str, float]:
+    """GameResult.per_cell keyed "a,b", as every output format writes it."""
+    return {f"{a},{b}": value for (a, b), value in per_cell.items()}
 
 
 def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
     box = resolve_box(args.strategy)
     game = chsh_value(box)
-    cells_pass = {
-        _cell_key(a, b): bool(abs(game.per_cell[(a, b)] - 1.0) <= CELL_TOL)
-        for a in BITS
-        for b in BITS
-    }
+    per_cell = _cell_keys(game.per_cell)
+    cells_pass = {key: bool(abs(value - 1.0) <= CELL_TOL) for key, value in per_cell.items()}
     all_pass = all(cells_pass.values())
     expected_perfect = args.strategy in PERFECT_STRATEGIES
     payload = {
@@ -96,7 +110,7 @@ def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
         "behavior": box.to_json_obj(),
         "chsh": {
             "win_probability": game.win_probability,
-            "per_cell": {_cell_key(a, b): game.per_cell[(a, b)] for a in BITS for b in BITS},
+            "per_cell": per_cell,
         },
         "cells_pass": cells_pass,
         "pass": all_pass,
@@ -105,35 +119,33 @@ def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
     if args.samples:
         rng = np.random.default_rng(args.seed)
         deviation = 0.0
-        for a in BITS:
-            for b in BITS:
-                counts = {(x, y): 0 for x in BITS for y in BITS}
-                for _ in range(args.samples):
-                    counts[box.sample(a, b, rng)] += 1
-                for (x, y), c in counts.items():
-                    deviation = max(deviation, abs(c / args.samples - box.prob(a, b, x, y)))
+        for a, b in CELLS:
+            counts = dict.fromkeys(CELLS, 0)
+            for _ in range(args.samples):
+                counts[box.sample(a, b, rng)] += 1
+            for (x, y), c in counts.items():
+                deviation = max(deviation, abs(c / args.samples - box.prob(a, b, x, y)))
         payload["samples"] = {"per_cell": args.samples, "max_abs_deviation": deviation}
     return payload, 0 if all_pass or not expected_perfect else 1
 
 
 def run_chsh(args: argparse.Namespace) -> tuple[dict, int]:
+    optimal = {}
     if args.strategy == "classical":
         game, (f_alice, f_bob) = lhv_optimum()
         box = classical_box(f_alice, f_bob)
-        strategies = {"alice": list(f_alice), "bob": list(f_bob)}
+        optimal["optimal_strategies"] = {"alice": list(f_alice), "bob": list(f_bob)}
     else:
         box = resolve_box(args.strategy)
         game = chsh_value(box)
-        strategies = None
     payload = {
         "command": "chsh",
         "strategy": args.strategy,
         "seed": args.seed,
         "win_probability": game.win_probability,
-        "per_cell": {_cell_key(a, b): game.per_cell[(a, b)] for a in BITS for b in BITS},
+        "per_cell": _cell_keys(game.per_cell),
+        **optimal,
     }
-    if strategies is not None:
-        payload["optimal_strategies"] = strategies
     if args.samples:
         rng = np.random.default_rng(args.seed)
         wins = 0
@@ -211,11 +223,10 @@ def _render_text(payload: dict) -> str:
         lines.append(f"PR box -- strategy: {payload['strategy']}")
         lines.append("a b | P(x=0,y=0)  P(x=0,y=1)  P(x=1,y=0)  P(x=1,y=1) | Pr[x^y=ab]")
         for key, outcomes in payload["behavior"].items():
-            a, b = key.split(",")
             probs = "  ".join(f"{entry['p']:.10f}" for entry in outcomes)
             cell = payload["chsh"]["per_cell"][key]
             verdict = "PASS" if payload["cells_pass"][key] else "FAIL"
-            lines.append(f"{a} {b} | {probs} | {cell:.10f}  {verdict}")
+            lines.append(f"{key.replace(',', ' ')} | {probs} | {cell:.10f}  {verdict}")
         lines.append(f"CHSH win probability: {payload['chsh']['win_probability']:.10f}")
         lines.append(f"all cells satisfy x^y = ab (tol {CELL_TOL:g}): "
                      + ("yes" if payload["pass"] else "no"))
@@ -273,10 +284,9 @@ def _quadruple_str(quad) -> str:
 
 def _render_csv(payload: dict) -> str:
     lines = ["a,b,x,y,probability"]
-    for key in sorted(payload["behavior"]):
-        a, b = key.split(",")
-        for entry in payload["behavior"][key]:
-            lines.append(f"{a},{b},{entry['x']},{entry['y']},{entry['p']!r}")
+    for key, outcomes in payload["behavior"].items():
+        for entry in outcomes:
+            lines.append(f"{key},{entry['x']},{entry['y']},{entry['p']!r}")
     return "\n".join(lines)
 
 
@@ -311,24 +321,25 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
-    common.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-    strategy = argparse.ArgumentParser(add_help=False)
-    strategy.add_argument("--strategy", default="quaternionic",
-                          help="classical | complex | quaternionic | ideal | noisy:p")
+    # the options of the commands that build a box
+    boxed = argparse.ArgumentParser(add_help=False)
+    boxed.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    boxed.add_argument("--strategy", default="quaternionic",
+                       help="classical | complex | quaternionic | ideal | noisy:p")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prbox", parents=[common, strategy],
+    p = sub.add_parser("prbox", parents=[common, boxed],
                        help="behavior table and CHSH value of a box strategy")
     p.add_argument("--samples", type=int, default=None,
                    help="per-cell Monte Carlo cross-check draws")
 
-    p = sub.add_parser("chsh", parents=[common, strategy],
+    p = sub.add_parser("chsh", parents=[common, boxed],
                        help="CHSH game value of a strategy")
     p.add_argument("--samples", type=int, default=None,
                    help="Monte Carlo game rounds")
 
-    p = sub.add_parser("vandam", parents=[common, strategy],
+    p = sub.add_parser("vandam", parents=[common, boxed],
                        help="exhaustively verify the one-bit protocol on a function")
     p.add_argument("--function", required=True,
                    help="built-in name (AND, XOR, IP2, IP4) or truth-table JSON file")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from quatbox.boxes import (
     BITS,
+    CELLS,
     BoxBehavior,
-    Schedule,
     classical_box,
     complex_quantum_box,
     ideal_pr_box,
@@ -17,6 +17,7 @@ from quatbox.boxes import (
     noisy_box,
     quaternionic_box,
 )
+from quatbox.register import basis_labels
 
 ALL_CELLS = list(itertools.product(BITS, repeat=2))
 
@@ -52,17 +53,6 @@ def test_quaternionic_box_winning_logic_per_cell():
             assert abs(box.prob(a, b, 0, 1) + box.prob(a, b, 1, 0) - 1.0) <= 1e-10
         else:
             assert abs(box.prob(a, b, 0, 0) + box.prob(a, b, 1, 1) - 1.0) <= 1e-10
-
-
-def test_quaternionic_box_custom_schedule():
-    # only the order of the ticks matters, not their values
-    box = quaternionic_box(Schedule(10, 20, 30, 40, 50))
-    assert abs(win_probability_oracle(box) - 1.0) <= 1e-10
-
-
-def test_schedule_must_increase():
-    with pytest.raises(ValueError):
-        Schedule(1, 3, 2, 4, 5)
 
 
 def test_quaternionic_box_empirical_frequencies():
@@ -166,12 +156,22 @@ def test_behavior_validation_rejects_bad_tables():
         BoxBehavior(np.full((2, 2, 2, 2), -0.25))
     with pytest.raises(ValueError):
         BoxBehavior(np.zeros((2, 2, 2, 2)))  # cells sum to 0
+    # NaN passes the negativity and cell-sum checks, since every comparison with it is false
+    arr = np.array(ideal_pr_box().probs)
+    arr[0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite probability"):
+        BoxBehavior(arr)
     # signalling: Bob's output copies Alice's input
     arr = np.zeros((2, 2, 2, 2))
     for a, b in ALL_CELLS:
         arr[a, b, 0, a] = 1.0
     with pytest.raises(ValueError):
         BoxBehavior(arr)
+
+
+def test_cell_order_matches_the_readout_labels():
+    # measured boxes read measure_product_basis(...).values() as P(x, y) in CELLS order
+    assert [f"{x}{y}" for x, y in CELLS] == basis_labels(2)
 
 
 def test_behavior_marginals():

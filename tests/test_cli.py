@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -179,6 +180,36 @@ def test_vandam_oversized_function_file_exits_two(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_vandam_function_file_over_the_size_cap_exits_two(capsys, tmp_path):
+    cap = cli._MAX_TABLE_CHARS
+    text = json.dumps({"n_alice": 1, "n_bob": 1, "table": "8"})
+    path = tmp_path / "padded.json"
+    path.write_text(text.ljust(cap), encoding="utf-8")
+    code, _, _ = run_cli(capsys, ["vandam", "--function", str(path)])
+    assert code == 0
+    path.write_text(text.ljust(cap + 1), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["vandam", "--function", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad truth-table file")
+    assert f"larger than {cap} characters" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless file")
+def test_vandam_endless_function_file_is_read_within_the_cap(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["vandam", "--function", "/dev/zero"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert f"larger than {cli._MAX_TABLE_CHARS} characters" in err
+    assert peak < 8 * cli._MAX_TABLE_CHARS
+
+
 def test_vandam_over_cell_budget_exits_two_before_any_draw(capsys, monkeypatch, tmp_path):
     # a random 6+6-bit table has about 2000 mixed monomials, 2**12 box cells each
     packed = int.from_bytes(np.random.default_rng(5).bytes(1 << 9), "little")
@@ -234,6 +265,7 @@ def test_unknown_flag_exits_two(capsys):
         ["prbox", "--bogus"],
         ["prbox", "--format", "xml"],
         ["vandam", "--strategy", "ideal"],
+        ["order-demo", "--seed", "1"],  # order-demo draws nothing, so it takes no seed
     ):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
@@ -261,10 +293,16 @@ def test_unknown_strategy_is_config_error(capsys):
     assert "unknown strategy" in err
 
 
-@pytest.mark.parametrize("level", ["noisy:1.2", "noisy:0.3", "noisy:abc"])
+# float() reads each of the last five as 0.95, 0.9, 0.9, 0.9 and 1.0
+@pytest.mark.parametrize("level", [
+    "noisy:1.2", "noisy:0.3", "noisy:abc",
+    "noisy:0.9_5", "noisy: 0.9", "noisy:\u0660.\u0669", "noisy:9e-1", "noisy:+1",
+])
 def test_bad_noise_levels_are_config_errors(capsys, level):
-    code, _, err = run_cli(capsys, ["chsh", "--strategy", level])
+    code, out, err = run_cli(capsys, ["chsh", "--strategy", level])
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_library_value_error_exits_two(capsys):
