@@ -60,10 +60,10 @@ class BoxBehavior:
         """Draw one output pair for inputs (a, b); deterministic under a seeded rng."""
         r = rng.random()
         acc = 0.0
-        for outputs, p in zip(CELLS, self._cells[(a, b)]):
+        for idx, p in enumerate(self._cells[(a, b)]):
             acc += p
             if r < acc:
-                return outputs
+                return CELLS[idx]
         return CELLS[-1]  # cumulative sum fell short of 1 by float dust
 
     def to_json_obj(self) -> dict:
