@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ from .register import ScheduledOp, bell_state, measure_product_basis, run_schedu
 #: tolerance for cell normalization and for marginals matching across inputs
 NON_SIGNALLING_TOL = 1e-10
 
-BITS = (0, 1)
 #: every pair of bits, in table order: the input cells (a, b), and the outputs (x, y) of a cell
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -50,8 +50,10 @@ class BoxBehavior:
         object.__setattr__(self, "probs", arr)
         if not is_non_signalling(self):
             raise ValueError("behavior table is signalling")
-        # plain-float copy of each cell so sampling avoids numpy scalar overhead
-        object.__setattr__(self, "_cells", dict(zip(CELLS, arr.reshape(4, 4).tolist())))
+        # each cell's running sums p0, p0 + p1, ..., added once here instead of on every
+        # draw; entries down to -1e-12 pass the checks above, so they need not increase
+        thresholds = [tuple(accumulate(cell)) for cell in arr.reshape(4, 4).tolist()]
+        object.__setattr__(self, "_thresholds", dict(zip(CELLS, thresholds)))
 
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         return float(self.probs[a, b, x, y])
@@ -59,10 +61,8 @@ class BoxBehavior:
     def sample(self, a: int, b: int, rng) -> tuple[int, int]:
         """Draw one output pair for inputs (a, b); deterministic under a seeded rng."""
         r = rng.random()
-        acc = 0.0
-        for idx, p in enumerate(self._cells[(a, b)]):
-            acc += p
-            if r < acc:
+        for idx, threshold in enumerate(self._thresholds[(a, b)]):
+            if r < threshold:  # the first one above r, not a bisection
                 return CELLS[idx]
         return CELLS[-1]  # cumulative sum fell short of 1 by float dust
 
@@ -70,7 +70,7 @@ class BoxBehavior:
         """Serialize as {"a,b": [{"x":..,"y":..,"p":..}, ...], ...}."""
         return {
             f"{a},{b}": [{"x": x, "y": y, "p": p} for (x, y), p in zip(CELLS, cell)]
-            for (a, b), cell in self._cells.items()
+            for (a, b), cell in zip(CELLS, self.probs.reshape(4, 4).tolist())
         }
 
 

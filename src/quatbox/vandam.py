@@ -17,19 +17,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
+from operator import xor
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .boxes import BoxBehavior
+from .boxes import CELLS, BoxBehavior
 from .chsh import chsh_value
 
 #: refuse truth-table files and exhaustive verification beyond 2**20 inputs
 VERIFY_SIZE_CAP = 20
 
 #: refuse exhaustive verification beyond this many (input, mixed monomial) box
-#: cells, one draw each; at a few microseconds per cell this bounds a run to seconds
+#: cells, one draw each; at about 1.7 microseconds per cell a run takes seconds
 VERIFY_CELL_BUDGET = 1 << 21
+
+#: cells per block of whole x rows (one row at least) in verify_exhaustive's grid walk
+_BLOCK_CELLS = 1 << 12
 
 #: the characters a truth-table file's hex `table` may hold
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -186,8 +191,11 @@ def vandam_protocol(
     anf = anf_transform(f)
     if len(box_supply) < len(anf.mixed):
         raise ValueError(f"need {len(anf.mixed)} boxes, have {len(box_supply)}")
-    output = _run(f, x, y, _box_inputs(anf, x, y), box_supply, rng)
-    return ProtocolRun(output=output, **_cost(anf))
+    alpha, beta = _cell_bits(anf, [x], [y])
+    cells = alpha[:, None, :] | beta
+    draws = [box.sample(*CELLS[c], rng) for box, c in zip(box_supply, cells.ravel().tolist())]
+    output = _outputs(_table(f), slice(x, x + 1), slice(y, y + 1), cells, draws)
+    return ProtocolRun(output=int(output[0, 0]), **_cost(anf))
 
 
 def _cost(anf: ANF) -> dict[str, int]:
@@ -196,43 +204,46 @@ def _cost(anf: ANF) -> dict[str, int]:
     return {"boxes_used": len(anf.mixed), "bits_bob_to_alice": bits, "bits_alice_to_bob": 0}
 
 
-def _box_inputs(anf: ANF, x: int, y: int) -> list[tuple[int, int]]:
-    # the input cell of each mixed monomial's box: does x hold its Alice
-    # variables, and y its Bob ones
-    return [
-        (int((x & a_mask) == a_mask), int((y & b_mask) == b_mask))
-        for a_mask, b_mask in anf.mixed
-    ]
+def _table(f: BooleanFunction) -> np.ndarray:
+    return np.frombuffer(bytes(f.table), np.uint8).reshape(1 << f.n_alice, 1 << f.n_bob)
 
 
-def _run(f: BooleanFunction, x: int, y: int, cells, box_supply: Sequence[BoxBehavior], rng) -> int:
-    u_fold = 0
-    v_fold = 0
-    for box, cell in zip(box_supply, cells):
-        u, v = box.sample(*cell, rng)
-        u_fold ^= u
-        v_fold ^= v
-    bob_bit = f.table[y] ^ f.table[0] ^ v_fold  # f(0, y) + f(0, 0) + his box outputs
-    return f.table[x << f.n_bob] ^ u_fold ^ bob_bit  # Alice: f(x, 0) + hers + Bob's bit
+def _cell_bits(anf: ANF, xs: Sequence[int], ys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    # the two halves of each mixed monomial's box input as uint8 arrays (len(xs), M) and
+    # (len(ys), M): 2 where x holds the monomial's Alice variables, 1 where y holds its Bob
+    # ones, so that alpha[:, None, :] | beta is each (x, y, monomial) box's index into CELLS
+    alpha = bytes(2 * ((x & a) == a) for x in xs for a, _ in anf.mixed)
+    beta = bytes((y & b) == b for y in ys for _, b in anf.mixed)
+    m = len(anf.mixed)
+    return (np.frombuffer(alpha, np.uint8).reshape(len(xs), m),
+            np.frombuffer(beta, np.uint8).reshape(len(ys), m))
+
+
+def _outputs(table: np.ndarray, rows: slice, cols: slice, cells: np.ndarray, draws) -> np.ndarray:
+    # Alice's outputs on table[rows, cols] given one draw (u, v) per box of cells, in C order:
+    # f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his box outputs
+    flips = np.fromiter(starmap(xor, draws), np.uint8, cells.size).reshape(cells.shape)
+    return table[rows, :1] ^ table[:1, cols] ^ table[0, 0] ^ np.bitwise_xor.reduce(flips, axis=-1)
 
 
 def success_probability(f: BooleanFunction, x: int, y: int, box: BoxBehavior) -> float:
     """Exact probability that the protocol outputs f(x, y), averaging over
     the boxes' randomness (every mixed monomial drawing from `box`)."""
     f._check_inputs(x, y)
-    return _success(_box_inputs(anf_transform(f), x, y), _gains(box))
+    alpha, beta = _cell_bits(anf_transform(f), [x], [y])
+    return float(_success_rates(alpha[:, None, :] | beta, _gains(box))[0, 0])
 
 
-def _gains(box: BoxBehavior) -> dict[tuple[int, int], float]:
+def _gains(box: BoxBehavior) -> np.ndarray:
     # 2 win - 1 per input cell; the clamp absorbs the 1-ulp excess of simulated boxes
     win_rate = chsh_value(box).per_cell
-    return {cell: 2.0 * min(max(win, 0.0), 1.0) - 1.0 for cell, win in win_rate.items()}
+    return np.array([2.0 * min(max(win_rate[cell], 0.0), 1.0) - 1.0 for cell in CELLS])
 
 
-def _success(cells, gain: dict[tuple[int, int], float]) -> float:
-    # The output is wrong iff an odd number of boxes miss x^y = ab on their
-    # cell; for independent boxes Pr[even] = (1 + prod(1 - 2 e_k)) / 2.
-    return (1.0 + math.prod(gain[cell] for cell in cells)) / 2.0  # left to right
+def _success_rates(cells: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    # Wrong iff an odd number of boxes miss x^y = ab: Pr[even] = (1 + prod(1 - 2 e_k)) / 2,
+    # the multiply reduction running left to right in monomial order, as math.prod did
+    return (1.0 + np.multiply.reduce(gain.take(cells), axis=-1)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -252,7 +263,9 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
 
     success_rate is the exact mean of success_probability over all inputs
     (identically 1.0 for perfect boxes); empirical_rate comes from one
-    sampled protocol run per input.
+    sampled protocol run per input, one `box.sample` call (one `rng.random()`)
+    per box cell, x-major, then y, then monomial.  Draws stay one call each
+    until the benchmark counts them by the generator's state, not by calls.
     """
     n = f.n_alice + f.n_bob
     if n > VERIFY_SIZE_CAP:
@@ -266,18 +279,21 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
             f"refusing exhaustive run over {cells} box cells; the budget is {VERIFY_CELL_BUDGET}"
         )
     gain = _gains(box)
-    supply = [box] * len(anf.mixed)
-    exact_terms = []
-    hits = 0
-    for x in range(1 << f.n_alice):
-        for y in range(1 << f.n_bob):
-            cells = _box_inputs(anf, x, y)
-            hits += _run(f, x, y, cells, supply, rng) == f.table[(x << f.n_bob) | y]
-            exact_terms.append(_success(cells, gain))
+    table = _table(f)
+    alpha, beta = _cell_bits(anf, range(1 << f.n_alice), range(1 << f.n_bob))
+    draw_args = [(a, b, rng) for a, b in CELLS]
+    exact, hits = [], 0
+    step = max(1, _BLOCK_CELLS // max(len(anf.mixed) << f.n_bob, 1))  # x rows per block
+    for start in range(0, 1 << f.n_alice, step):
+        rows = slice(start, start + step)
+        grid = alpha[rows, None, :] | beta
+        draws = starmap(box.sample, map(draw_args.__getitem__, grid.ravel().tolist()))
+        hits += np.count_nonzero(_outputs(table, rows, slice(None), grid, draws) == table[rows])
+        exact += _success_rates(grid, gain).ravel().tolist()
     n_inputs = 1 << n
     return VerifyReport(
-        success_rate=math.fsum(exact_terms) / n_inputs,
-        empirical_rate=hits / n_inputs,
+        success_rate=math.fsum(exact) / n_inputs,
+        empirical_rate=int(hits) / n_inputs,
         n_inputs=n_inputs,
         **_cost(anf),
     )

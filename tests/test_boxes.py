@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatbox.boxes import (
-    BITS,
     CELLS,
     BoxBehavior,
     classical_box,
@@ -19,6 +18,7 @@ from quatbox.boxes import (
 )
 from quatbox.register import basis_labels
 
+BITS = (0, 1)
 ALL_CELLS = list(itertools.product(BITS, repeat=2))
 
 

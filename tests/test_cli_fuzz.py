@@ -11,10 +11,13 @@ import json
 import os
 
 import jsonschema
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatbox import cli
+from quatbox.boxes import BoxBehavior
+from quatbox.vandam import VERIFY_CELL_BUDGET, BooleanFunction, anf_transform
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "schemas", "cli_output.schema.json")
 with open(SCHEMA_PATH, encoding="utf-8") as fh:
@@ -31,8 +34,29 @@ def valid_tables(draw):
     return json.dumps({"n_alice": n_alice, "n_bob": n_bob, "table": f"{packed:x}"})
 
 
-# integer widths stay in [-3, 3] or sum past VERIFY_SIZE_CAP, so no generated
-# file asks for a long exhaustive run
+@st.composite
+def over_budget_tables(draw):
+    """Dense tables on 11-14 bits with just over VERIFY_CELL_BUDGET >> n mixed
+    monomials: the largest files that must be refused, not run."""
+    n = draw(st.integers(11, 14))
+    n_alice = draw(st.integers(2, n - 2))
+    n_bob = n - n_alice
+    n_mixed = (VERIFY_CELL_BUDGET >> n) + draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.arange(1 << n)
+    mixed = ((idx >> n_bob) > 0) & ((idx & ((1 << n_bob) - 1)) > 0)
+    coef = np.where(mixed, 0, rng.integers(0, 2, idx.size))
+    coef[rng.choice(np.flatnonzero(mixed), n_mixed, replace=False)] = 1
+    # the Moebius transform is an involution: the table whose ANF is coef
+    ones = anf_transform(BooleanFunction(n_alice, n_bob, tuple(coef.tolist()))).monomials
+    table = np.zeros(1 << n, dtype=int)
+    table[[(a << n_bob) | b for a, b in ones]] = 1
+    return json.dumps(BooleanFunction(n_alice, n_bob, tuple(table.tolist())).to_json_obj())
+
+
+# integer widths stay in [-3, 3] or sum past VERIFY_SIZE_CAP, and the dense
+# tables lie past VERIFY_CELL_BUDGET, so no generated file asks for a long
+# exhaustive run
 _widths = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([25, 40, 10**9]),
@@ -44,6 +68,7 @@ _widths = st.one_of(
 
 tables = st.one_of(
     valid_tables(),
+    over_budget_tables(),
     st.builds(  # oversized
         lambda a, b: json.dumps({"n_alice": a, "n_bob": b, "table": "0"}),
         st.integers(11, 40),
@@ -90,6 +115,7 @@ argvs = st.builds(
 
 
 def check_boundary(argv):
+    """Run quatbox on argv, check the boundary, return the exit code and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -104,6 +130,7 @@ def check_boundary(argv):
         assert len(err.splitlines()) == 1, err
     elif formats[-1:] == ["json"]:
         jsonschema.validate(json.loads(out), SCHEMA)
+    return code, err
 
 
 @settings(max_examples=80, deadline=None)
@@ -118,3 +145,24 @@ def test_cli_boundary_holds_for_generated_truth_tables(tmp_path_factory, table, 
     path = tmp_path_factory.mktemp("table") / "table.json"
     path.write_text(table, encoding="utf-8")
     check_boundary(["vandam", "--function", str(path), "--format", fmt])
+
+
+@settings(max_examples=12, deadline=1000)
+@given(table=over_budget_tables())
+def test_tables_over_the_cell_budget_exit_two_before_any_draw(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "table.json"
+    path.write_text(table, encoding="utf-8")
+    draws = [0]
+    sample = BoxBehavior.sample
+
+    def counted(*args):
+        draws[0] += 1
+        return sample(*args)
+
+    BoxBehavior.sample = counted
+    try:
+        code, err = check_boundary(["vandam", "--function", str(path)])
+    finally:
+        BoxBehavior.sample = sample
+    assert (code, draws[0]) == (2, 0)
+    assert err.startswith("error:") and "box cells" in err

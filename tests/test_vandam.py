@@ -7,11 +7,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quatbox.vandam
-from quatbox.boxes import BoxBehavior, ideal_pr_box, noisy_box, quaternionic_box
+from quatbox.boxes import (
+    CELLS,
+    BoxBehavior,
+    classical_box,
+    complex_quantum_box,
+    ideal_pr_box,
+    noisy_box,
+    quaternionic_box,
+)
+from quatbox.chsh import chsh_value
 from quatbox.vandam import (
     ANF,
     BooleanFunction,
@@ -321,6 +330,144 @@ def test_verify_size_cap():
     f = BooleanFunction(11, 10, (0,) * (1 << 21))
     with pytest.raises(ValueError):
         verify_exhaustive(f, ideal_pr_box())
+
+
+# ------------------------------------------- engine against the per-input loop
+
+
+def loop_sample(box, a, b, rng):
+    """BoxBehavior.sample as a running sum added draw by draw: the first
+    partial sum above r wins, whether or not the sums increase."""
+    r = rng.random()
+    acc = 0.0
+    for idx, p in enumerate(box.probs[a, b].ravel().tolist()):
+        acc += p
+        if r < acc:
+            return CELLS[idx]
+    return CELLS[-1]
+
+
+def loop_run(f, anf, x, y, box, rng, gain):
+    """One protocol run on (x, y) and its exact success probability, with
+    Python ints and math.prod: the reference for the array engine."""
+    cells = [(int((x & a) == a), int((y & b) == b)) for a, b in anf.mixed]
+    fold = 0
+    for cell in cells:
+        u, v = loop_sample(box, *cell, rng)
+        fold ^= u ^ v
+    output = f.table[x << f.n_bob] ^ f.table[y] ^ f.table[0] ^ fold
+    return output, (1.0 + math.prod(gain[cell] for cell in cells)) / 2.0
+
+
+def loop_gains(box):
+    return {cell: 2.0 * min(max(w, 0.0), 1.0) - 1.0 for cell, w in chsh_value(box).per_cell.items()}
+
+
+def loop_verify(f, box, rng):
+    anf, gain = anf_transform(f), loop_gains(box)
+    exact, hits = [], 0
+    for x in range(1 << f.n_alice):
+        for y in range(1 << f.n_bob):
+            output, rate = loop_run(f, anf, x, y, box, rng, gain)
+            hits += output == f.table[(x << f.n_bob) | y]
+            exact.append(rate)
+    n_inputs = 1 << (f.n_alice + f.n_bob)
+    return math.fsum(exact) / n_inputs, hits / n_inputs
+
+
+class EdgeRandom:
+    """A stand-in generator whose doubles are half uniform and half a running
+    sum of one of the box's cells or a float neighbour of one: the values
+    where a bisection, a `<=` or a different add order picks another output."""
+
+    def __init__(self, box, seed):
+        sums = [t for cell in box.probs.reshape(4, 4).tolist() for t in itertools.accumulate(cell)]
+        near = (v for t in sums for v in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)))
+        self.edges = [v for v in near if 0.0 <= v < 1.0]
+        self.rng = np.random.default_rng(seed)
+
+    def random(self):
+        if self.rng.random() < 0.5:
+            return self.edges[self.rng.integers(len(self.edges))]
+        return self.rng.random()
+
+
+def negative_entry_box():
+    """A valid box with one entry of -1e-13, inside the validation tolerance:
+    0.8 PR box + 0.1 (x, y) = (1, 0) + 0.1 (x, y) = (a, 0), with 1e-13 moved
+    from P(0, 1 | 0, 0) to P(0, 0 | 0, 0).  The running sums of cell (0, 0) are then
+    0.5 + 1e-13, 0.5, 0.6, 1, not monotone, and a bisection at r = 0.5 draws
+    (1, 0) where the linear scan draws (0, 0).  Its cells win 0.9, 0.9, 0.8
+    and 1, so a product of its gains depends on the order of the factors."""
+    probs = (0.8 * ideal_pr_box().probs + 0.1 * classical_box((1, 1), (0, 0)).probs
+             + 0.1 * classical_box((0, 1), (0, 0)).probs)
+    probs[0, 0, 0, 0] += 1e-13
+    probs[0, 0, 0, 1] = -1e-13
+    return BoxBehavior(probs)
+
+
+ENGINE_BOXES = {
+    "ideal": ideal_pr_box(),
+    "quaternionic": quaternionic_box(),
+    "complex": complex_quantum_box(),
+    "noisy(ideal, 0.9)": noisy_box(ideal_pr_box(), 0.9),
+    "noisy(complex, 0.7)": noisy_box(complex_quantum_box(), 0.7),
+    "negative entry": negative_entry_box(),
+}
+
+
+def from_monomials(n_alice, n_bob, monomials):
+    """The function whose ANF is the XOR of these (alice_mask, bob_mask) monomials."""
+    coef = [0] * (1 << (n_alice + n_bob))
+    for a_mask, b_mask in monomials:
+        coef[(a_mask << n_bob) | b_mask] ^= 1
+    return BooleanFunction(n_alice, n_bob, tuple(scalar_moebius(coef, n_alice + n_bob)))
+
+
+@st.composite
+def protocol_functions(draw):
+    """Functions on 0-9 input bits, either dense truth tables (n <= 6) or the
+    XOR of up to 16 random monomials, some with only pure monomials (M = 0)."""
+    n_alice = draw(st.integers(0, 9))
+    n_bob = draw(st.integers(0, 9 - n_alice))
+    n = n_alice + n_bob
+    if n <= 6 and draw(st.booleans()):
+        packed = draw(st.integers(0, (1 << (1 << n)) - 1))
+        return BooleanFunction(n_alice, n_bob, tuple((packed >> i) & 1 for i in range(1 << n)))
+    pure = draw(st.booleans())
+    monomials = []
+    for _ in range(draw(st.integers(0, 16))):
+        a_mask = draw(st.integers(0, (1 << n_alice) - 1))
+        monomials.append((a_mask, 0 if pure and a_mask else draw(st.integers(0, (1 << n_bob) - 1))))
+    return from_monomials(n_alice, n_bob, monomials)
+
+
+#: 16 mixed monomials on 4 + 5 bits: 8192 box cells, more than one block of verify_exhaustive
+SEVERAL_BLOCKS = from_monomials(4, 5, [(a, b) for a in (1, 3, 5, 15) for b in (1, 6, 17, 31)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=protocol_functions(), box_name=st.sampled_from(sorted(ENGINE_BOXES)), seed=st.integers(0))
+@example(f=BooleanFunction(0, 0, (1,)), box_name="complex", seed=0)
+@example(f=BooleanFunction(0, 3, (0, 1, 1, 0, 1, 0, 0, 1)), box_name="ideal", seed=1)
+@example(f=BooleanFunction(3, 0, (1, 1, 0, 1, 0, 0, 1, 0)), box_name="ideal", seed=2)
+@example(f=builtin_function("IP4"), box_name="negative entry", seed=0)
+@example(f=SEVERAL_BLOCKS, box_name="noisy(complex, 0.7)", seed=4)
+def test_verify_engine_matches_the_per_input_loop(f, box_name, seed):
+    box = ENGINE_BOXES[box_name]
+    for make_rng in (np.random.default_rng, lambda s: EdgeRandom(box, s)):
+        report = verify_exhaustive(f, box, make_rng(seed))
+        assert (report.success_rate, report.empirical_rate) == loop_verify(f, box, make_rng(seed))
+        assert type(report.success_rate) is float and type(report.empirical_rate) is float
+    # the one-input entry points against the same loop, on at most 64 inputs
+    anf, gain = anf_transform(f), loop_gains(box)
+    loop_rng, engine_rng = EdgeRandom(box, seed), EdgeRandom(box, seed)
+    inputs = list(itertools.product(range(1 << f.n_alice), range(1 << f.n_bob)))
+    for x, y in inputs[:: max(1, len(inputs) // 64)]:
+        output, rate = loop_run(f, anf, x, y, box, loop_rng, gain)
+        run = vandam_protocol(f, x, y, [box] * len(anf.mixed), engine_rng)
+        assert (run.output, type(run.output)) == (output, int)
+        assert success_probability(f, x, y, box) == rate
 
 
 # ---------------------------------------------------------------- formats
