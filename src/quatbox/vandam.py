@@ -33,7 +33,7 @@ VERIFY_SIZE_CAP = 20
 #: cells, one draw each; at about 1.7 microseconds per cell a run takes seconds
 VERIFY_CELL_BUDGET = 1 << 21
 
-#: cells per block of whole x rows (one row at least) in verify_exhaustive's grid walk
+#: box cells per block of verify_exhaustive's grid walk (one input's cells at least)
 _BLOCK_CELLS = 1 << 12
 
 #: the characters a truth-table file's hex `table` may hold
@@ -283,13 +283,17 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     alpha, beta = _cell_bits(anf, range(1 << f.n_alice), range(1 << f.n_bob))
     draw_args = [(a, b, rng) for a, b in CELLS]
     exact, hits = [], 0
-    step = max(1, _BLOCK_CELLS // max(len(anf.mixed) << f.n_bob, 1))  # x rows per block
-    for start in range(0, 1 << f.n_alice, step):
-        rows = slice(start, start + step)
-        grid = alpha[rows, None, :] | beta
-        draws = starmap(box.sample, map(draw_args.__getitem__, grid.ravel().tolist()))
-        hits += np.count_nonzero(_outputs(table, rows, slice(None), grid, draws) == table[rows])
-        exact += _success_rates(grid, gain).ravel().tolist()
+    # blocks of whole x rows while a row fits in _BLOCK_CELLS cells, else runs of y in one
+    # row; either way the draws keep their x, y, monomial order
+    m = max(len(anf.mixed), 1)
+    height, width = max(1, _BLOCK_CELLS // (m << f.n_bob)), max(1, _BLOCK_CELLS // m)
+    for x0 in range(0, 1 << f.n_alice, height):
+        for y0 in range(0, 1 << f.n_bob, width):
+            rows, cols = slice(x0, x0 + height), slice(y0, y0 + width)
+            grid = alpha[rows, None, :] | beta[cols]
+            draws = starmap(box.sample, map(draw_args.__getitem__, grid.ravel().tolist()))
+            hits += np.count_nonzero(_outputs(table, rows, cols, grid, draws) == table[rows, cols])
+            exact += _success_rates(grid, gain).ravel().tolist()
     n_inputs = 1 << n
     return VerifyReport(
         success_rate=math.fsum(exact) / n_inputs,

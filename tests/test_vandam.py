@@ -442,8 +442,10 @@ def protocol_functions(draw):
     return from_monomials(n_alice, n_bob, monomials)
 
 
-#: 16 mixed monomials on 4 + 5 bits: 8192 box cells, more than one block of verify_exhaustive
+#: 16 mixed monomials on 4 + 5 bits: 8192 box cells, blocks of several x rows
 SEVERAL_BLOCKS = from_monomials(4, 5, [(a, b) for a in (1, 3, 5, 15) for b in (1, 6, 17, 31)])
+#: 17 mixed monomials on 1 + 8 bits: 4352 box cells per x row, so rows are cut into runs of y
+SPLIT_ROWS = from_monomials(1, 8, [(1, b) for b in range(1, 256, 15)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,6 +455,7 @@ SEVERAL_BLOCKS = from_monomials(4, 5, [(a, b) for a in (1, 3, 5, 15) for b in (1
 @example(f=BooleanFunction(3, 0, (1, 1, 0, 1, 0, 0, 1, 0)), box_name="ideal", seed=2)
 @example(f=builtin_function("IP4"), box_name="negative entry", seed=0)
 @example(f=SEVERAL_BLOCKS, box_name="noisy(complex, 0.7)", seed=4)
+@example(f=SPLIT_ROWS, box_name="negative entry", seed=5)
 def test_verify_engine_matches_the_per_input_loop(f, box_name, seed):
     box = ENGINE_BOXES[box_name]
     for make_rng in (np.random.default_rng, lambda s: EdgeRandom(box, s)):
