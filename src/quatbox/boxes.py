@@ -31,7 +31,10 @@ CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 @dataclass(frozen=True, eq=False)
 class BoxBehavior:
-    """Conditional output table, indexed probs[a, b, x, y]."""
+    """Conditional output table, indexed probs[a, b, x, y].
+
+    `wins` lists Pr[x ^ y = a*b] for each input cell (a, b) in CELLS order.
+    """
 
     probs: np.ndarray
 
@@ -50,10 +53,15 @@ class BoxBehavior:
         object.__setattr__(self, "probs", arr)
         if not is_non_signalling(self):
             raise ValueError("behavior table is signalling")
+        rows = arr.reshape(4, 4).tolist()
         # each cell's running sums p0, p0 + p1, ..., added once here instead of on every
         # draw; entries down to -1e-12 pass the checks above, so they need not increase
-        thresholds = [tuple(accumulate(cell)) for cell in arr.reshape(4, 4).tolist()]
+        thresholds = [tuple(accumulate(cell)) for cell in rows]
         object.__setattr__(self, "_thresholds", dict(zip(CELLS, thresholds)))
+        # each cell's CHSH win, summed once here for scoring and the protocol's exact rates
+        wins = tuple(math.fsum(p for (x, y), p in zip(CELLS, cell) if x ^ y == a & b)
+                     for (a, b), cell in zip(CELLS, rows))
+        object.__setattr__(self, "wins", wins)
 
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         return float(self.probs[a, b, x, y])

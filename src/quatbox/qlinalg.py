@@ -25,6 +25,9 @@ from .quaternion import ONE, Quaternion, as_quaternion
 #: entry-wise tolerance for accepting a matrix as unitary
 UNITARY_TOL = 1e-10
 
+#: tolerance on the sum of squared amplitude norms of a normalized vector
+NORM_TOL = 1e-10
+
 #: component tolerance below which an entry counts as real / complex
 SUBFIELD_TOL = 1e-14
 
@@ -110,8 +113,8 @@ class QVector(_QuaternionArray):
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= NORM_TOL
 
 
 class QMatrix(_QuaternionArray):
@@ -125,18 +128,18 @@ class QMatrix(_QuaternionArray):
 
     @cached_property
     def unitary(self) -> bool:
-        """`is_unitary(self)` at the default tolerance, worked out once per matrix."""
+        """`is_unitary(self)`, worked out once per matrix."""
         return is_unitary(self)
 
     def dagger(self) -> QMatrix:
         """Transpose followed by entry-wise quaternionic conjugation."""
         return QMatrix(self.data.transpose(1, 0, 2) * _CONJUGATE)
 
-    def is_real(self, tol: float = SUBFIELD_TOL) -> bool:
-        return bool((np.abs(self.data[..., 1:]) <= tol).all())
+    def is_real(self) -> bool:
+        return bool((np.abs(self.data[..., 1:]) <= SUBFIELD_TOL).all())
 
-    def in_complex_subfield(self, tol: float = SUBFIELD_TOL) -> bool:
-        return bool((np.abs(self.data[..., 2:]) <= tol).all())
+    def in_complex_subfield(self) -> bool:
+        return bool((np.abs(self.data[..., 2:]) <= SUBFIELD_TOL).all())
 
 
 def qmat(rows: Iterable[Iterable]) -> QMatrix:
@@ -175,13 +178,13 @@ def inner(u: QVector, v: QVector) -> Quaternion:
     return Quaternion(*_fold_sum(hamilton(u.data * _CONJUGATE, v.data), axis=0).tolist())
 
 
-def is_unitary(m: QMatrix, tol: float = UNITARY_TOL) -> bool:
-    """True iff M * dagger(M) deviates from the identity by at most tol per entry."""
+def is_unitary(m: QMatrix) -> bool:
+    """True iff M * dagger(M) deviates from the identity by at most UNITARY_TOL per entry."""
     rows, cols = m.shape
     if rows != cols:
         raise ValueError("unitarity is only defined for square matrices")
     deviation = matmul(m, m.dagger()).data - identity(rows).data
-    return bool((np.sqrt(norm_sq(deviation)) <= tol).all())
+    return bool((np.sqrt(norm_sq(deviation)) <= UNITARY_TOL).all())
 
 
 def hadamard() -> QMatrix:

@@ -17,11 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qlinalg import INV_SQRT2, QMatrix, QVector, SUBFIELD_TOL, hamilton, norm_sq
+from .qlinalg import INV_SQRT2, NORM_TOL, QMatrix, QVector, hamilton, norm_sq
 from .quaternion import Quaternion, ZERO, as_quaternion
-
-#: tolerance on sum of squared amplitude norms for a valid state
-NORM_TOL = 1e-10
 
 
 def basis_labels(n_parties: int) -> list[str]:
@@ -47,7 +44,7 @@ class Register:
             raise ValueError(
                 f"state dimension {self.state.dim} does not match {self.n_parties} parties"
             )
-        if not self.state.is_normalized(NORM_TOL):
+        if not self.state.is_normalized():
             raise ValueError(f"state is not normalized: |psi|^2 = {self.state.norm_sq()!r}")
 
     @classmethod
@@ -141,7 +138,7 @@ def measure_product_basis(
     """
     if len(basis_changes) != reg.n_parties:
         raise ValueError("need exactly one basis change per party")
-    nonreal = [p for p, m in enumerate(basis_changes) if not m.is_real(SUBFIELD_TOL)]
+    nonreal = [p for p, m in enumerate(basis_changes) if not m.is_real()]
     if len(nonreal) > 1:
         raise ValueError(
             f"non-real basis changes on parties {nonreal} do not commute; "

@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boxes import CELLS, BoxBehavior
-from .chsh import chsh_value
 
 #: refuse truth-table files and exhaustive verification beyond 2**20 inputs
 VERIFY_SIZE_CAP = 20
@@ -33,7 +32,7 @@ VERIFY_SIZE_CAP = 20
 #: cells, one draw each; at about 1.7 microseconds per cell a run takes seconds
 VERIFY_CELL_BUDGET = 1 << 21
 
-#: box cells per block of verify_exhaustive's grid walk (one input's cells at least)
+#: box cells per block of verify_exhaustive's walk over inputs (one input's cells at least)
 _BLOCK_CELLS = 1 << 12
 
 #: the characters a truth-table file's hex `table` may hold
@@ -148,12 +147,6 @@ class ANF:
     n_bob: int
     monomials: tuple[tuple[int, int], ...]
 
-    def evaluate(self, x: int, y: int) -> int:
-        acc = 0
-        for a_mask, b_mask in self.monomials:
-            acc ^= (x & a_mask) == a_mask and (y & b_mask) == b_mask
-        return int(acc)
-
     @cached_property
     def mixed(self) -> tuple[tuple[int, int], ...]:
         """Monomials touching both parties; these each consume one box."""
@@ -191,11 +184,11 @@ def vandam_protocol(
     anf = anf_transform(f)
     if len(box_supply) < len(anf.mixed):
         raise ValueError(f"need {len(anf.mixed)} boxes, have {len(box_supply)}")
-    alpha, beta = _cell_bits(anf, [x], [y])
-    cells = alpha[:, None, :] | beta
+    idx = np.array([(x << f.n_bob) | y])
+    cells = _cells(anf, idx)
     draws = [box.sample(*CELLS[c], rng) for box, c in zip(box_supply, cells.ravel().tolist())]
-    output = _outputs(_table(f), slice(x, x + 1), slice(y, y + 1), cells, draws)
-    return ProtocolRun(output=int(output[0, 0]), **_cost(anf))
+    output = _outputs(_table(f), f.n_bob, idx, cells, draws)
+    return ProtocolRun(output=int(output[0]), **_cost(anf))
 
 
 def _cost(anf: ANF) -> dict[str, int]:
@@ -205,39 +198,36 @@ def _cost(anf: ANF) -> dict[str, int]:
 
 
 def _table(f: BooleanFunction) -> np.ndarray:
-    return np.frombuffer(bytes(f.table), np.uint8).reshape(1 << f.n_alice, 1 << f.n_bob)
+    return np.frombuffer(bytes(f.table), np.uint8)
 
 
-def _cell_bits(anf: ANF, xs: Sequence[int], ys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    # the two halves of each mixed monomial's box input as uint8 arrays (len(xs), M) and
-    # (len(ys), M): 2 where x holds the monomial's Alice variables, 1 where y holds its Bob
-    # ones, so that alpha[:, None, :] | beta is each (x, y, monomial) box's index into CELLS
-    alpha = bytes(2 * ((x & a) == a) for x in xs for a, _ in anf.mixed)
-    beta = bytes((y & b) == b for y in ys for _, b in anf.mixed)
-    m = len(anf.mixed)
-    return (np.frombuffer(alpha, np.uint8).reshape(len(xs), m),
-            np.frombuffer(beta, np.uint8).reshape(len(ys), m))
+def _cells(anf: ANF, idx: np.ndarray) -> np.ndarray:
+    # each (input, mixed monomial) box's index 2 alpha + beta into CELLS as uint8, shape
+    # (len(idx), M), for truth-table indices idx: alpha is whether x holds the monomial's
+    # Alice variables and beta whether y holds its Bob ones, both read from idx itself
+    masks = np.array([(a << anf.n_bob, b) for a, b in anf.mixed], np.int64).reshape(-1, 2)
+    return ((idx[:, None, None] & masks) == masks) @ np.array([2, 1], np.uint8)
 
 
-def _outputs(table: np.ndarray, rows: slice, cols: slice, cells: np.ndarray, draws) -> np.ndarray:
-    # Alice's outputs on table[rows, cols] given one draw (u, v) per box of cells, in C order:
+def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, draws):
+    # Alice's outputs on inputs idx given one draw (u, v) per box of cells, in C order:
     # f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his box outputs
     flips = np.fromiter(starmap(xor, draws), np.uint8, cells.size).reshape(cells.shape)
-    return table[rows, :1] ^ table[:1, cols] ^ table[0, 0] ^ np.bitwise_xor.reduce(flips, axis=-1)
+    fold = np.bitwise_xor.reduce(flips, axis=-1)
+    return table[idx >> n_bob << n_bob] ^ table[idx & ((1 << n_bob) - 1)] ^ table[0] ^ fold
 
 
 def success_probability(f: BooleanFunction, x: int, y: int, box: BoxBehavior) -> float:
     """Exact probability that the protocol outputs f(x, y), averaging over
     the boxes' randomness (every mixed monomial drawing from `box`)."""
     f._check_inputs(x, y)
-    alpha, beta = _cell_bits(anf_transform(f), [x], [y])
-    return float(_success_rates(alpha[:, None, :] | beta, _gains(box))[0, 0])
+    cells = _cells(anf_transform(f), np.array([(x << f.n_bob) | y]))
+    return float(_success_rates(cells, _gains(box))[0])
 
 
 def _gains(box: BoxBehavior) -> np.ndarray:
-    # 2 win - 1 per input cell; the clamp absorbs the 1-ulp excess of simulated boxes
-    win_rate = chsh_value(box).per_cell
-    return np.array([2.0 * min(max(win_rate[cell], 0.0), 1.0) - 1.0 for cell in CELLS])
+    # 2 win - 1 per input cell; the clamp absorbs the 2-ulp excess of simulated boxes
+    return np.array([2.0 * min(max(win, 0.0), 1.0) - 1.0 for win in box.wins])
 
 
 def _success_rates(cells: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -264,8 +254,10 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     success_rate is the exact mean of success_probability over all inputs
     (identically 1.0 for perfect boxes); empirical_rate comes from one
     sampled protocol run per input, one `box.sample` call (one `rng.random()`)
-    per box cell, x-major, then y, then monomial.  Draws stay one call each
-    until the benchmark counts them by the generator's state, not by calls.
+    per box cell, in truth-table index order (x-major, then y), then monomial.
+    The inputs are walked in runs of consecutive indices, about _BLOCK_CELLS
+    box cells each.  Draws stay one call each until the benchmark counts them
+    by the generator's state, not by calls.
     """
     n = f.n_alice + f.n_bob
     if n > VERIFY_SIZE_CAP:
@@ -280,20 +272,16 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
         )
     gain = _gains(box)
     table = _table(f)
-    alpha, beta = _cell_bits(anf, range(1 << f.n_alice), range(1 << f.n_bob))
     draw_args = [(a, b, rng) for a, b in CELLS]
     exact, hits = [], 0
-    # blocks of whole x rows while a row fits in _BLOCK_CELLS cells, else runs of y in one
-    # row; either way the draws keep their x, y, monomial order
-    m = max(len(anf.mixed), 1)
-    height, width = max(1, _BLOCK_CELLS // (m << f.n_bob)), max(1, _BLOCK_CELLS // m)
-    for x0 in range(0, 1 << f.n_alice, height):
-        for y0 in range(0, 1 << f.n_bob, width):
-            rows, cols = slice(x0, x0 + height), slice(y0, y0 + width)
-            grid = alpha[rows, None, :] | beta[cols]
-            draws = starmap(box.sample, map(draw_args.__getitem__, grid.ravel().tolist()))
-            hits += np.count_nonzero(_outputs(table, rows, cols, grid, draws) == table[rows, cols])
-            exact += _success_rates(grid, gain).ravel().tolist()
+    # whole inputs in index order, so the draws keep their x, y, monomial order
+    step = max(1, _BLOCK_CELLS // max(len(anf.mixed), 1))
+    for start in range(0, 1 << n, step):
+        idx = np.arange(start, min(start + step, 1 << n))
+        block = _cells(anf, idx)
+        draws = starmap(box.sample, map(draw_args.__getitem__, block.ravel().tolist()))
+        hits += np.count_nonzero(_outputs(table, f.n_bob, idx, block, draws) == table[idx])
+        exact += _success_rates(block, gain).tolist()
     n_inputs = 1 << n
     return VerifyReport(
         success_rate=math.fsum(exact) / n_inputs,

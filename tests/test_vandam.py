@@ -4,12 +4,14 @@ import pathlib
 import runpy
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quatbox.chsh
 import quatbox.vandam
 from quatbox.boxes import (
     CELLS,
@@ -45,6 +47,14 @@ def all_functions(n_alice, n_bob):
         )
 
 
+def evaluate_anf(anf, x, y):
+    """The XOR over anf's monomials of each one's value on (x, y)."""
+    acc = 0
+    for a_mask, b_mask in anf.monomials:
+        acc ^= (x & a_mask) == a_mask and (y & b_mask) == b_mask
+    return int(acc)
+
+
 # ---------------------------------------------------------------- ANF
 
 
@@ -74,7 +84,7 @@ def test_anf_of_inner_product_two_bits():
     assert len(anf.mixed) == 2
     for x in range(4):
         for y in range(4):
-            assert anf.evaluate(x, y) == f.evaluate(x, y)
+            assert evaluate_anf(anf, x, y) == f.evaluate(x, y)
 
 
 @pytest.mark.parametrize("n_alice, n_bob", [(1, 1), (2, 1), (1, 2)])
@@ -83,7 +93,7 @@ def test_anf_roundtrip_exhaustive(n_alice, n_bob):
         anf = anf_transform(f)
         for x in range(1 << n_alice):
             for y in range(1 << n_bob):
-                assert anf.evaluate(x, y) == f.evaluate(x, y)
+                assert evaluate_anf(anf, x, y) == f.evaluate(x, y)
 
 
 @given(
@@ -99,7 +109,7 @@ def test_anf_roundtrip_random(n_alice, n_bob, data):
     anf = anf_transform(f)
     for x in range(1 << n_alice):
         for y in range(1 << n_bob):
-            assert anf.evaluate(x, y) == f.evaluate(x, y)
+            assert evaluate_anf(anf, x, y) == f.evaluate(x, y)
 
 
 def test_anf_roundtrip_large_random_tables():
@@ -109,7 +119,7 @@ def test_anf_roundtrip_large_random_tables():
         anf = anf_transform(f)
         for x in range(16):
             for y in range(16):
-                assert anf.evaluate(x, y) == f.evaluate(x, y)
+                assert evaluate_anf(anf, x, y) == f.evaluate(x, y)
 
 
 def scalar_moebius(table, n):
@@ -214,16 +224,19 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
 
 
 def test_each_piece_of_protocol_work_is_done_once(monkeypatch):
+    box = quaternionic_box()
     anf_calls = count_calls(monkeypatch, quatbox.vandam, "anf_transform")
-    chsh_calls = count_calls(monkeypatch, quatbox.vandam, "chsh_value")
+    # the box's per-cell wins are read, not scored again: every chsh_value builds a GameResult
+    chsh_calls = count_calls(monkeypatch, quatbox.chsh, "GameResult")
+    box_builds = count_calls(monkeypatch, BoxBehavior, "__post_init__")
     draws = count_calls(monkeypatch, BoxBehavior, "sample")
     # verify_exhaustive makes its inputs in range, so it neither re-checks them
     # through evaluate nor builds a ProtocolRun per input to read its output
     evaluations = count_calls(monkeypatch, BooleanFunction, "evaluate")
     runs = count_calls(monkeypatch, quatbox.vandam, "ProtocolRun")
     f = builtin_function("IP4")
-    report = verify_exhaustive(f, quaternionic_box(), np.random.default_rng(6))
-    assert (anf_calls[0], chsh_calls[0]) == (1, 1)
+    report = verify_exhaustive(f, box, np.random.default_rng(6))
+    assert (anf_calls[0], chsh_calls[0], box_builds[0]) == (1, 0, 0)
     assert draws[0] == report.n_inputs * report.boxes_used == 256 * 4
     assert (evaluations[0], runs[0]) == (0, 0)
 
@@ -442,10 +455,14 @@ def protocol_functions(draw):
     return from_monomials(n_alice, n_bob, monomials)
 
 
-#: 16 mixed monomials on 4 + 5 bits: 8192 box cells, blocks of several x rows
+#: 16 mixed monomials on 4 + 5 bits: two blocks of 256 inputs, each eight whole x rows
 SEVERAL_BLOCKS = from_monomials(4, 5, [(a, b) for a in (1, 3, 5, 15) for b in (1, 6, 17, 31)])
-#: 17 mixed monomials on 1 + 8 bits: 4352 box cells per x row, so rows are cut into runs of y
+#: 17 mixed monomials on 1 + 8 bits: blocks of 240 inputs, so both x rows of 256 are cut
 SPLIT_ROWS = from_monomials(1, 8, [(1, b) for b in range(1, 256, 15)])
+#: 3 mixed monomials on 5 + 6 bits: blocks of 1365 inputs, the boundary inside x row 21
+ROW_BOUNDARY = from_monomials(5, 6, [(1, 1), (6, 17), (31, 63)])
+#: 5 mixed monomials on 2 + 10 bits: five blocks of 819 inputs, then a last one of one input
+SHORT_LAST_BLOCK = from_monomials(2, 10, [(1, 1), (2, 3), (3, 512), (1, 1023), (2, 100)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -456,6 +473,8 @@ SPLIT_ROWS = from_monomials(1, 8, [(1, b) for b in range(1, 256, 15)])
 @example(f=builtin_function("IP4"), box_name="negative entry", seed=0)
 @example(f=SEVERAL_BLOCKS, box_name="noisy(complex, 0.7)", seed=4)
 @example(f=SPLIT_ROWS, box_name="negative entry", seed=5)
+@example(f=ROW_BOUNDARY, box_name="noisy(ideal, 0.9)", seed=6)
+@example(f=SHORT_LAST_BLOCK, box_name="negative entry", seed=7)
 def test_verify_engine_matches_the_per_input_loop(f, box_name, seed):
     box = ENGINE_BOXES[box_name]
     for make_rng in (np.random.default_rng, lambda s: EdgeRandom(box, s)):
@@ -471,6 +490,54 @@ def test_verify_engine_matches_the_per_input_loop(f, box_name, seed):
         run = vandam_protocol(f, x, y, [box] * len(anf.mixed), engine_rng)
         assert (run.output, type(run.output)) == (output, int)
         assert success_probability(f, x, y, box) == rate
+
+
+# ------------------------------------------------ exact rates as fractions
+
+
+def exact_success(f, x, y, box):
+    """The protocol's success probability on (x, y) as a Fraction: over every joint
+    outcome (u_k, v_k) of its boxes, the product of the entries P(u_k, v_k | alpha_k,
+    beta_k), added up where f(x, 0) + f(0, y) + f(0, 0) + the u_k + v_k is f(x, y).
+    A probability is at most 1: the quaternionic box's float table wins each cell
+    with 1 + 2**-51, an excess the engine clamps and so this does too."""
+    cells = [(int((x & a) == a), int((y & b) == b)) for a, b in anf_transform(f).mixed]
+    pure = f.table[x << f.n_bob] ^ f.table[y] ^ f.table[0]
+    total = Fraction(0)
+    for outcomes in itertools.product(CELLS, repeat=len(cells)):
+        output = pure ^ sum(u ^ v for u, v in outcomes) % 2
+        if output == f.table[(x << f.n_bob) | y]:
+            total += math.prod(Fraction(box.prob(a, b, u, v))
+                               for (a, b), (u, v) in zip(cells, outcomes))
+    return min(total, Fraction(1))
+
+
+@st.composite
+def small_functions(draw):
+    """Functions on at most 4 input bits with at most 4 mixed monomials."""
+    n_alice = draw(st.integers(0, 4))
+    n_bob = draw(st.integers(0, 4 - n_alice))
+    masks = st.tuples(st.integers(0, (1 << n_alice) - 1), st.integers(0, (1 << n_bob) - 1))
+    monomials = draw(st.lists(masks, max_size=8))
+    mixed = [m for m in monomials if m[0] and m[1]][:4]
+    return from_monomials(n_alice, n_bob, mixed + [m for m in monomials if not all(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=small_functions(), box_name=st.sampled_from(sorted(ENGINE_BOXES)))
+@example(f=builtin_function("AND"), box_name="noisy(ideal, 0.9)")
+@example(f=builtin_function("IP2"), box_name="quaternionic")
+@example(f=from_monomials(2, 2, [(1, 1), (1, 2), (2, 3), (3, 3)]), box_name="negative entry")
+def test_exact_rates_match_fractions_over_joint_box_outcomes(f, box_name):
+    box = ENGINE_BOXES[box_name]
+    m, n = len(anf_transform(f).mixed), f.n_alice + f.n_bob
+    ulp = Fraction(math.ulp(1.0))
+    exact = []
+    for x, y in itertools.product(range(1 << f.n_alice), range(1 << f.n_bob)):
+        exact.append(exact_success(f, x, y, box))
+        assert abs(Fraction(success_probability(f, x, y, box)) - exact[-1]) <= (m + 1) * ulp
+    rate = verify_exhaustive(f, box).success_rate
+    assert abs(Fraction(rate) - sum(exact) / len(exact)) <= (m + n) * ulp
 
 
 # ---------------------------------------------------------------- formats
