@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate, starmap
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,6 +73,11 @@ class BoxBehavior:
             if r < threshold:  # the first one above r, not a bisection
                 return CELLS[idx]
         return CELLS[-1]  # cumulative sum fell short of 1 by float dust
+
+    def sample_cells(self, cells: Iterable[int], rng) -> Iterator[tuple[int, int]]:
+        """One `sample` draw per index c = 2a + b into CELLS, in the order of `cells`; lazy."""
+        args = [(a, b, rng) for a, b in CELLS]
+        return starmap(self.sample, map(args.__getitem__, cells))
 
     def to_json_obj(self) -> dict:
         """Serialize as {"a,b": [{"x":..,"y":..,"p":..}, ...], ...}."""

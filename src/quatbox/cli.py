@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -118,13 +119,9 @@ def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
     }
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        deviation = 0.0
-        for a, b in CELLS:
-            counts = dict.fromkeys(CELLS, 0)
-            for _ in range(args.samples):
-                counts[box.sample(a, b, rng)] += 1
-            for (x, y), c in counts.items():
-                deviation = max(deviation, abs(c / args.samples - box.prob(a, b, x, y)))
+        counts = [Counter(box.sample_cells([c] * args.samples, rng)) for c in range(4)]
+        deviation = max(abs(counts[c][x, y] / args.samples - box.prob(a, b, x, y))
+                        for c, (a, b) in enumerate(CELLS) for x, y in CELLS)
         payload["samples"] = {"per_cell": args.samples, "max_abs_deviation": deviation}
     return payload, 0 if all_pass or not expected_perfect else 1
 
@@ -149,6 +146,7 @@ def run_chsh(args: argparse.Namespace) -> tuple[dict, int]:
     if args.samples:
         rng = np.random.default_rng(args.seed)
         wins = 0
+        # two integers(2) calls before each draw, so the draws cannot go through sample_cells
         for _ in range(args.samples):
             a, b = int(rng.integers(2)), int(rng.integers(2))
             x, y = box.sample(a, b, rng)
@@ -359,6 +357,8 @@ def main(argv=None) -> int:
         samples = getattr(args, "samples", None)
         if samples is not None and not 1 <= samples <= MAX_SAMPLES:
             raise ValueError(f"--samples must lie in [1, {MAX_SAMPLES}]")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         payload, code = _RUNNERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

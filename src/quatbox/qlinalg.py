@@ -196,7 +196,7 @@ def hadamard() -> QMatrix:
 def phase_gate(phase) -> QMatrix:
     """diag(1, q) for a unit-norm quaternion q."""
     q = as_quaternion(phase)
-    if abs(q.norm() - 1.0) > 1e-12:
+    if not abs(q.norm() - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"phase must have unit norm, got |q| = {q.norm()!r}")
     return diag(ONE, q)
 

@@ -88,7 +88,7 @@ def computational_state(n_parties: int, label: str) -> Register:
 def bell_state(phase=1.0) -> Register:
     """(|00> + q|11>)/sqrt(2) for a unit-norm quaternion phase q."""
     q = as_quaternion(phase)
-    if abs(q.norm() - 1.0) > 1e-12:
+    if not abs(q.norm() - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("relative phase must have unit norm")
     amps = [Quaternion(INV_SQRT2), ZERO, ZERO, q * INV_SQRT2]
     return Register(2, QVector(tuple(amps)))

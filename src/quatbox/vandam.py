@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
 from operator import xor
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .boxes import CELLS, BoxBehavior
+from .boxes import BoxBehavior
 
 #: refuse truth-table files and exhaustive verification beyond 2**20 inputs
 VERIFY_SIZE_CAP = 20
@@ -174,20 +174,14 @@ class ProtocolRun:
     boxes_used: int
 
 
-def vandam_protocol(
-    f: BooleanFunction, x: int, y: int, box_supply: Sequence[BoxBehavior], rng
-) -> ProtocolRun:
-    """Run the one-bit protocol on inputs (x, y), consuming one box per
+def vandam_protocol(f: BooleanFunction, x: int, y: int, box: BoxBehavior, rng) -> ProtocolRun:
+    """Run the one-bit protocol on inputs (x, y), drawing from `box` once per
     mixed monomial.  With perfect boxes the output equals f(x, y) for every
     input and rng; with imperfect boxes it is a random variable."""
     f._check_inputs(x, y)
     anf = anf_transform(f)
-    if len(box_supply) < len(anf.mixed):
-        raise ValueError(f"need {len(anf.mixed)} boxes, have {len(box_supply)}")
     idx = np.array([(x << f.n_bob) | y])
-    cells = _cells(anf, idx)
-    draws = [box.sample(*CELLS[c], rng) for box, c in zip(box_supply, cells.ravel().tolist())]
-    output = _outputs(_table(f), f.n_bob, idx, cells, draws)
+    output = _outputs(_table(f), f.n_bob, idx, _cells(anf, idx), box, rng)
     return ProtocolRun(output=int(output[0]), **_cost(anf))
 
 
@@ -209,9 +203,10 @@ def _cells(anf: ANF, idx: np.ndarray) -> np.ndarray:
     return ((idx[:, None, None] & masks) == masks) @ np.array([2, 1], np.uint8)
 
 
-def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, draws):
-    # Alice's outputs on inputs idx given one draw (u, v) per box of cells, in C order:
+def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, box, rng):
+    # Alice's outputs on inputs idx, drawing (u, v) from box once per cell of cells in C order:
     # f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his box outputs
+    draws = box.sample_cells(cells.ravel().tolist(), rng)
     flips = np.fromiter(starmap(xor, draws), np.uint8, cells.size).reshape(cells.shape)
     fold = np.bitwise_xor.reduce(flips, axis=-1)
     return table[idx >> n_bob << n_bob] ^ table[idx & ((1 << n_bob) - 1)] ^ table[0] ^ fold
@@ -253,11 +248,11 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
 
     success_rate is the exact mean of success_probability over all inputs
     (identically 1.0 for perfect boxes); empirical_rate comes from one
-    sampled protocol run per input, one `box.sample` call (one `rng.random()`)
-    per box cell, in truth-table index order (x-major, then y), then monomial.
-    The inputs are walked in runs of consecutive indices, about _BLOCK_CELLS
-    box cells each.  Draws stay one call each until the benchmark counts them
-    by the generator's state, not by calls.
+    sampled protocol run per input, one draw (one `rng.random()`) per box cell
+    through `box.sample_cells`, in truth-table index order (x-major, then y),
+    then monomial.  The inputs are walked in runs of consecutive indices, about
+    _BLOCK_CELLS box cells each.  Draws stay one `sample` call each until the
+    benchmark counts them by the generator's state, not by calls.
     """
     n = f.n_alice + f.n_bob
     if n > VERIFY_SIZE_CAP:
@@ -272,15 +267,13 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
         )
     gain = _gains(box)
     table = _table(f)
-    draw_args = [(a, b, rng) for a, b in CELLS]
     exact, hits = [], 0
     # whole inputs in index order, so the draws keep their x, y, monomial order
     step = max(1, _BLOCK_CELLS // max(len(anf.mixed), 1))
     for start in range(0, 1 << n, step):
         idx = np.arange(start, min(start + step, 1 << n))
         block = _cells(anf, idx)
-        draws = starmap(box.sample, map(draw_args.__getitem__, block.ravel().tolist()))
-        hits += np.count_nonzero(_outputs(table, f.n_bob, idx, block, draws) == table[idx])
+        hits += np.count_nonzero(_outputs(table, f.n_bob, idx, block, box, rng) == table[idx])
         exact += _success_rates(block, gain).tolist()
     n_inputs = 1 << n
     return VerifyReport(

@@ -23,7 +23,7 @@ from quatbox.chsh import TSIRELSON_WIN_BOUND, chsh_value, lhv_optimum
 from quatbox.qlinalg import matvec, phase_gate
 from quatbox.quaternion import I, J, K, UNIT_GROUP, Quaternion
 from quatbox.register import ScheduledOp, apply_local, bell_state, run_schedule
-from quatbox.vandam import BooleanFunction, anf_transform, builtin_function, vandam_protocol
+from quatbox.vandam import BooleanFunction, builtin_function, vandam_protocol
 
 from helpers import (
     random_complex_unitary,
@@ -110,11 +110,9 @@ def test_criterion_5_trivial_communication_complexity():
         functions.append(BooleanFunction(n_alice, n_bob, table))
 
     for f in functions:
-        anf = anf_transform(f)
-        supply = [box] * len(anf.mixed)
         for x in range(1 << f.n_alice):
             for y in range(1 << f.n_bob):
-                run = vandam_protocol(f, x, y, supply, rng)
+                run = vandam_protocol(f, x, y, box, rng)
                 assert run.output == f.evaluate(x, y)
                 assert run.bits_bob_to_alice == 1
                 assert run.bits_alice_to_bob == 0

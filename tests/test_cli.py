@@ -306,11 +306,24 @@ def test_bad_noise_levels_are_config_errors(capsys, level):
 
 
 def test_library_value_error_exits_two(capsys):
-    # numpy rejects the negative seed; the CLI boundary turns that into exit 2
-    code, out, err = run_cli(capsys, ["vandam", "--function", "AND", "--seed", "-1"])
+    # noisy_box, not the CLI, rejects p = 1.2; the CLI boundary turns that into exit 2
+    code, out, err = run_cli(capsys, ["vandam", "--function", "AND", "--strategy", "noisy:1.2"])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith("error: noise parameter") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["prbox", "--seed", "-5"],
+    ["chsh", "--seed", "-5"],
+    ["vandam", "--function", "AND", "--seed", "-1"],
+    ["prbox", "--seed", "-5", "--samples", "3"],
+])
+def test_negative_seed_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --seed") and len(err.splitlines()) == 1
 
 
 def test_csv_limited_to_prbox(capsys):

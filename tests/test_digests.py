@@ -62,7 +62,7 @@ def test_protocol_digest():
             for _ in range(8):
                 x = int(rng.integers(0, 1 << n_alice))
                 y = int(rng.integers(0, 1 << (n - n_alice)))
-                p = vandam_protocol(f, x, y, [box] * len(mixed), prng)
+                p = vandam_protocol(f, x, y, box, prng)
                 h.update(struct.pack("<dqqqq", success_probability(f, x, y, box), p.output,
                                      p.bits_bob_to_alice, p.bits_alice_to_bob, p.boxes_used))
             cases += 1

@@ -156,6 +156,9 @@ def test_qmat_rejects_ragged_rows():
 def test_phase_gate_requires_unit_phase():
     with pytest.raises(ValueError):
         phase_gate(Quaternion(0, 2))
+    for nan in (float("nan"), Quaternion(0, float("nan"))):
+        with pytest.raises(ValueError, match="phase must have unit norm"):
+            phase_gate(nan)
 
 
 def test_rotation_is_real_and_unitary():

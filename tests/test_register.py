@@ -49,6 +49,9 @@ def test_bell_state_phases():
 def test_bell_state_rejects_non_unit_phase():
     with pytest.raises(ValueError):
         bell_state(Quaternion(0, 0, 0, 2))
+    for nan in (float("nan"), Quaternion(0, 0, 0, float("nan"))):
+        with pytest.raises(ValueError, match="relative phase must have unit norm"):
+            bell_state(nan)
 
 
 def test_apply_local_reproduces_order_dependent_states():

@@ -156,7 +156,7 @@ def test_protocol_computes_and_everywhere():
     rng = np.random.default_rng(1)
     for x in range(2):
         for y in range(2):
-            run = vandam_protocol(f, x, y, [box], rng)
+            run = vandam_protocol(f, x, y, box, rng)
             assert run.output == f.evaluate(x, y)
             assert run.bits_bob_to_alice == 1
             assert run.bits_alice_to_bob == 0
@@ -169,7 +169,7 @@ def test_protocol_computes_inner_product_with_quaternionic_boxes():
     rng = np.random.default_rng(2)
     for x in range(4):
         for y in range(4):
-            run = vandam_protocol(f, x, y, [box, box], rng)
+            run = vandam_protocol(f, x, y, box, rng)
             assert run.output == f.evaluate(x, y)
             assert run.bits_bob_to_alice == 1
             assert run.boxes_used == 2
@@ -177,7 +177,9 @@ def test_protocol_computes_inner_product_with_quaternionic_boxes():
 
 def test_protocol_on_constant_zero_uses_nothing():
     f = BooleanFunction(1, 1, (0, 0, 0, 0))
-    run = vandam_protocol(f, 0, 1, [], np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    run = vandam_protocol(f, 0, 1, ideal_pr_box(), rng)
+    assert rng.random() == np.random.default_rng(3).random()  # no box drawn
     assert run.output == 0
     assert run.boxes_used == 0
     assert run.bits_bob_to_alice == 0
@@ -185,16 +187,12 @@ def test_protocol_on_constant_zero_uses_nothing():
 
 def test_protocol_on_constant_one_needs_no_boxes_but_one_bit():
     f = BooleanFunction(1, 1, (1, 1, 1, 1))
-    run = vandam_protocol(f, 1, 0, [], np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    run = vandam_protocol(f, 1, 0, ideal_pr_box(), rng)
+    assert rng.random() == np.random.default_rng(4).random()  # no box drawn
     assert run.output == 1
     assert run.boxes_used == 0
     assert run.bits_bob_to_alice == 1
-
-
-def test_protocol_requires_enough_boxes():
-    f = builtin_function("IP2")
-    with pytest.raises(ValueError):
-        vandam_protocol(f, 0, 0, [ideal_pr_box()], np.random.default_rng(5))
 
 
 def test_protocol_validates_input_ranges():
@@ -205,7 +203,7 @@ def test_protocol_validates_input_ranges():
         f.evaluate(0, -1)
     for x, y in ((5, 0), (-1, -1)):
         with pytest.raises(ValueError, match="out of range"):
-            vandam_protocol(f, x, y, [ideal_pr_box()], np.random.default_rng(5))
+            vandam_protocol(f, x, y, ideal_pr_box(), np.random.default_rng(5))
         with pytest.raises(ValueError, match="out of range"):
             success_probability(f, x, y, ideal_pr_box())
 
@@ -246,10 +244,8 @@ def test_boxes_used_counts_mixed_monomials():
     box = ideal_pr_box()
     for _ in range(10):
         f = random_function(rng, 2, 2)
-        anf = anf_transform(f)
-        supply = [box] * len(anf.mixed)
-        run = vandam_protocol(f, 1, 2, supply, rng)
-        assert run.boxes_used == len(anf.mixed)
+        run = vandam_protocol(f, 1, 2, box, rng)
+        assert run.boxes_used == len(anf_transform(f).mixed)
 
 
 # ------------------------------------------------- exact success probability
@@ -487,9 +483,25 @@ def test_verify_engine_matches_the_per_input_loop(f, box_name, seed):
     inputs = list(itertools.product(range(1 << f.n_alice), range(1 << f.n_bob)))
     for x, y in inputs[:: max(1, len(inputs) // 64)]:
         output, rate = loop_run(f, anf, x, y, box, loop_rng, gain)
-        run = vandam_protocol(f, x, y, [box] * len(anf.mixed), engine_rng)
+        run = vandam_protocol(f, x, y, box, engine_rng)
         assert (run.output, type(run.output)) == (output, int)
         assert success_probability(f, x, y, box) == rate
+
+
+@pytest.mark.parametrize("box_name", sorted(ENGINE_BOXES))
+def test_sample_cells_is_one_sample_call_per_cell_in_order(monkeypatch, box_name):
+    box = ENGINE_BOXES[box_name]
+    draws = count_calls(monkeypatch, BoxBehavior, "sample")
+    cell_rng = np.random.default_rng(12)
+    for length in (0, 1, 2, 7, 300):
+        cells = cell_rng.integers(0, 4, length).tolist()
+        for make_rng in (np.random.default_rng, lambda s: EdgeRandom(box, s)):
+            rng1, rng2 = make_rng(length), make_rng(length)
+            before = draws[0]
+            got = list(box.sample_cells(cells, rng1))
+            assert draws[0] - before == length
+            assert got == [box.sample(*CELLS[c], rng2) for c in cells]
+            assert rng1.random() == rng2.random()  # and no draw besides them
 
 
 # ------------------------------------------------ exact rates as fractions
