@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, starmap
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -74,9 +75,16 @@ class BoxBehavior:
                 return CELLS[idx]
         return CELLS[-1]  # cumulative sum fell short of 1 by float dust
 
-    def sample_cells(self, cells: Iterable[int], rng) -> Iterator[tuple[int, int]]:
-        """One `sample` draw per index c = 2a + b into CELLS, in the order of `cells`; lazy."""
-        args = [(a, b, rng) for a, b in CELLS]
+    def sample_cells(self, cells: Sequence[int], rng) -> Iterator[tuple[int, int]]:
+        """One `sample` draw per index c = 2a + b into CELLS, in the order of `cells`; lazy.
+
+        The doubles come from one `rng.random(len(cells))`, which numpy fills with
+        the doubles of that many `rng.random()` calls and leaves in the same state,
+        so `rng` advances by len(cells) doubles when this is called, not as the
+        draws are read.  Each `sample` call takes its double from that block.
+        """
+        src = SimpleNamespace(random=iter(rng.random(len(cells)).tolist()).__next__)
+        args = [(a, b, src) for a, b in CELLS]
         return starmap(self.sample, map(args.__getitem__, cells))
 
     def to_json_obj(self) -> dict:

@@ -29,7 +29,7 @@ from .boxes import BoxBehavior
 VERIFY_SIZE_CAP = 20
 
 #: refuse exhaustive verification beyond this many (input, mixed monomial) box
-#: cells, one draw each; at about 1.7 microseconds per cell a run takes seconds
+#: cells, one draw each; at about 0.8 microseconds per cell a run takes seconds
 VERIFY_CELL_BUDGET = 1 << 21
 
 #: box cells per block of verify_exhaustive's walk over inputs (one input's cells at least)
@@ -152,6 +152,11 @@ class ANF:
         """Monomials touching both parties; these each consume one box."""
         return tuple(m for m in self.monomials if m[0] and m[1])
 
+    @cached_property
+    def _masks(self) -> np.ndarray:
+        # each mixed monomial's (Alice mask at its place in the index, Bob mask), for _cells
+        return np.array([(a << self.n_bob, b) for a, b in self.mixed], np.int64).reshape(-1, 2)
+
 
 def anf_transform(f: BooleanFunction) -> ANF:
     """Binary Moebius transform of the truth table; exact, and an involution."""
@@ -199,7 +204,7 @@ def _cells(anf: ANF, idx: np.ndarray) -> np.ndarray:
     # each (input, mixed monomial) box's index 2 alpha + beta into CELLS as uint8, shape
     # (len(idx), M), for truth-table indices idx: alpha is whether x holds the monomial's
     # Alice variables and beta whether y holds its Bob ones, both read from idx itself
-    masks = np.array([(a << anf.n_bob, b) for a, b in anf.mixed], np.int64).reshape(-1, 2)
+    masks = anf._masks
     return ((idx[:, None, None] & masks) == masks) @ np.array([2, 1], np.uint8)
 
 
@@ -248,11 +253,13 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
 
     success_rate is the exact mean of success_probability over all inputs
     (identically 1.0 for perfect boxes); empirical_rate comes from one
-    sampled protocol run per input, one draw (one `rng.random()`) per box cell
-    through `box.sample_cells`, in truth-table index order (x-major, then y),
-    then monomial.  The inputs are walked in runs of consecutive indices, about
-    _BLOCK_CELLS box cells each.  Draws stay one `sample` call each until the
-    benchmark counts them by the generator's state, not by calls.
+    sampled protocol run per input, one `sample` draw per box cell through
+    `box.sample_cells`, in truth-table index order (x-major, then y), then
+    monomial.  The inputs are walked in runs of consecutive indices, about
+    _BLOCK_CELLS box cells each; one `rng.random(n)` gives a run's n doubles,
+    so rng advances by one double per box cell, as with one `rng.random()`
+    per draw.  Draws stay one `sample` call each until the benchmark counts
+    them by the generator's state, not by calls.
     """
     n = f.n_alice + f.n_bob
     if n > VERIFY_SIZE_CAP:

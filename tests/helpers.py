@@ -1,8 +1,10 @@
-"""Shared random generators for property tests; all take an explicit rng."""
+"""Shared random generators for property tests, all taking an explicit rng, and
+one hand-built box."""
 
 import math
 
 from quatbox import QMatrix, QVector, Quaternion, Register, is_unitary, matmul, qmat, rotation
+from quatbox.boxes import BoxBehavior, classical_box, ideal_pr_box
 
 
 def random_quaternion(rng, scale=2.0) -> Quaternion:
@@ -49,3 +51,17 @@ def random_state(rng, dim: int) -> QVector:
 
 def random_register(rng, n_parties: int) -> Register:
     return Register(n_parties, random_state(rng, 2**n_parties))
+
+
+def negative_entry_box() -> BoxBehavior:
+    """A valid box with one entry of -1e-13, inside the validation tolerance:
+    0.8 PR box + 0.1 (x, y) = (1, 0) + 0.1 (x, y) = (a, 0), with 1e-13 moved
+    from P(0, 1 | 0, 0) to P(0, 0 | 0, 0).  The running sums of cell (0, 0) are then
+    0.5 + 1e-13, 0.5, 0.6, 1, not monotone, and a bisection at r = 0.5 draws
+    (1, 0) where the linear scan draws (0, 0).  Its cells win 0.9, 0.9, 0.8
+    and 1, so a product of its gains depends on the order of the factors."""
+    probs = (0.8 * ideal_pr_box().probs + 0.1 * classical_box((1, 1), (0, 0)).probs
+             + 0.1 * classical_box((0, 1), (0, 0)).probs)
+    probs[0, 0, 0, 0] += 1e-13
+    probs[0, 0, 0, 1] = -1e-13
+    return BoxBehavior(probs)

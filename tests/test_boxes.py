@@ -205,3 +205,13 @@ def test_sample_respects_support():
         for _ in range(200):
             x, y = box.sample(a, b, rng)
             assert x ^ y == (a & b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1, 2**63])
+def test_one_array_of_doubles_equals_as_many_scalar_draws(seed):
+    # sample_cells draws a whole block with rng.random(n) and hands the doubles to sample
+    # one at a time; that is bit for bit the scalar stream only while numpy keeps this
+    for size in (0, 1, 2, 7, 4096, 50001):
+        bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert bulk.random(size).tolist() == [scalar.random() for _ in range(size)]
+        assert bulk.bit_generator.state == scalar.bit_generator.state

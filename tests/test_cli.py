@@ -3,13 +3,16 @@ import math
 import os
 import time
 import tracemalloc
+from collections import Counter
 
 import jsonschema
 import numpy as np
 import pytest
 
 from quatbox import cli
-from quatbox.boxes import BoxBehavior
+from quatbox.boxes import CELLS, BoxBehavior
+
+from helpers import negative_entry_box
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "schemas", "cli_output.schema.json")
 with open(SCHEMA_PATH, encoding="utf-8") as fh:
@@ -66,6 +69,42 @@ def test_prbox_samples_cross_check(capsys):
     assert code == 0
     assert payload["samples"]["per_cell"] == 2000
     assert payload["samples"]["max_abs_deviation"] <= 0.05
+
+
+def per_draw_deviation(box, samples, seed):
+    """prbox's max_abs_deviation from one box.sample, and so one scalar rng.random(),
+    per draw: samples draws per input cell, the cells in CELLS order."""
+    rng = np.random.default_rng(seed)
+    counts = [Counter(box.sample(a, b, rng) for _ in range(samples)) for a, b in CELLS]
+    return max(abs(counts[c][x, y] / samples - box.prob(a, b, x, y))
+               for c, (a, b) in enumerate(CELLS) for x, y in CELLS)
+
+
+@pytest.mark.parametrize("strategy", [
+    "ideal", "quaternionic", "complex", "classical", "noisy:0.9", "noisy:1", "negative entry",
+])
+def test_prbox_samples_equal_one_scalar_draw_per_sample(capsys, monkeypatch, strategy):
+    box = negative_entry_box() if strategy == "negative entry" else cli.resolve_box(strategy)
+    monkeypatch.setattr(cli, "resolve_box", lambda name: box)
+    for seed in (0, 7, 2**31 - 1):
+        for samples in (1, 2, 3, 1500):
+            argv = ["prbox", "--strategy", strategy, "--seed", str(seed), "--samples", str(samples)]
+            _, out, _ = run_cli(capsys, argv + ["--format", "json"])
+            got = json.loads(out)["samples"]["max_abs_deviation"]
+            assert got == per_draw_deviation(box, samples, seed)
+
+
+def test_prbox_csv_ignores_samples_without_drawing(capsys, monkeypatch):
+    _, plain, _ = run_cli(capsys, ["prbox", "--format", "csv"])
+
+    def no_draws(*args):
+        raise AssertionError("a box was sampled")
+
+    monkeypatch.setattr(BoxBehavior, "sample", no_draws)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["prbox", "--format", "csv", "--samples", "1000000"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, plain, "")
 
 
 def test_chsh_classical_optimum(capsys):

@@ -16,7 +16,6 @@ import quatbox.vandam
 from quatbox.boxes import (
     CELLS,
     BoxBehavior,
-    classical_box,
     complex_quantum_box,
     ideal_pr_box,
     noisy_box,
@@ -32,6 +31,8 @@ from quatbox.vandam import (
     vandam_protocol,
     verify_exhaustive,
 )
+
+from helpers import negative_entry_box
 
 
 def random_function(rng, n_alice, n_bob):
@@ -395,24 +396,14 @@ class EdgeRandom:
         self.edges = [v for v in near if 0.0 <= v < 1.0]
         self.rng = np.random.default_rng(seed)
 
-    def random(self):
+    def random(self, size=None):
+        """One double, or as numpy does with a size, an array of `size` of them
+        equal to that many one-double calls."""
+        if size is not None:
+            return np.array([self.random() for _ in range(size)])
         if self.rng.random() < 0.5:
             return self.edges[self.rng.integers(len(self.edges))]
         return self.rng.random()
-
-
-def negative_entry_box():
-    """A valid box with one entry of -1e-13, inside the validation tolerance:
-    0.8 PR box + 0.1 (x, y) = (1, 0) + 0.1 (x, y) = (a, 0), with 1e-13 moved
-    from P(0, 1 | 0, 0) to P(0, 0 | 0, 0).  The running sums of cell (0, 0) are then
-    0.5 + 1e-13, 0.5, 0.6, 1, not monotone, and a bisection at r = 0.5 draws
-    (1, 0) where the linear scan draws (0, 0).  Its cells win 0.9, 0.9, 0.8
-    and 1, so a product of its gains depends on the order of the factors."""
-    probs = (0.8 * ideal_pr_box().probs + 0.1 * classical_box((1, 1), (0, 0)).probs
-             + 0.1 * classical_box((0, 1), (0, 0)).probs)
-    probs[0, 0, 0, 0] += 1e-13
-    probs[0, 0, 0, 1] = -1e-13
-    return BoxBehavior(probs)
 
 
 ENGINE_BOXES = {
@@ -501,6 +492,8 @@ def test_sample_cells_is_one_sample_call_per_cell_in_order(monkeypatch, box_name
             got = list(box.sample_cells(cells, rng1))
             assert draws[0] - before == length
             assert got == [box.sample(*CELLS[c], rng2) for c in cells]
+            if isinstance(rng1, np.random.Generator):
+                assert rng1.bit_generator.state == rng2.bit_generator.state
             assert rng1.random() == rng2.random()  # and no draw besides them
 
 
