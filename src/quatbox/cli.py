@@ -50,6 +50,8 @@ ORTHO_TOL = 1e-12
 MAX_SAMPLES = 10**6
 #: longest truth-table file read, in characters: four times the hex digits of the widest table
 _MAX_TABLE_CHARS = 1 << VERIFY_SIZE_CAP
+#: prbox --samples draws per sample_cells call, so a cell's doubles are held a chunk at a time
+_SAMPLE_CHUNK = 1 << 16
 
 
 def resolve_box(strategy: str) -> BoxBehavior:
@@ -120,7 +122,11 @@ def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
     # the csv table has no place for the Monte Carlo block, so it is not drawn for csv
     if args.samples and args.fmt != "csv":
         rng = np.random.default_rng(args.seed)
-        counts = [Counter(box.sample_cells([c] * args.samples, rng)) for c in range(4)]
+        counts = [Counter() for _ in CELLS]
+        # consecutive rng.random(k) calls give the doubles of one call, so chunks change no draw
+        for c, count in enumerate(counts):
+            for start in range(0, args.samples, _SAMPLE_CHUNK):
+                count.update(box.sample_cells([c] * min(_SAMPLE_CHUNK, args.samples - start), rng))
         deviation = max(abs(counts[c][x, y] / args.samples - box.prob(a, b, x, y))
                         for c, (a, b) in enumerate(CELLS) for x, y in CELLS)
         payload["samples"] = {"per_cell": args.samples, "max_abs_deviation": deviation}

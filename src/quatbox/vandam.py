@@ -25,7 +25,8 @@ import numpy as np
 
 from .boxes import BoxBehavior
 
-#: refuse truth-table files and exhaustive verification beyond 2**20 inputs
+#: the widest truth table, in input bits: _table_size refuses a wider one, whether
+#: from a file, a callable or the constructor, before anything of size 2**n is built
 VERIFY_SIZE_CAP = 20
 
 #: refuse exhaustive verification beyond this many (input, mixed monomial) box
@@ -42,25 +43,28 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 def _table_size(n_alice: int, n_bob: int) -> int:
     if n_alice < 0 or n_bob < 0:
         raise ValueError("bit widths must be non-negative")
+    if n_alice + n_bob > VERIFY_SIZE_CAP:
+        raise ValueError(f"refusing a truth table over 2**{n_alice + n_bob} inputs")
     return 1 << (n_alice + n_bob)
 
 
 @dataclass(frozen=True)
 class BooleanFunction:
-    """A boolean function of n_alice + n_bob input bits, as a truth table."""
+    """A boolean function of n_alice + n_bob input bits: `table` holds one byte 0 or 1
+    per input in index order, from any sequence of int, numpy or float bits."""
 
     n_alice: int
     n_bob: int
-    table: tuple[int, ...]
+    table: bytes
 
     def __post_init__(self):
         expected = _table_size(self.n_alice, self.n_bob)
         if len(self.table) != expected:
             raise ValueError(f"table must have {expected} entries, got {len(self.table)}")
-        if any(bit not in (0, 1) for bit in self.table):
+        bits = np.asarray(memoryview(self.table) if isinstance(self.table, bytes) else self.table)
+        if bits.shape != (expected,) or not ((bits == 0) | (bits == 1)).all():
             raise ValueError("table entries must be bits")
-        # numpy or float bits (np.uint8(1), 1.0) would break bit packing downstream
-        object.__setattr__(self, "table", tuple(map(int, self.table)))
+        object.__setattr__(self, "table", bits.astype(np.uint8).tobytes())
 
     def _check_inputs(self, x: int, y: int) -> None:
         if not 0 <= x < (1 << self.n_alice):
@@ -76,15 +80,14 @@ class BooleanFunction:
     def from_callable(
         cls, n_alice: int, n_bob: int, fn: Callable[[int, int], int]
     ) -> BooleanFunction:
-        table = tuple(
-            fn(x, y) & 1 for x in range(1 << n_alice) for y in range(1 << n_bob)
-        )
+        _table_size(n_alice, n_bob)  # the widths are refused before fn is called
+        table = bytes(fn(x, y) & 1 for x in range(1 << n_alice) for y in range(1 << n_bob))
         return cls(n_alice, n_bob, table)
 
     def to_json_obj(self) -> dict:
         """{"n_alice", "n_bob", "table"} with the table hex-packed little-endian:
         bit position idx of the integer holds table[idx]."""
-        packed = int("".join(map(str, reversed(self.table))), 2)
+        packed = int.from_bytes(np.packbits(_table(self), bitorder="little").tobytes(), "little")
         digits = max(1, (len(self.table) + 3) // 4)
         return {"n_alice": self.n_alice, "n_bob": self.n_bob, "table": f"{packed:0{digits}x}"}
 
@@ -96,9 +99,6 @@ class BooleanFunction:
             raise ValueError("n_alice and n_bob must be integers")
         if not isinstance(obj["table"], str):
             raise ValueError("table must be a hex string")
-        # widths are checked before anything of size 2**n is built
-        if n_alice + n_bob > VERIFY_SIZE_CAP:
-            raise ValueError(f"refusing a truth table over 2**{n_alice + n_bob} inputs")
         size = _table_size(n_alice, n_bob)
         # int(text, 16) alone also takes a 0x prefix, a sign, underscores,
         # surrounding whitespace and non-ASCII digits
@@ -107,7 +107,8 @@ class BooleanFunction:
         packed = int(obj["table"], 16)
         if packed >> size:
             raise ValueError("table has more bits than 2**(n_alice+n_bob)")
-        return cls(n_alice, n_bob, tuple(map(int, reversed(format(packed, f"0{size}b")))))
+        packed_bytes = np.frombuffer(packed.to_bytes((size + 7) // 8, "little"), np.uint8)
+        return cls(n_alice, n_bob, np.unpackbits(packed_bytes, count=size, bitorder="little"))
 
 
 def _inner_product(width: int) -> BooleanFunction:
@@ -160,7 +161,7 @@ class ANF:
 
 def anf_transform(f: BooleanFunction) -> ANF:
     """Binary Moebius transform of the truth table; exact, and an involution."""
-    coef = np.array(f.table, dtype=np.uint8)
+    coef = _table(f).copy()
     for v in range(f.n_alice + f.n_bob):
         pairs = coef.reshape(-1, 2, 1 << v)  # axis 1 is bit v of the index
         pairs[:, 1] ^= pairs[:, 0]
@@ -197,7 +198,7 @@ def _cost(anf: ANF) -> dict[str, int]:
 
 
 def _table(f: BooleanFunction) -> np.ndarray:
-    return np.frombuffer(bytes(f.table), np.uint8)
+    return np.frombuffer(f.table, np.uint8)
 
 
 def _cells(anf: ANF, idx: np.ndarray) -> np.ndarray:
@@ -262,8 +263,6 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     them by the generator's state, not by calls.
     """
     n = f.n_alice + f.n_bob
-    if n > VERIFY_SIZE_CAP:
-        raise ValueError(f"refusing exhaustive run over 2**{n} inputs")
     if rng is None:
         rng = np.random.default_rng(0)
     anf = anf_transform(f)

@@ -11,6 +11,7 @@ import pytest
 
 from quatbox import cli
 from quatbox.boxes import CELLS, BoxBehavior
+from quatbox.vandam import VERIFY_CELL_BUDGET, BooleanFunction, anf_transform
 
 from helpers import negative_entry_box
 
@@ -92,6 +93,26 @@ def test_prbox_samples_equal_one_scalar_draw_per_sample(capsys, monkeypatch, str
             _, out, _ = run_cli(capsys, argv + ["--format", "json"])
             got = json.loads(out)["samples"]["max_abs_deviation"]
             assert got == per_draw_deviation(box, samples, seed)
+
+
+def test_prbox_samples_in_chunks_equal_one_scalar_draw_per_sample(capsys):
+    box = cli.resolve_box("noisy:0.75")
+    for samples in (cli._SAMPLE_CHUNK - 1, cli._SAMPLE_CHUNK, cli._SAMPLE_CHUNK + 1):
+        argv = ["prbox", "--strategy", "noisy:0.75", "--seed", "3", "--samples", str(samples)]
+        _, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert json.loads(out)["samples"]["max_abs_deviation"] == per_draw_deviation(box, samples, 3)
+
+
+def test_prbox_samples_hold_one_chunk_of_doubles_at_a_time(capsys):
+    argv = ["prbox", "--strategy", "noisy:0.75", "--samples", "200000", "--format", "json"]
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 << 20  # all 200000 doubles of a cell as floats would take 9 MiB
 
 
 def test_prbox_csv_ignores_samples_without_drawing(capsys, monkeypatch):
@@ -267,6 +288,27 @@ def test_vandam_over_cell_budget_exits_two_before_any_draw(capsys, monkeypatch, 
     assert out == ""
     assert err.startswith("error: refusing exhaustive run over")
     assert len(err.splitlines()) == 1
+
+
+def test_vandam_twenty_bit_table_at_the_cell_budget(capsys, tmp_path):
+    # mixed monomials x0 y0 and x1 y1 plus two pure ones and the constant: 2 << 20 box
+    # cells, the budget exactly; the Moebius transform is an involution, so the table
+    # whose ANF is coef is the transform of coef
+    coef = np.zeros(1 << 20, np.uint8)
+    coef[[(1 << 10) | 1, (2 << 10) | 2, 4 << 10, 8, 0]] = 1
+    ones = anf_transform(BooleanFunction(10, 10, coef)).monomials
+    table = np.zeros(1 << 20, np.uint8)
+    table[[(a << 10) | b for a, b in ones]] = 1
+    f = BooleanFunction(10, 10, table)
+    assert len(anf_transform(f).mixed) << 20 == VERIFY_CELL_BUDGET
+    path = tmp_path / "twenty.json"
+    path.write_text(json.dumps(f.to_json_obj()), encoding="utf-8")
+    argv = ["vandam", "--function", str(path), "--strategy", "quaternionic"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["n_inputs"] == 1 << 20
+    assert payload["boxes_used"] == 2
+    assert payload["success_rate"] == 1.0
 
 
 def test_vandam_exit_one_when_perfect_strategy_fails(capsys, monkeypatch):

@@ -337,9 +337,14 @@ def test_verify_success_monotone_in_noise():
 
 
 def test_verify_size_cap():
-    f = BooleanFunction(11, 10, (0,) * (1 << 21))
-    with pytest.raises(ValueError):
-        verify_exhaustive(f, ideal_pr_box())
+    # a table over the cap is refused where it is built, so it never reaches verify_exhaustive
+    def fn(x, y):
+        raise AssertionError("fn was called")
+
+    with pytest.raises(ValueError, match="refusing a truth table over 2\\*\\*21 inputs"):
+        BooleanFunction(11, 10, (0,) * (1 << 21))
+    with pytest.raises(ValueError, match="refusing a truth table over 2\\*\\*21 inputs"):
+        BooleanFunction.from_callable(11, 10, fn)
 
 
 # ------------------------------------------- engine against the per-input loop
@@ -610,12 +615,39 @@ def test_truth_table_json_width_is_checked_before_the_table_is_built():
 def test_numpy_and_float_bits_are_stored_as_ints():
     bits = np.random.default_rng(13).integers(0, 2, 256).astype(np.uint8)
     ints = BooleanFunction(4, 4, tuple(bits.tolist()))
-    for table in (tuple(bits), tuple(bits.astype(float))):
+    for table in (tuple(bits), tuple(bits.astype(float)), bytes(bits), bits, bits.astype(float)):
         f = BooleanFunction(4, 4, table)
+        assert type(f.table) is bytes
+        assert all(type(f.table[i]) is int for i in range(256))
         assert f == ints
+        assert hash(f) == hash(ints)
         assert f.to_json_obj() == ints.to_json_obj()
         assert BooleanFunction.from_json_obj(f.to_json_obj()) == ints
         assert anf_transform(f) == anf_transform(ints)
+
+
+def reference_hex(table):
+    """The hex of a table as the big-int codec wrote it: bit idx of the integer is table[idx]."""
+    packed = int("".join(str(bit) for bit in reversed(table)), 2)
+    return f"{packed:0{max(1, (len(table) + 3) // 4)}x}"
+
+
+def test_truth_table_codec_matches_the_big_int_reference_at_every_width():
+    rng = np.random.default_rng(14)
+    for n in range(21):
+        n_alice = int(rng.integers(0, n + 1))
+        for bits in (np.zeros(1 << n, np.uint8), np.ones(1 << n, np.uint8),
+                     rng.integers(0, 2, 1 << n).astype(np.uint8)):
+            f = BooleanFunction(n_alice, n - n_alice, bits)
+            text = f.to_json_obj()["table"]
+            assert text == reference_hex(bits.tolist()), n
+            for variant in (text, text.upper(), "00" + text):
+                obj = {"n_alice": n_alice, "n_bob": n - n_alice, "table": variant}
+                assert BooleanFunction.from_json_obj(obj) == f, (n, variant)
+            extra = f"{1 << (1 << n):x}"  # the one bit past the last input
+            with pytest.raises(ValueError, match="more bits"):
+                BooleanFunction.from_json_obj({"n_alice": n_alice, "n_bob": n - n_alice,
+                                               "table": extra})
 
 
 def test_boolean_function_validation():
