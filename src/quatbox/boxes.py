@@ -75,15 +75,10 @@ class BoxBehavior:
                 return CELLS[idx]
         return CELLS[-1]  # cumulative sum fell short of 1 by float dust
 
-    def sample_cells(self, cells: Sequence[int], rng) -> Iterator[tuple[int, int]]:
-        """One `sample` draw per index c = 2a + b into CELLS, in the order of `cells`; lazy.
-
-        The doubles come from one `rng.random(len(cells))`, which numpy fills with
-        the doubles of that many `rng.random()` calls and leaves in the same state,
-        so `rng` advances by len(cells) doubles when this is called, not as the
-        draws are read.  Each `sample` call takes its double from that block.
-        """
-        src = SimpleNamespace(random=iter(rng.random(len(cells)).tolist()).__next__)
+    def sample_cells(self, cells: Sequence[int], doubles: Iterable[float]) -> Iterator[tuple]:
+        """One `sample` draw per index c = 2a + b into CELLS, in the order of `cells`, each
+        taking the next of `doubles` as the `rng.random()` it would call; lazy."""
+        src = SimpleNamespace(random=iter(doubles).__next__)
         args = [(a, b, src) for a, b in CELLS]
         return starmap(self.sample, map(args.__getitem__, cells))
 

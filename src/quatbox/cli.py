@@ -46,12 +46,13 @@ PERFECT_STRATEGIES = frozenset({"ideal", "quaternionic"})
 
 CELL_TOL = 1e-10
 ORTHO_TOL = 1e-12
-#: largest --samples accepted; a draw costs microseconds, so this bounds a run to seconds
+#: largest --samples accepted; a chsh round or a prbox draw costs 0.5 to 1 microsecond,
+#: so a run takes seconds
 MAX_SAMPLES = 10**6
 #: longest truth-table file read, in characters: four times the hex digits of the widest table
 _MAX_TABLE_CHARS = 1 << VERIFY_SIZE_CAP
-#: prbox --samples draws per sample_cells call, so a cell's doubles are held a chunk at a time
-_SAMPLE_CHUNK = 1 << 16
+#: --samples draws per sample_cells call, so a run's doubles are held a chunk at a time
+_SAMPLE_CHUNK = 1 << 12
 
 
 def resolve_box(strategy: str) -> BoxBehavior:
@@ -126,7 +127,8 @@ def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
         # consecutive rng.random(k) calls give the doubles of one call, so chunks change no draw
         for c, count in enumerate(counts):
             for start in range(0, args.samples, _SAMPLE_CHUNK):
-                count.update(box.sample_cells([c] * min(_SAMPLE_CHUNK, args.samples - start), rng))
+                k = min(_SAMPLE_CHUNK, args.samples - start)
+                count.update(box.sample_cells([c] * k, rng.random(k).tolist()))
         deviation = max(abs(counts[c][x, y] / args.samples - box.prob(a, b, x, y))
                         for c, (a, b) in enumerate(CELLS) for x, y in CELLS)
         payload["samples"] = {"per_cell": args.samples, "max_abs_deviation": deviation}
@@ -152,12 +154,16 @@ def run_chsh(args: argparse.Namespace) -> tuple[dict, int]:
     }
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        wins = 0
-        # two integers(2) calls before each draw, so the draws cannot go through sample_cells
-        for _ in range(args.samples):
-            a, b = int(rng.integers(2)), int(rng.integers(2))
-            x, y = box.sample(a, b, rng)
-            wins += (x ^ y) == (a & b)
+        outcomes = Counter()  # rounds by inputs (a, b) and outputs (x, y)
+        # numpy's PCG64 draws integers(2) twice from one buffered word (a = bit 31, b = bit 63)
+        # and random() from the next as (w >> 11) * 2**-53; this decode relies on that
+        # buffering, which the golden replays and test_raw_words_decode_to_the_chsh_rounds pin
+        for start in range(0, args.samples, _SAMPLE_CHUNK):
+            words = rng.bit_generator.random_raw(2 * min(_SAMPLE_CHUNK, args.samples - start))
+            cells = memoryview(words[::2] >> 30 & 2 | words[::2] >> 63)  # 2a + b
+            doubles = memoryview((words[1::2] >> 11) * 2.0**-53)  # floats made one at a time
+            outcomes.update(zip(map(CELLS.__getitem__, cells), box.sample_cells(cells, doubles)))
+        wins = sum(n for ((a, b), (x, y)), n in outcomes.items() if x ^ y == a & b)
         payload["samples"] = {"n": args.samples, "empirical_win": wins / args.samples}
     return payload, 0
 

@@ -139,14 +139,19 @@ class ANF:
     """Algebraic normal form: XOR of AND-monomials over GF(2).
 
     Each monomial is an (alice_mask, bob_mask) pair of variable sets; the
-    empty pair (0, 0) is the constant-1 monomial.  Monomials are kept in
-    ascending (alice_mask, bob_mask) order so box consumption downstream is
-    reproducible.
+    empty pair (0, 0) is the constant-1 monomial.  `coefficients` holds a byte
+    0 or 1 per monomial at index (alice_mask << n_bob) | bob_mask, so monomials
+    come in ascending (alice_mask, bob_mask) order and box use is reproducible.
     """
 
     n_alice: int
     n_bob: int
-    monomials: tuple[tuple[int, int], ...]
+    coefficients: bytes
+
+    @cached_property
+    def monomials(self) -> tuple[tuple[int, int], ...]:
+        present = np.flatnonzero(np.frombuffer(self.coefficients, np.uint8)).tolist()
+        return tuple(divmod(m, 1 << self.n_bob) for m in present)
 
     @cached_property
     def mixed(self) -> tuple[tuple[int, int], ...]:
@@ -155,8 +160,9 @@ class ANF:
 
     @cached_property
     def _masks(self) -> np.ndarray:
-        # each mixed monomial's (Alice mask at its place in the index, Bob mask), for _cells
-        return np.array([(a << self.n_bob, b) for a, b in self.mixed], np.int64).reshape(-1, 2)
+        # each mixed monomial's (Alice mask at its place in the index, Bob mask), no tuple built
+        grid = np.frombuffer(self.coefficients, np.uint8).reshape(1 << self.n_alice, -1)
+        return np.argwhere(grid[1:, 1:]) + 1 << [self.n_bob, 0]
 
 
 def anf_transform(f: BooleanFunction) -> ANF:
@@ -165,9 +171,7 @@ def anf_transform(f: BooleanFunction) -> ANF:
     for v in range(f.n_alice + f.n_bob):
         pairs = coef.reshape(-1, 2, 1 << v)  # axis 1 is bit v of the index
         pairs[:, 1] ^= pairs[:, 0]
-    b_mask_all = (1 << f.n_bob) - 1
-    monomials = tuple((m >> f.n_bob, m & b_mask_all) for m in np.flatnonzero(coef).tolist())
-    return ANF(f.n_alice, f.n_bob, monomials)
+    return ANF(f.n_alice, f.n_bob, coef.tobytes())
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,8 @@ def vandam_protocol(f: BooleanFunction, x: int, y: int, box: BoxBehavior, rng) -
 
 def _cost(anf: ANF) -> dict[str, int]:
     # one box per mixed monomial, and Bob's one bit unless f is identically zero
-    bits = 1 if anf.monomials else 0
-    return {"boxes_used": len(anf.mixed), "bits_bob_to_alice": bits, "bits_alice_to_bob": 0}
+    bits = int(1 in anf.coefficients)
+    return {"boxes_used": len(anf._masks), "bits_bob_to_alice": bits, "bits_alice_to_bob": 0}
 
 
 def _table(f: BooleanFunction) -> np.ndarray:
@@ -212,7 +216,7 @@ def _cells(anf: ANF, idx: np.ndarray) -> np.ndarray:
 def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, box, rng):
     # Alice's outputs on inputs idx, drawing (u, v) from box once per cell of cells in C order:
     # f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his box outputs
-    draws = box.sample_cells(cells.ravel().tolist(), rng)
+    draws = box.sample_cells(cells.ravel().tolist(), rng.random(cells.size).tolist())
     flips = np.fromiter(starmap(xor, draws), np.uint8, cells.size).reshape(cells.shape)
     fold = np.bitwise_xor.reduce(flips, axis=-1)
     return table[idx >> n_bob << n_bob] ^ table[idx & ((1 << n_bob) - 1)] ^ table[0] ^ fold
@@ -266,7 +270,7 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     if rng is None:
         rng = np.random.default_rng(0)
     anf = anf_transform(f)
-    cells = len(anf.mixed) << n  # one box draw per input and mixed monomial
+    cells = len(anf._masks) << n  # one box draw per input and mixed monomial
     if cells > VERIFY_CELL_BUDGET:
         raise ValueError(
             f"refusing exhaustive run over {cells} box cells; the budget is {VERIFY_CELL_BUDGET}"
@@ -275,7 +279,7 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     table = _table(f)
     exact, hits = [], 0
     # whole inputs in index order, so the draws keep their x, y, monomial order
-    step = max(1, _BLOCK_CELLS // max(len(anf.mixed), 1))
+    step = max(1, _BLOCK_CELLS // max(len(anf._masks), 1))
     for start in range(0, 1 << n, step):
         idx = np.arange(start, min(start + step, 1 << n))
         block = _cells(anf, idx)

@@ -215,3 +215,22 @@ def test_one_array_of_doubles_equals_as_many_scalar_draws(seed):
         bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
         assert bulk.random(size).tolist() == [scalar.random() for _ in range(size)]
         assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1, 2**63])
+def test_raw_words_decode_to_the_chsh_rounds(seed):
+    # chsh --samples reads each round's integers(2), integers(2), random() from two PCG64
+    # words: a is bit 31 and b bit 63 of the even word, and the odd one gives the double
+    for size in (0, 1, 2, 7, 4097):
+        bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        words = bulk.bit_generator.random_raw(2 * size)
+        decoded = [(int(w >> 31 & 1), int(w >> 63), float(v >> 11) * 2**-53)
+                   for w, v in zip(words[::2].tolist(), words[1::2].tolist())]
+        rounds = [(int(scalar.integers(2)), int(scalar.integers(2)), scalar.random())
+                  for _ in range(size)]
+        assert decoded == rounds
+        # the scalar rounds leave the last even word's high half in numpy's 32-bit buffer,
+        # marked empty (has_uint32 = 0); random_raw never fills it, and nothing else differs
+        buffered = words[-2].item() >> 32 if size else 0
+        assert scalar.bit_generator.state == {**bulk.bit_generator.state, "uinteger": buffered}
+        assert scalar.bit_generator.state["has_uint32"] == 0

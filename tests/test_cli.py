@@ -11,7 +11,7 @@ import pytest
 
 from quatbox import cli
 from quatbox.boxes import CELLS, BoxBehavior
-from quatbox.vandam import VERIFY_CELL_BUDGET, BooleanFunction, anf_transform
+from quatbox.vandam import ANF, VERIFY_CELL_BUDGET, BooleanFunction, anf_transform
 
 from helpers import negative_entry_box
 
@@ -113,6 +113,43 @@ def test_prbox_samples_hold_one_chunk_of_doubles_at_a_time(capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < 5 << 20  # all 200000 doubles of a cell as floats would take 9 MiB
+
+
+def per_round_win(box, rounds, seed):
+    """chsh's empirical_win from two rng.integers(2) calls, then one box.sample, per round."""
+    rng = np.random.default_rng(seed)
+    wins = 0
+    for _ in range(rounds):
+        a, b = int(rng.integers(2)), int(rng.integers(2))
+        x, y = box.sample(a, b, rng)
+        wins += (x ^ y) == (a & b)
+    return wins / rounds
+
+
+@pytest.mark.parametrize("strategy", [
+    "ideal", "quaternionic", "complex", "classical", "noisy:0.9", "negative entry",
+])
+def test_chsh_samples_equal_the_per_round_loop(capsys, monkeypatch, strategy):
+    box = negative_entry_box() if strategy == "negative entry" else cli.resolve_box(strategy)
+    monkeypatch.setattr(cli, "resolve_box", lambda name: box)
+    chunk = cli._SAMPLE_CHUNK
+    for seed in (0, 7, 2**31 - 1):
+        for rounds in (1, 2, 3, 1500, chunk - 1, chunk, chunk + 1):
+            argv = ["chsh", "--strategy", strategy, "--seed", str(seed), "--samples", str(rounds)]
+            _, out, _ = run_cli(capsys, argv + ["--format", "json"])
+            assert json.loads(out)["samples"]["empirical_win"] == per_round_win(box, rounds, seed)
+
+
+def test_chsh_samples_hold_one_chunk_of_rounds_at_a_time(capsys):
+    argv = ["chsh", "--strategy", "noisy:0.9", "--samples", "200000", "--format", "json"]
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 << 20  # 200000 rounds' words, cells and doubles at once take 8.6 MiB
 
 
 def test_prbox_csv_ignores_samples_without_drawing(capsys, monkeypatch):
@@ -288,6 +325,31 @@ def test_vandam_over_cell_budget_exits_two_before_any_draw(capsys, monkeypatch, 
     assert out == ""
     assert err.startswith("error: refusing exhaustive run over")
     assert len(err.splitlines()) == 1
+
+
+def test_vandam_dense_twenty_bit_table_is_refused_before_any_monomial_tuple(
+    capsys, monkeypatch, tmp_path
+):
+    # a random 10+10-bit table has about 2**19 mixed monomials: the budget needs only
+    # their count, so no (alice_mask, bob_mask) tuple is built for them
+    packed = int.from_bytes(np.random.default_rng(20).bytes(1 << 17), "little")
+    path = tmp_path / "dense20.json"
+    path.write_text(json.dumps({"n_alice": 10, "n_bob": 10, "table": f"{packed:x}"}),
+                    encoding="utf-8")
+
+    def no_tuples(self):
+        raise AssertionError("monomial tuples were built")
+
+    monkeypatch.setattr(ANF, "monomials", property(no_tuples))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, ["vandam", "--function", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: refusing exhaustive run over") and len(err.splitlines()) == 1
+    assert peak < 32 << 20  # building the monomial tuples took the peak to about 79 MiB
 
 
 def test_vandam_twenty_bit_table_at_the_cell_budget(capsys, tmp_path):

@@ -494,7 +494,7 @@ def test_sample_cells_is_one_sample_call_per_cell_in_order(monkeypatch, box_name
         for make_rng in (np.random.default_rng, lambda s: EdgeRandom(box, s)):
             rng1, rng2 = make_rng(length), make_rng(length)
             before = draws[0]
-            got = list(box.sample_cells(cells, rng1))
+            got = list(box.sample_cells(cells, rng1.random(length).tolist()))
             assert draws[0] - before == length
             assert got == [box.sample(*CELLS[c], rng2) for c in cells]
             if isinstance(rng1, np.random.Generator):
