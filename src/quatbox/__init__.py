@@ -19,7 +19,6 @@ from .qlinalg import (
     inner,
     is_unitary,
     matmul,
-    matvec,
     phase_gate,
     qmat,
     rotation,

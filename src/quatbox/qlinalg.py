@@ -28,7 +28,7 @@ UNITARY_TOL = 1e-10
 #: tolerance on the sum of squared amplitude norms of a normalized vector
 NORM_TOL = 1e-10
 
-#: component tolerance below which an entry counts as real / complex
+#: component tolerance below which an entry counts as real
 SUBFIELD_TOL = 1e-14
 
 INV_SQRT2 = math.sqrt(0.5)
@@ -110,9 +110,6 @@ class QVector(_QuaternionArray):
     def norm_sq(self) -> float:
         return math.fsum(norm_sq(self.data).tolist())
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
     def is_normalized(self) -> bool:
         return abs(self.norm_sq() - 1.0) <= NORM_TOL
 
@@ -138,9 +135,6 @@ class QMatrix(_QuaternionArray):
     def is_real(self) -> bool:
         return bool((np.abs(self.data[..., 1:]) <= SUBFIELD_TOL).all())
 
-    def in_complex_subfield(self) -> bool:
-        return bool((np.abs(self.data[..., 2:]) <= SUBFIELD_TOL).all())
-
 
 def qmat(rows: Iterable[Iterable]) -> QMatrix:
     return QMatrix(np.array([_pack(map(as_quaternion, row)) for row in rows]))
@@ -164,15 +158,8 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(_fold_sum(hamilton(a.data[:, :, None], b.data[None]), axis=1))
 
 
-def matvec(m: QMatrix, v: QVector) -> QVector:
-    """Left action: out[r] = sum_c M[r][c] * v[c], products in that order."""
-    if m.shape[1] != v.dim:
-        raise ValueError(f"shape mismatch: {m.shape} @ vector of dim {v.dim}")
-    return QVector(_fold_sum(hamilton(m.data, v.data[None]), axis=1))
-
-
 def inner(u: QVector, v: QVector) -> Quaternion:
-    """<u|v> = sum_i conj(u_i) * v_i; conjugate-linear in the left slot."""
+    """<u|v> = sum_i conj(u_i) * v_i; antilinear in the left slot."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
     return Quaternion(*_fold_sum(hamilton(u.data * _CONJUGATE, v.data), axis=0).tolist())

@@ -21,23 +21,11 @@ class Quaternion:
     y: float = 0.0
     z: float = 0.0
 
-    def conjugate(self) -> Quaternion:
-        """Negate the i, j, k components."""
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def norm_sq(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
-
-    def approx_eq(self, other: Quaternion, tol: float = 1e-12) -> bool:
-        return (
-            abs(self.w - other.w) <= tol
-            and abs(self.x - other.x) <= tol
-            and abs(self.y - other.y) <= tol
-            and abs(self.z - other.z) <= tol
-        )
 
     def __neg__(self):
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
@@ -73,9 +61,6 @@ ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-#: the eight unit elements {+-1, +-i, +-j, +-k}; exhaustive algebra checks run over these
-UNIT_GROUP = (ONE, -ONE, I, -I, J, -J, K, -K)
 
 
 def as_quaternion(value) -> Quaternion:

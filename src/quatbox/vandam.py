@@ -72,10 +72,6 @@ class BooleanFunction:
         if not 0 <= y < (1 << self.n_bob):
             raise ValueError(f"y = {y} out of range for {self.n_bob} bits")
 
-    def evaluate(self, x: int, y: int) -> int:
-        self._check_inputs(x, y)
-        return self.table[(x << self.n_bob) | y]
-
     @classmethod
     def from_callable(
         cls, n_alice: int, n_bob: int, fn: Callable[[int, int], int]
@@ -158,11 +154,15 @@ class ANF:
         """Monomials touching both parties; these each consume one box."""
         return tuple(m for m in self.monomials if m[0] and m[1])
 
+    @property
+    def _mixed_grid(self) -> np.ndarray:
+        # the coefficients of the mixed monomials as a (2**n_alice - 1, 2**n_bob - 1) view
+        return np.frombuffer(self.coefficients, np.uint8).reshape(1 << self.n_alice, -1)[1:, 1:]
+
     @cached_property
     def _masks(self) -> np.ndarray:
         # each mixed monomial's (Alice mask at its place in the index, Bob mask), no tuple built
-        grid = np.frombuffer(self.coefficients, np.uint8).reshape(1 << self.n_alice, -1)
-        return np.argwhere(grid[1:, 1:]) + 1 << [self.n_bob, 0]
+        return np.argwhere(self._mixed_grid) + 1 << [self.n_bob, 0]
 
 
 def anf_transform(f: BooleanFunction) -> ANF:
@@ -253,7 +253,7 @@ class VerifyReport:
     n_inputs: int
 
 
-def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyReport:
+def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng) -> VerifyReport:
     """Run the protocol on every (x, y) and report exact and sampled rates.
 
     success_rate is the exact mean of success_probability over all inputs
@@ -267,10 +267,9 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     them by the generator's state, not by calls.
     """
     n = f.n_alice + f.n_bob
-    if rng is None:
-        rng = np.random.default_rng(0)
     anf = anf_transform(f)
-    cells = len(anf._masks) << n  # one box draw per input and mixed monomial
+    mixed = np.count_nonzero(anf._mixed_grid)  # counted before any mask is built
+    cells = mixed << n  # one box draw per input and mixed monomial
     if cells > VERIFY_CELL_BUDGET:
         raise ValueError(
             f"refusing exhaustive run over {cells} box cells; the budget is {VERIFY_CELL_BUDGET}"
@@ -279,7 +278,7 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng=None) -> VerifyR
     table = _table(f)
     exact, hits = [], 0
     # whole inputs in index order, so the draws keep their x, y, monomial order
-    step = max(1, _BLOCK_CELLS // max(len(anf._masks), 1))
+    step = max(1, _BLOCK_CELLS // max(mixed, 1))
     for start in range(0, 1 << n, step):
         idx = np.arange(start, min(start + step, 1 << n))
         block = _cells(anf, idx)

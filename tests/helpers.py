@@ -1,10 +1,45 @@
-"""Shared random generators for property tests, all taking an explicit rng, and
-one hand-built box."""
+"""Shared random generators for property tests, all taking an explicit rng, one
+hand-built box, and scalar views of the package's conjugation and left action."""
 
 import math
 
-from quatbox import QMatrix, QVector, Quaternion, Register, is_unitary, matmul, qmat, rotation
+import numpy as np
+
+from quatbox import (
+    ONE,
+    I,
+    J,
+    K,
+    QMatrix,
+    QVector,
+    Quaternion,
+    Register,
+    apply_local,
+    is_unitary,
+    matmul,
+    qmat,
+    rotation,
+)
 from quatbox.boxes import BoxBehavior, classical_box, ideal_pr_box
+from quatbox.qlinalg import SUBFIELD_TOL
+
+#: the eight unit elements {+-1, +-i, +-j, +-k}; exhaustive algebra checks run over these
+UNIT_GROUP = (ONE, -ONE, I, -I, J, -J, K, -K)
+
+
+def approx_eq(p: Quaternion, q: Quaternion, tol: float = 1e-12) -> bool:
+    """Every component of p within tol of q's."""
+    return all(abs(a - b) <= tol for a, b in zip((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
+
+
+def conj(q: Quaternion) -> Quaternion:
+    """q's conjugate as the package takes it: the dagger of the 1x1 matrix [[q]]."""
+    return Quaternion(*qmat([[q]]).dagger().data[0, 0].tolist())
+
+
+def left_action(u: QMatrix, v: QVector) -> QVector:
+    """u v for a 2x2 gate and a normalized 2-vector, through the package's apply_local."""
+    return apply_local(Register(1, v), 0, u).state
 
 
 def random_quaternion(rng, scale=2.0) -> Quaternion:
@@ -39,7 +74,7 @@ def random_complex_unitary(rng) -> QMatrix:
     u = _phase_diag(random_unit_complex(rng), random_unit_complex(rng))
     v = _phase_diag(random_unit_complex(rng), random_unit_complex(rng))
     m = matmul(matmul(u, rotation(rng.uniform(0.0, 2.0 * math.pi))), v)
-    assert is_unitary(m) and m.in_complex_subfield()
+    assert is_unitary(m) and (np.abs(m.data[..., 2:]) <= SUBFIELD_TOL).all()
     return m
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import runpy
 import time
 import tracemalloc
 from collections import Counter
@@ -18,6 +20,11 @@ from helpers import negative_entry_box
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "schemas", "cli_output.schema.json")
 with open(SCHEMA_PATH, encoding="utf-8") as fh:
     SCHEMA = json.load(fh)
+
+REPRODUCE_PATH = os.path.join(os.path.dirname(__file__), "..", "scripts", "reproduce_results.py")
+#: SHA-256 of everything scripts/reproduce_results.py prints; a change meant to alter
+#: that output must say so and update the digest
+REPRODUCE_DIGEST = "7f0720c0f1820ce0fbe611dac7864741384a2f18a205b6e902e045e131a604f0"
 
 
 def run_cli(capsys, argv):
@@ -331,7 +338,7 @@ def test_vandam_dense_twenty_bit_table_is_refused_before_any_monomial_tuple(
     capsys, monkeypatch, tmp_path
 ):
     # a random 10+10-bit table has about 2**19 mixed monomials: the budget needs only
-    # their count, so no (alice_mask, bob_mask) tuple is built for them
+    # their count, so neither an (alice_mask, bob_mask) tuple nor the mask array is built
     packed = int.from_bytes(np.random.default_rng(20).bytes(1 << 17), "little")
     path = tmp_path / "dense20.json"
     path.write_text(json.dumps({"n_alice": 10, "n_bob": 10, "table": f"{packed:x}"}),
@@ -340,7 +347,11 @@ def test_vandam_dense_twenty_bit_table_is_refused_before_any_monomial_tuple(
     def no_tuples(self):
         raise AssertionError("monomial tuples were built")
 
+    def no_masks(self):
+        raise AssertionError("the monomial masks were built")
+
     monkeypatch.setattr(ANF, "monomials", property(no_tuples))
+    monkeypatch.setattr(ANF, "_masks", property(no_masks))
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, ["vandam", "--function", str(path)])
@@ -499,3 +510,9 @@ def test_all_order_demo_formats_render(capsys):
     code, out, _ = run_cli(capsys, ["order-demo"])
     assert code == 0
     assert "inner product: 0" in out
+
+
+def test_reproduce_results_prints_the_pinned_bytes(capsys):
+    code = runpy.run_path(REPRODUCE_PATH)["main"]()
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, REPRODUCE_DIGEST)
