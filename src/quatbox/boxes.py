@@ -123,14 +123,15 @@ def quaternionic_box() -> BoxBehavior:
     """
     gate_alice = phase_gate(I)
     gate_bob = phase_gate(J)
-    measurement = [hadamard(), hadamard()]
+    shared = bell_state(K)
+    measurement = [hadamard()] * 2
 
     def cell(a: int, b: int) -> Iterable[float]:
         ops = [
             ScheduledOp(1 if a == 0 else 3, 0, gate_alice),
             ScheduledOp(4 if b == 0 else 2, 1, gate_bob),
         ]
-        return measure_product_basis(run_schedule(bell_state(K), ops), measurement).values()
+        return measure_product_basis(run_schedule(shared, ops), measurement).values()
 
     return _box(cell)
 

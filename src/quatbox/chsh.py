@@ -51,13 +51,12 @@ def lhv_optimum() -> tuple[GameResult, tuple[tuple[int, int], tuple[int, int]]]:
 
     Shared randomness cannot beat the best deterministic pair: the win
     probability is linear in the strategy mixture, so the maximum is
-    attained at a vertex.  Returns the optimum and one argmax pair, each
-    strategy given as (output for input 0, output for input 1).
+    attained at a vertex.  Pairs are scored by the game rule and only the
+    winner's box is built.  Returns the optimum and the first argmax pair,
+    each strategy given as (output for input 0, output for input 1).
     """
-    games = {
-        (f_alice, f_bob): chsh_value(classical_box(f_alice, f_bob))
-        for f_alice in CELLS
-        for f_bob in CELLS
-    }
-    best_pair = max(games, key=lambda pair: games[pair].win_probability)
-    return games[best_pair], best_pair
+    best = max(
+        ((f_alice, f_bob) for f_alice in CELLS for f_bob in CELLS),
+        key=lambda pair: sum(pair[0][a] ^ pair[1][b] == a & b for a, b in CELLS),
+    )
+    return chsh_value(classical_box(*best)), best

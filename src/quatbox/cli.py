@@ -35,7 +35,6 @@ from .vandam import (
     BUILTIN_FUNCTIONS,
     VERIFY_SIZE_CAP,
     BooleanFunction,
-    builtin_function,
     verify_exhaustive,
 )
 
@@ -55,31 +54,30 @@ _MAX_TABLE_CHARS = 1 << VERIFY_SIZE_CAP
 _SAMPLE_CHUNK = 1 << 12
 
 
+#: each strategy's box, its constructor looked up when called so a patched one runs
+_BOXES = {
+    "classical": lambda: classical_box(*lhv_optimum()[1]),
+    "complex": lambda: complex_quantum_box(),
+    "quaternionic": lambda: quaternionic_box(),
+    "ideal": lambda: ideal_pr_box(),
+}
+
+
 def resolve_box(strategy: str) -> BoxBehavior:
-    if strategy == "ideal":
-        return ideal_pr_box()
-    if strategy == "quaternionic":
-        return quaternionic_box()
-    if strategy == "complex":
-        return complex_quantum_box()
-    if strategy == "classical":
-        _, (f_alice, f_bob) = lhv_optimum()
-        return classical_box(f_alice, f_bob)
+    if strategy in _BOXES:
+        return _BOXES[strategy]()
     if strategy.startswith("noisy:"):
         level = strategy.partition(":")[2]
         # an ASCII decimal, so the strategy the output echoes names the p that ran
         if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", level):
             raise ValueError(f"noise level must be a decimal such as 0.9, got {level!r}")
         return noisy_box(ideal_pr_box(), float(level))
-    raise ValueError(
-        f"unknown strategy {strategy!r}; choose classical, complex, quaternionic, "
-        "ideal or noisy:p"
-    )
+    raise ValueError(f"unknown strategy {strategy!r}; choose {', '.join(_BOXES)} or noisy:p")
 
 
 def load_function(selector: str) -> BooleanFunction:
     if selector in BUILTIN_FUNCTIONS:
-        return builtin_function(selector)
+        return BUILTIN_FUNCTIONS[selector]()
     if os.path.exists(selector):
         try:
             with open(selector, encoding="utf-8") as fh:
@@ -136,22 +134,18 @@ def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def run_chsh(args: argparse.Namespace) -> tuple[dict, int]:
-    optimal = {}
-    if args.strategy == "classical":
-        game, (f_alice, f_bob) = lhv_optimum()
-        box = classical_box(f_alice, f_bob)
-        optimal["optimal_strategies"] = {"alice": list(f_alice), "bob": list(f_bob)}
-    else:
-        box = resolve_box(args.strategy)
-        game = chsh_value(box)
+    box = resolve_box(args.strategy)
+    game = chsh_value(box)
     payload = {
         "command": "chsh",
         "strategy": args.strategy,
         "seed": args.seed,
         "win_probability": game.win_probability,
         "per_cell": _cell_keys(game.per_cell),
-        **optimal,
     }
+    if args.strategy == "classical":
+        f_alice, f_bob = lhv_optimum()[1]
+        payload["optimal_strategies"] = {"alice": list(f_alice), "bob": list(f_bob)}
     if args.samples:
         rng = np.random.default_rng(args.seed)
         outcomes = Counter()  # rounds by inputs (a, b) and outputs (x, y)
@@ -194,7 +188,7 @@ def run_vandam(args: argparse.Namespace) -> tuple[dict, int]:
 
 def run_order_demo(args: argparse.Namespace) -> tuple[dict, int]:
     gate0 = phase_gate(I)
-    gate1 = phase_gate(J) if args.gates == "quaternionic" else phase_gate(I)
+    gate1 = phase_gate(J) if args.gates == "quaternionic" else gate0
     start = bell_state(1.0)
     party0_first = run_schedule(
         start, [ScheduledOp(1, 0, gate0), ScheduledOp(2, 1, gate1)]
@@ -336,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     boxed = argparse.ArgumentParser(add_help=False)
     boxed.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     boxed.add_argument("--strategy", default="quaternionic",
-                       help="classical | complex | quaternionic | ideal | noisy:p")
+                       help=" | ".join([*_BOXES, "noisy:p"]))
 
     sub = parser.add_subparsers(dest="command", required=True)
 

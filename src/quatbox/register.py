@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qlinalg import INV_SQRT2, NORM_TOL, QMatrix, QVector, hamilton, norm_sq
+from .qlinalg import INV_SQRT2, QMatrix, QVector, hamilton, norm_sq
 from .quaternion import Quaternion, ZERO, as_quaternion
 
 

@@ -1,5 +1,6 @@
 """Shared random generators for property tests, all taking an explicit rng, one
-hand-built box, and scalar views of the package's conjugation and left action."""
+hand-built box, scalar views of the package's conjugation and left action, and a
+call counter."""
 
 import math
 
@@ -100,3 +101,16 @@ def negative_entry_box() -> BoxBehavior:
     probs[0, 0, 0, 0] += 1e-13
     probs[0, 0, 0, 1] = -1e-13
     return BoxBehavior(probs)
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Replace owner.name by a wrapper that counts its calls in the returned one-item list."""
+    count = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count

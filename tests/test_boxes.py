@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quatbox.boxes
 from quatbox.boxes import (
     CELLS,
     BoxBehavior,
@@ -17,6 +18,8 @@ from quatbox.boxes import (
     quaternionic_box,
 )
 from quatbox.register import basis_labels
+
+from helpers import count_calls
 
 BITS = (0, 1)
 ALL_CELLS = list(itertools.product(BITS, repeat=2))
@@ -43,6 +46,12 @@ def test_quaternionic_box_is_a_perfect_pr_box():
     for a, b in ALL_CELLS:
         for x, y in ALL_CELLS:
             assert abs(got.prob(a, b, x, y) - want.prob(a, b, x, y)) <= 1e-10
+
+
+def test_quaternionic_box_prepares_its_shared_state_once(monkeypatch):
+    preparations = count_calls(monkeypatch, quatbox.boxes, "bell_state")
+    quaternionic_box()
+    assert preparations[0] == 1
 
 
 def test_quaternionic_box_winning_logic_per_cell():

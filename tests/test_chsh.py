@@ -2,6 +2,7 @@ import itertools
 import math
 
 from quatbox.boxes import (
+    BoxBehavior,
     classical_box,
     complex_quantum_box,
     ideal_pr_box,
@@ -15,6 +16,8 @@ from quatbox.chsh import (
     chsh_value,
     lhv_optimum,
 )
+
+from helpers import count_calls
 
 BITS = (0, 1)
 
@@ -59,6 +62,21 @@ def test_lhv_optimum_matches_independent_enumeration():
             best = max(best, wins / 4.0)
     assert best == 0.75
     assert lhv_optimum()[0].win_probability == best
+    # lhv_optimum scores pairs by that rule too, so check the rule against each pair's
+    # box, and the returned pair against the first box that wins most
+    pairs = [(fa, fb) for fa in itertools.product(BITS, repeat=2)
+             for fb in itertools.product(BITS, repeat=2)]
+    box_wins = {pair: chsh_value(classical_box(*pair)).win_probability for pair in pairs}
+    for fa, fb in pairs:
+        wins = sum((fa[a] ^ fb[b]) == (a & b) for a in BITS for b in BITS)
+        assert wins / 4.0 == box_wins[fa, fb]
+    assert lhv_optimum()[1] == max(pairs, key=box_wins.__getitem__)
+
+
+def test_lhv_optimum_builds_one_box(monkeypatch):
+    box_builds = count_calls(monkeypatch, BoxBehavior, "__post_init__")
+    lhv_optimum()
+    assert box_builds[0] == 1
 
 
 def test_no_deterministic_strategy_exceeds_bound():

@@ -15,7 +15,7 @@ from quatbox import cli
 from quatbox.boxes import CELLS, BoxBehavior
 from quatbox.vandam import ANF, VERIFY_CELL_BUDGET, BooleanFunction, anf_transform
 
-from helpers import negative_entry_box
+from helpers import count_calls, negative_entry_box
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "schemas", "cli_output.schema.json")
 with open(SCHEMA_PATH, encoding="utf-8") as fh:
@@ -135,16 +135,21 @@ def per_round_win(box, rounds, seed):
 
 @pytest.mark.parametrize("strategy", [
     "ideal", "quaternionic", "complex", "classical", "noisy:0.9", "negative entry",
+    # the classical strategy's box comes from resolve_box like every other's
+    "negative entry as classical",
 ])
 def test_chsh_samples_equal_the_per_round_loop(capsys, monkeypatch, strategy):
-    box = negative_entry_box() if strategy == "negative entry" else cli.resolve_box(strategy)
+    box = negative_entry_box() if "negative entry" in strategy else cli.resolve_box(strategy)
     monkeypatch.setattr(cli, "resolve_box", lambda name: box)
+    name = strategy.rpartition(" as ")[2]
     chunk = cli._SAMPLE_CHUNK
     for seed in (0, 7, 2**31 - 1):
         for rounds in (1, 2, 3, 1500, chunk - 1, chunk, chunk + 1):
-            argv = ["chsh", "--strategy", strategy, "--seed", str(seed), "--samples", str(rounds)]
+            argv = ["chsh", "--strategy", name, "--seed", str(seed), "--samples", str(rounds)]
             _, out, _ = run_cli(capsys, argv + ["--format", "json"])
-            assert json.loads(out)["samples"]["empirical_win"] == per_round_win(box, rounds, seed)
+            payload = json.loads(out)
+            assert payload["win_probability"] == cli.chsh_value(box).win_probability
+            assert payload["samples"]["empirical_win"] == per_round_win(box, rounds, seed)
 
 
 def test_chsh_samples_hold_one_chunk_of_rounds_at_a_time(capsys):
@@ -177,6 +182,23 @@ def test_chsh_classical_optimum(capsys):
     assert code == 0
     assert payload["win_probability"] == 0.75
     assert payload["optimal_strategies"] == {"alice": [0, 0], "bob": [0, 0]}
+
+
+@pytest.mark.parametrize("command, most", [
+    ("prbox --strategy classical", 2),
+    ("vandam --function AND --strategy classical", 2),
+    # the optimal pair it prints is found again, with its box
+    ("chsh --strategy classical", 3),
+    ("prbox --strategy quaternionic", 1),
+    ("chsh --strategy complex", 1),
+    ("vandam --function IP2 --strategy ideal", 1),
+])
+def test_each_request_builds_its_box_once(capsys, monkeypatch, command, most):
+    # the classical box is the optimum's: scoring the 16 pairs builds no box
+    box_builds = count_calls(monkeypatch, BoxBehavior, "__post_init__")
+    code, _, _ = run_cli(capsys, command.split())
+    assert code == 0
+    assert box_builds[0] <= most
 
 
 def test_chsh_noisy_strategy(capsys):
@@ -441,10 +463,19 @@ def test_oversized_samples_refused_before_any_draw(capsys, monkeypatch, command)
     assert err.startswith("error: --samples") and len(err.splitlines()) == 1
 
 
-def test_unknown_strategy_is_config_error(capsys):
+def test_unknown_strategy_is_config_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["prbox", "--strategy", "psychic"])
     assert code == 2
-    assert "unknown strategy" in err
+    assert err == ("error: unknown strategy 'psychic'; "
+                   "choose classical, complex, quaternionic, ideal or noisy:p\n")
+    # the --strategy help names the same strategies
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["prbox", "--help"])
+    assert exit_info.value.code == 0
+    help_line = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.lstrip().startswith("--strategy"))
+    assert help_line.split(maxsplit=2)[2] == "classical | complex | quaternionic | ideal | noisy:p"
 
 
 # float() reads each of the last five as 0.95, 0.9, 0.9, 0.9 and 1.0

@@ -23,7 +23,6 @@ from quatbox.boxes import (
 )
 from quatbox.chsh import chsh_value
 from quatbox.vandam import (
-    ANF,
     BooleanFunction,
     anf_transform,
     builtin_function,
@@ -32,7 +31,7 @@ from quatbox.vandam import (
     verify_exhaustive,
 )
 
-from helpers import negative_entry_box
+from helpers import count_calls, negative_entry_box
 
 
 def random_function(rng, n_alice, n_bob):
@@ -203,19 +202,6 @@ def test_protocol_validates_input_ranges():
             vandam_protocol(f, x, y, ideal_pr_box(), np.random.default_rng(5))
         with pytest.raises(ValueError, match="out of range"):
             success_probability(f, x, y, ideal_pr_box())
-
-
-def count_calls(monkeypatch, owner, name: str) -> list[int]:
-    """Replace owner.name by a wrapper that counts its calls in the returned one-item list."""
-    count = [0]
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return count
 
 
 def test_each_piece_of_protocol_work_is_done_once(monkeypatch):
