@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, starmap
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,8 @@ NON_SIGNALLING_TOL = 1e-10
 
 #: every pair of bits, in table order: the input cells (a, b), and the outputs (x, y) of a cell
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+#: each pair's index in CELLS, 2a + b for an input cell and 2x + y for an output pair
+_CELL_INDEX = {cell: index for index, cell in enumerate(CELLS)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +66,6 @@ class BoxBehavior:
                      for (a, b), cell in zip(CELLS, rows))
         object.__setattr__(self, "wins", wins)
 
-    def prob(self, a: int, b: int, x: int, y: int) -> float:
-        return float(self.probs[a, b, x, y])
-
     def sample(self, a: int, b: int, rng) -> tuple[int, int]:
         """Draw one output pair for inputs (a, b); deterministic under a seeded rng."""
         r = rng.random()
@@ -75,12 +74,14 @@ class BoxBehavior:
                 return CELLS[idx]
         return CELLS[-1]  # cumulative sum fell short of 1 by float dust
 
-    def sample_cells(self, cells: Sequence[int], doubles: Iterable[float]) -> Iterator[tuple]:
-        """One `sample` draw per index c = 2a + b into CELLS, in the order of `cells`, each
-        taking the next of `doubles` as the `rng.random()` it would call; lazy."""
-        src = SimpleNamespace(random=iter(doubles).__next__)
+    def sample_cells(self, cells: np.ndarray, doubles: np.ndarray) -> np.ndarray:
+        """Each draw's output cell 2x + y, as uint8: one `sample` draw per input cell
+        c = 2a + b of `cells`, in order, each taking the next of `doubles` as the
+        `rng.random()` it would call."""
+        src = SimpleNamespace(random=iter(doubles.tolist()).__next__)
         args = [(a, b, src) for a, b in CELLS]
-        return starmap(self.sample, map(args.__getitem__, cells))
+        draws = starmap(self.sample, map(args.__getitem__, cells.tolist()))
+        return np.fromiter(map(_CELL_INDEX.__getitem__, draws), np.uint8, len(cells))
 
     def to_json_obj(self) -> dict:
         """Serialize as {"a,b": [{"x":..,"y":..,"p":..}, ...], ...}."""

@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -121,14 +120,14 @@ def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
     # the csv table has no place for the Monte Carlo block, so it is not drawn for csv
     if args.samples and args.fmt != "csv":
         rng = np.random.default_rng(args.seed)
-        counts = [Counter() for _ in CELLS]
+        counts = np.zeros((4, 4), np.int64)  # draws by input cell 2a + b, output cell 2x + y
         # consecutive rng.random(k) calls give the doubles of one call, so chunks change no draw
-        for c, count in enumerate(counts):
+        for c in range(4):
             for start in range(0, args.samples, _SAMPLE_CHUNK):
                 k = min(_SAMPLE_CHUNK, args.samples - start)
-                count.update(box.sample_cells([c] * k, rng.random(k).tolist()))
-        deviation = max(abs(counts[c][x, y] / args.samples - box.prob(a, b, x, y))
-                        for c, (a, b) in enumerate(CELLS) for x, y in CELLS)
+                out = box.sample_cells(np.full(k, c), rng.random(k))
+                counts[c] += np.bincount(out, minlength=4)
+        deviation = float(np.abs(counts / args.samples - box.probs.reshape(4, 4)).max())
         payload["samples"] = {"per_cell": args.samples, "max_abs_deviation": deviation}
     return payload, 0 if all_pass or not expected_perfect else 1
 
@@ -148,16 +147,16 @@ def run_chsh(args: argparse.Namespace) -> tuple[dict, int]:
         payload["optimal_strategies"] = {"alice": list(f_alice), "bob": list(f_bob)}
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        outcomes = Counter()  # rounds by inputs (a, b) and outputs (x, y)
+        rounds = np.zeros(16, np.int64)  # by input cell 2a + b, then output cell 2x + y
         # numpy's PCG64 draws integers(2) twice from one buffered word (a = bit 31, b = bit 63)
         # and random() from the next as (w >> 11) * 2**-53; this decode relies on that
         # buffering, which the golden replays and test_raw_words_decode_to_the_chsh_rounds pin
         for start in range(0, args.samples, _SAMPLE_CHUNK):
             words = rng.bit_generator.random_raw(2 * min(_SAMPLE_CHUNK, args.samples - start))
-            cells = memoryview(words[::2] >> 30 & 2 | words[::2] >> 63)  # 2a + b
-            doubles = memoryview((words[1::2] >> 11) * 2.0**-53)  # floats made one at a time
-            outcomes.update(zip(map(CELLS.__getitem__, cells), box.sample_cells(cells, doubles)))
-        wins = sum(n for ((a, b), (x, y)), n in outcomes.items() if x ^ y == a & b)
+            cells = (words[::2] >> 30 & 2 | words[::2] >> 63).astype(np.uint8)  # 2a + b
+            out = box.sample_cells(cells, (words[1::2] >> 11) * 2.0**-53)
+            rounds += np.bincount(cells << 2 | out, minlength=16)
+        wins = int(rounds[[x ^ y == a & b for a, b in CELLS for x, y in CELLS]].sum())
         payload["samples"] = {"n": args.samples, "empirical_win": wins / args.samples}
     return payload, 0
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
-from operator import xor
 from typing import Callable
 
 import numpy as np
@@ -216,9 +214,8 @@ def _cells(anf: ANF, idx: np.ndarray) -> np.ndarray:
 def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, box, rng):
     # Alice's outputs on inputs idx, drawing (u, v) from box once per cell of cells in C order:
     # f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his box outputs
-    draws = box.sample_cells(cells.ravel().tolist(), rng.random(cells.size).tolist())
-    flips = np.fromiter(starmap(xor, draws), np.uint8, cells.size).reshape(cells.shape)
-    fold = np.bitwise_xor.reduce(flips, axis=-1)
+    out = box.sample_cells(cells.ravel(), rng.random(cells.size)).reshape(cells.shape)
+    fold = np.bitwise_xor.reduce(out ^ out >> 1, axis=-1) & 1  # (2u + v) ^ u: u ^ v in bit 0
     return table[idx >> n_bob << n_bob] ^ table[idx & ((1 << n_bob) - 1)] ^ table[0] ^ fold
 
 
@@ -258,9 +255,10 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng) -> VerifyReport
 
     success_rate is the exact mean of success_probability over all inputs
     (identically 1.0 for perfect boxes); empirical_rate comes from one
-    sampled protocol run per input, one `sample` draw per box cell through
-    `box.sample_cells`, in truth-table index order (x-major, then y), then
-    monomial.  The inputs are walked in runs of consecutive indices, about
+    sampled protocol run per input, which XORs u ^ v over the output cells
+    2u + v that `box.sample_cells` draws for its boxes, one `sample` call per
+    box cell, in truth-table index order (x-major, then y), then monomial.
+    The inputs are walked in runs of consecutive indices, about
     _BLOCK_CELLS box cells each; one `rng.random(n)` gives a run's n doubles,
     so rng advances by one double per box cell, as with one `rng.random()`
     per draw.  Draws stay one `sample` call each until the benchmark counts

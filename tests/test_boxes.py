@@ -29,7 +29,7 @@ def win_probability_oracle(box):
     """Direct evaluation of Pr[x^y = ab] averaged over uniform inputs."""
     total = 0.0
     for a, b in ALL_CELLS:
-        total += sum(box.prob(a, b, x, y) for x, y in ALL_CELLS if x ^ y == (a & b))
+        total += sum(box.probs[a, b, x, y] for x, y in ALL_CELLS if x ^ y == (a & b))
     return total / 4.0
 
 
@@ -45,7 +45,7 @@ def test_quaternionic_box_is_a_perfect_pr_box():
     want = ideal_pr_box()
     for a, b in ALL_CELLS:
         for x, y in ALL_CELLS:
-            assert abs(got.prob(a, b, x, y) - want.prob(a, b, x, y)) <= 1e-10
+            assert abs(got.probs[a, b, x, y] - want.probs[a, b, x, y]) <= 1e-10
 
 
 def test_quaternionic_box_prepares_its_shared_state_once(monkeypatch):
@@ -59,9 +59,9 @@ def test_quaternionic_box_winning_logic_per_cell():
     # Alice first in three cells -> outputs agree; Bob first only when a=b=1
     for a, b in ALL_CELLS:
         if a & b:
-            assert abs(box.prob(a, b, 0, 1) + box.prob(a, b, 1, 0) - 1.0) <= 1e-10
+            assert abs(box.probs[a, b, 0, 1] + box.probs[a, b, 1, 0] - 1.0) <= 1e-10
         else:
-            assert abs(box.prob(a, b, 0, 0) + box.prob(a, b, 1, 1) - 1.0) <= 1e-10
+            assert abs(box.probs[a, b, 0, 0] + box.probs[a, b, 1, 1] - 1.0) <= 1e-10
 
 
 def test_quaternionic_box_empirical_frequencies():
@@ -73,7 +73,7 @@ def test_quaternionic_box_empirical_frequencies():
         for _ in range(per_cell):
             counts[box.sample(a, b, rng)] += 1
         for (x, y), c in counts.items():
-            assert abs(c / per_cell - box.prob(a, b, x, y)) <= 0.01
+            assert abs(c / per_cell - box.probs[a, b, x, y]) <= 0.01
 
 
 def test_classical_boxes_win_probabilities():
@@ -81,7 +81,7 @@ def test_classical_boxes_win_probabilities():
     box = classical_box((0, 0), (0, 0))
     assert win_probability_oracle(box) == 0.75
     for a, b in ALL_CELLS:
-        assert box.prob(a, b, 0, 0) == 1.0
+        assert box.probs[a, b, 0, 0] == 1.0
     # oracle: enumerate x^y == ab straight from the strategy tables
     f_alice, f_bob = (0, 1), (1, 1)
     expected = sum(
@@ -114,7 +114,7 @@ def test_complex_quantum_box_matches_numpy_oracle():
         amps = np.kron(rot(angles_alice[a]), rot(angles_bob[b])) @ phi
         probs = amps**2
         for idx, (x, y) in enumerate(itertools.product(BITS, repeat=2)):
-            assert abs(box.prob(a, b, x, y) - probs[idx]) <= 1e-12
+            assert abs(box.probs[a, b, x, y] - probs[idx]) <= 1e-12
 
 
 def test_noisy_box_with_no_noise_is_identity():
@@ -131,7 +131,7 @@ def test_noisy_box_at_half_is_uniform_on_y():
     box = noisy_box(ideal_pr_box(), 0.5)
     for a, b in ALL_CELLS:
         for x, y in ALL_CELLS:
-            assert abs(box.prob(a, b, x, y) - 0.25) <= 1e-15
+            assert abs(box.probs[a, b, x, y] - 0.25) <= 1e-15
 
 
 @pytest.mark.parametrize("p", [0.4, -0.1, 1.01])

@@ -84,7 +84,7 @@ def per_draw_deviation(box, samples, seed):
     per draw: samples draws per input cell, the cells in CELLS order."""
     rng = np.random.default_rng(seed)
     counts = [Counter(box.sample(a, b, rng) for _ in range(samples)) for a, b in CELLS]
-    return max(abs(counts[c][x, y] / samples - box.prob(a, b, x, y))
+    return max(abs(counts[c][x, y] / samples - box.probs[a, b, x, y])
                for c, (a, b) in enumerate(CELLS) for x, y in CELLS)
 
 
@@ -162,6 +162,32 @@ def test_chsh_samples_hold_one_chunk_of_rounds_at_a_time(capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < 5 << 20  # 200000 rounds' words, cells and doubles at once take 8.6 MiB
+
+
+#: what each --samples run draws from its generator, per sample: a double for each of
+#: prbox's 4 input cells, or chsh's two raw words for a round's inputs and its double
+SAMPLE_DRAWS = {
+    "prbox": lambda rng, n: rng.random(4 * n),
+    "chsh": lambda rng, n: rng.bit_generator.random_raw(2 * n),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLE_DRAWS))
+def test_samples_advance_the_generator_by_exactly_their_draws(capsys, monkeypatch, command):
+    default_rng, made = np.random.default_rng, []
+
+    def kept_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", kept_rng)
+    for samples in (1, cli._SAMPLE_CHUNK, cli._SAMPLE_CHUNK + 1):
+        made.clear()
+        argv = [command, "--strategy", "noisy:0.9", "--seed", "5", "--samples", str(samples)]
+        assert run_cli(capsys, argv + ["--format", "json"])[0] == 0
+        fresh = default_rng(5)
+        SAMPLE_DRAWS[command](fresh, samples)
+        assert [rng.bit_generator.state for rng in made] == [fresh.bit_generator.state]
 
 
 def test_prbox_csv_ignores_samples_without_drawing(capsys, monkeypatch):

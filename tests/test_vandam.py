@@ -243,7 +243,7 @@ def success_oracle(f, x, y, box):
         alpha = int((x & a_mask) == a_mask)
         beta = int((y & b_mask) == b_mask)
         win = sum(
-            box.prob(alpha, beta, u, v)
+            box.probs[alpha, beta, u, v]
             for u in (0, 1)
             for v in (0, 1)
             if u ^ v == alpha & beta
@@ -471,14 +471,18 @@ def test_sample_cells_is_one_sample_call_per_cell_in_order(monkeypatch, box_name
     box = ENGINE_BOXES[box_name]
     draws = count_calls(monkeypatch, BoxBehavior, "sample")
     cell_rng = np.random.default_rng(12)
-    for length in (0, 1, 2, 7, 300):
-        cells = cell_rng.integers(0, 4, length).tolist()
+    # uint8 as _cells and the chsh decode give cells, the default int of np.full in prbox,
+    # and uint64, the raw words' dtype
+    for cell_dtype, length in itertools.product((np.uint8, np.int_, np.uint64), (0, 1, 2, 7, 300)):
+        cells = cell_rng.integers(0, 4, length).astype(cell_dtype)
         for make_rng in (np.random.default_rng, lambda s: EdgeRandom(box, s)):
             rng1, rng2 = make_rng(length), make_rng(length)
             before = draws[0]
-            got = list(box.sample_cells(cells, rng1.random(length).tolist()))
+            got = box.sample_cells(cells, rng1.random(length))
             assert draws[0] - before == length
-            assert got == [box.sample(*CELLS[c], rng2) for c in cells]
+            want = [box.sample(*CELLS[c], rng2) for c in cells.tolist()]
+            assert got.dtype == np.uint8
+            assert got.tolist() == [2 * x + y for x, y in want]
             if isinstance(rng1, np.random.Generator):
                 assert rng1.bit_generator.state == rng2.bit_generator.state
             assert rng1.random() == rng2.random()  # and no draw besides them
@@ -499,7 +503,7 @@ def exact_success(f, x, y, box):
     for outcomes in itertools.product(CELLS, repeat=len(cells)):
         output = pure ^ sum(u ^ v for u, v in outcomes) % 2
         if output == f.table[(x << f.n_bob) | y]:
-            total += math.prod(Fraction(box.prob(a, b, u, v))
+            total += math.prod(Fraction(box.probs[a, b, u, v])
                                for (a, b), (u, v) in zip(cells, outcomes))
     return min(total, Fraction(1))
 
