@@ -46,8 +46,9 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Each component adds its terms for k = w, x, y, z in the order
     `Quaternion.__mul__` does; a sign flip is exact and a + (-b) is a - b,
     so the result matches the scalar product bit for bit.  The signs go on
-    p, the left and (in `apply_local`) small factor: an IEEE product's sign
-    is the XOR of its factors' signs, so (p * s) * q is p * (q * s) exactly.
+    p, the left factor, as `apply_local` puts them on its gate: an IEEE
+    product's sign is the XOR of its factors' signs, so (p * s) * q is
+    p * (q * s) exactly.
     """
     terms = (p[..., :, None] * _SIGN) * q[..., _PERM]
     return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
@@ -95,7 +96,10 @@ class _QuaternionArray:
 
 
 class QVector(_QuaternionArray):
-    """Column vector of quaternion amplitudes: `data` of shape (dim, 4) or a Quaternion tuple."""
+    """Column vector of quaternion amplitudes: `data` of shape (dim, 4) or a Quaternion tuple.
+
+    `data` may be a transposed view of (4, dim) component-major storage, as
+    `apply_local` returns it."""
 
     NDIM = 2
 
@@ -170,7 +174,7 @@ def is_unitary(m: QMatrix) -> bool:
     rows, cols = m.shape
     if rows != cols:
         raise ValueError("unitarity is only defined for square matrices")
-    deviation = matmul(m, m.dagger()).data - identity(rows).data
+    deviation = matmul(m, m.dagger()).data - np.eye(rows)[..., None] * [1.0, 0.0, 0.0, 0.0]
     return bool((np.sqrt(norm_sq(deviation)) <= UNITARY_TOL).all())
 
 

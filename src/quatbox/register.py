@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qlinalg import INV_SQRT2, QMatrix, QVector, hamilton, norm_sq
+from .qlinalg import _PERM, _SIGN, INV_SQRT2, QMatrix, QVector, norm_sq
 from .quaternion import Quaternion, ZERO, as_quaternion
 
 
@@ -102,12 +102,16 @@ def apply_local(reg: Register, party: int, gate: QMatrix) -> Register:
         raise ValueError("local gates must be 2x2")
     if not gate.unitary:
         raise ValueError("local gate is not unitary")
-    # axes (higher parties, gate row, gate column = this party's bit, lower parties, wxyz)
-    amps = reg.state.data.reshape(1 << party, 1, 2, -1, 4)
-    terms = hamilton(gate.data[:, :, None], amps)
-    # the pair sum gate[r][0] * a0 + gate[r][1] * a1, added as the scalar algebra adds it
-    new = terms[:, :, 0] + terms[:, :, 1]
-    return Register._evolved(reg.n_parties, QVector(new.reshape(-1, 4)))
+    # component rows, axes (wxyz, this party's bit, higher parties, lower parties), copied
+    # contiguous so that the products and sums below run along rows of dim / 2 amplitudes
+    amps = np.ascontiguousarray(reg.state.data.T.reshape(4, 1 << party, 2, -1).swapaxes(1, 2))
+    # axes (gate row, k, c, gate column, ...): gate[r][col][k] * _SIGN[k][c] * amp[col][k ^ c]
+    terms = (gate.data[:, :, :, None] * _SIGN).transpose(0, 2, 3, 1)[..., None, None] * amps[_PERM]
+    # k = w, x, y, z added as `hamilton` adds them, then gate[r][0] * a0 + gate[r][1] * a1
+    sums = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    new = (sums[:, :, 0] + sums[:, :, 1]).transpose(1, 2, 0, 3).reshape(4, -1)
+    # a (dim, 4) view of (4, dim) storage: past one party, the next gate's data.T is contiguous
+    return Register._evolved(reg.n_parties, QVector(new.T))
 
 
 def run_schedule(reg: Register, ops: Iterable[ScheduledOp]) -> Register:

@@ -51,6 +51,8 @@ def test_lhv_optimum_is_three_quarters():
     assert result.win_probability == CLASSICAL_WIN_BOUND
     # the returned argmax actually attains the value
     assert chsh_value(classical_box(f_alice, f_bob)).win_probability == 0.75
+    # scored without a box, cell by cell as the pair's box scores them
+    assert repr(result) == repr(chsh_value(classical_box(f_alice, f_bob)))
 
 
 def test_lhv_optimum_matches_independent_enumeration():
@@ -73,10 +75,10 @@ def test_lhv_optimum_matches_independent_enumeration():
     assert lhv_optimum()[1] == max(pairs, key=box_wins.__getitem__)
 
 
-def test_lhv_optimum_builds_one_box(monkeypatch):
+def test_lhv_optimum_builds_no_box(monkeypatch):
     box_builds = count_calls(monkeypatch, BoxBehavior, "__post_init__")
     lhv_optimum()
-    assert box_builds[0] == 1
+    assert box_builds[0] == 0
 
 
 def test_no_deterministic_strategy_exceeds_bound():

@@ -86,6 +86,13 @@ def test_hadamard_unitary_by_direct_multiplication():
             assert abs(prod[r][c] - (1.0 if r == c else 0.0)) <= 1e-15
 
 
+def test_is_unitary_tolerance_edge():
+    # M M^dagger = diag(1, 1 + d) and [[1 + e^2, e j], [-e j, 1]]: one entry off by about d or e
+    for off, verdict in ((0.5e-10, True), (2e-10, False)):
+        assert is_unitary(diag(1, math.sqrt(1.0 + off))) is verdict
+        assert is_unitary(qmat([[1, J * off], [0, 1]])) is verdict
+
+
 def test_is_unitary_rejects_non_square():
     with pytest.raises(ValueError):
         is_unitary(qmat([[1, 0]]))

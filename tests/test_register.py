@@ -115,6 +115,28 @@ def test_apply_local_matches_scalar_fold(n):
                 assert got.tobytes() == scalar_apply_local(reg, party, gate).tobytes()
 
 
+@pytest.mark.parametrize("n", [*range(1, 7), 10, 12])
+def test_schedule_matches_scalar_fold_gate_by_gate(n):
+    # from the second gate on, apply_local reads the component-major storage it wrote
+    rng = np.random.default_rng(40 + n)
+    kinds = (random_unitary, random_complex_unitary, lambda rng: rotation(rng.uniform(0.0, 6.0)))
+    for start in (random_register(rng, n), signed_zero_register(rng, n)):
+        ops = [ScheduledOp(t, int(rng.integers(n)), kinds[t % 3](rng)) for t in range(8)]
+        reg = start
+        for k, op in enumerate(ops):
+            want = scalar_apply_local(reg, op.party, op.gate)
+            reg = run_schedule(reg, ops[k:k + 1])
+            assert reg.state.data.tobytes() == want.tobytes()
+        assert run_schedule(start, ops[::-1]).state.data.tobytes() == reg.state.data.tobytes()
+        # one non-real basis change is allowed; the rest are real rotations
+        bases = [random_unitary(rng)] + [rotation(rng.uniform(0.0, 6.0)) for _ in range(n - 1)]
+        probs = measure_product_basis(reg, bases)
+        for party, basis in enumerate(bases):
+            reg = Register(n, QVector(scalar_apply_local(reg, party, basis)))
+        want = [amp.norm_sq() for amp in reg.state.amps]
+        assert np.array(list(probs.values())).tobytes() == np.array(want).tobytes()
+
+
 def test_gate_unitarity_is_computed_once(monkeypatch):
     calls = []
     check = qlinalg.is_unitary
