@@ -40,18 +40,18 @@ _SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0,
                   [-1.0, -1.0, 1.0, 1.0]])
 
 
-def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product p * q of (..., 4) arrays, broadcast over the leading axes.
+def hamilton(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m[r][col] * v[col] for a (rows, cols, 4) matrix m and component-major
+    (4, cols, ...) quaternions v, as (rows, 4, cols, ...): the caller adds columns.
 
     Each component adds its terms for k = w, x, y, z in the order
-    `Quaternion.__mul__` does; a sign flip is exact and a + (-b) is a - b,
-    so the result matches the scalar product bit for bit.  The signs go on
-    p, the left factor, as `apply_local` puts them on its gate: an IEEE
-    product's sign is the XOR of its factors' signs, so (p * s) * q is
-    p * (q * s) exactly.
+    `Quaternion.__mul__` does; a sign flip is exact and a + (-b) is a - b, so
+    each product matches the scalar one bit for bit.  The signs go on m, the
+    left factor, since an IEEE product's sign is the XOR of its factors' signs.
     """
-    terms = (p[..., :, None] * _SIGN) * q[..., _PERM]
-    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
+    table = (m[:, :, :, None] * _SIGN).transpose(0, 2, 3, 1)  # (row, k, c, col)
+    terms = table[(...,) + (None,) * (v.ndim - 2)] * v[_PERM]
+    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
 def norm_sq(a: np.ndarray) -> np.ndarray:
@@ -159,14 +159,16 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     """Matrix product with entry factors kept in left-to-right order."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return QMatrix(_fold_sum(hamilton(a.data[:, :, None], b.data[None]), axis=1))
+    products = hamilton(a.data, b.data.transpose(2, 0, 1))  # (row, wxyz, k, col)
+    return QMatrix(_fold_sum(products.transpose(0, 3, 1, 2), axis=3))  # comes out C-ordered
 
 
 def inner(u: QVector, v: QVector) -> Quaternion:
     """<u|v> = sum_i conj(u_i) * v_i; antilinear in the left slot."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return Quaternion(*_fold_sum(hamilton(u.data * _CONJUGATE, v.data), axis=0).tolist())
+    products = hamilton((u.data * _CONJUGATE)[None], v.data.T)[0]  # (4, dim)
+    return Quaternion(*_fold_sum(products, axis=1).tolist())
 
 
 def is_unitary(m: QMatrix) -> bool:

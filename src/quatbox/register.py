@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qlinalg import _PERM, _SIGN, INV_SQRT2, QMatrix, QVector, norm_sq
+from .qlinalg import INV_SQRT2, QMatrix, QVector, hamilton, norm_sq
 from .quaternion import Quaternion, ZERO, as_quaternion
 
 
@@ -105,11 +105,8 @@ def apply_local(reg: Register, party: int, gate: QMatrix) -> Register:
     # component rows, axes (wxyz, this party's bit, higher parties, lower parties), copied
     # contiguous so that the products and sums below run along rows of dim / 2 amplitudes
     amps = np.ascontiguousarray(reg.state.data.T.reshape(4, 1 << party, 2, -1).swapaxes(1, 2))
-    # axes (gate row, k, c, gate column, ...): gate[r][col][k] * _SIGN[k][c] * amp[col][k ^ c]
-    terms = (gate.data[:, :, :, None] * _SIGN).transpose(0, 2, 3, 1)[..., None, None] * amps[_PERM]
-    # k = w, x, y, z added as `hamilton` adds them, then gate[r][0] * a0 + gate[r][1] * a1
-    sums = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
-    new = (sums[:, :, 0] + sums[:, :, 1]).transpose(1, 2, 0, 3).reshape(4, -1)
+    products = hamilton(gate.data, amps)  # gate[r][col] * amp[col]: (row, wxyz, col, ...)
+    new = (products[:, :, 0] + products[:, :, 1]).transpose(1, 2, 0, 3).reshape(4, -1)
     # a (dim, 4) view of (4, dim) storage: past one party, the next gate's data.T is contiguous
     return Register._evolved(reg.n_parties, QVector(new.T))
 

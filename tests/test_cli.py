@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from quatbox import cli
-from quatbox.boxes import CELLS, BoxBehavior
+from quatbox.boxes import CELLS, BoxBehavior, ideal_pr_box, noisy_box
 from quatbox.vandam import ANF, VERIFY_CELL_BUDGET, BooleanFunction, anf_transform
 
 from helpers import count_calls, negative_entry_box
@@ -246,6 +246,15 @@ def test_vandam_ip2(capsys):
     assert payload["bits_bob_to_alice"] == 1
     assert payload["bits_alice_to_bob"] == 0
     assert payload["pass"] is True
+
+
+def test_vandam_perfect_strategy_short_of_one_exits_one(capsys, monkeypatch):
+    # a success rate within 1e-12 of 1 still falls short of the perfect box's promise
+    monkeypatch.setattr(cli, "quaternionic_box", lambda: noisy_box(ideal_pr_box(), 1 - 2**-40))
+    code, payload = run_json(capsys, ["vandam", "--function", "AND"])
+    assert 1.0 - 1e-12 <= payload["success_rate"] < 1.0
+    assert code == 1
+    assert payload["pass"] is False
 
 
 def test_vandam_noisy_reports_interior_rate(capsys):

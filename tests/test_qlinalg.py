@@ -1,4 +1,7 @@
 import math
+from dataclasses import astuple
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from quatbox.quaternion import I, J, K, ONE, ZERO, Quaternion
 from helpers import (
     UNIT_GROUP,
     approx_eq,
+    conj,
     left_action,
     random_quaternion,
     random_state,
@@ -43,7 +47,37 @@ def test_hamilton_matches_scalar_product_bit_for_bit():
     arr = np.array([[q.w, q.x, q.y, q.z] for q in qs])
     want = np.array([[[(p * q).w, (p * q).x, (p * q).y, (p * q).z] for q in qs] for p in qs])
     # tobytes tells -0.0 from 0.0, which == does not
-    assert hamilton(arr[:, None], arr[None]).tobytes() == want.tobytes()
+    got = hamilton(arr[:, None], arr.T[:, None]).transpose(0, 2, 3, 1)[:, 0]
+    assert got.tobytes() == want.tobytes()
+
+
+def scalar_fold(products) -> np.ndarray:
+    """0.0 + t0 + t1 + ... of each component of the products, added left to right."""
+    return np.array([reduce(add, terms, 0.0) for terms in zip(*map(astuple, products))])
+
+
+def test_matmul_and_inner_match_the_scalar_fold_bit_for_bit():
+    rng = np.random.default_rng(5)
+    pick = lambda: Quaternion(*rng.choice([0.0, -0.0, 1.0, -2.5], size=4))
+    draw = lambda: random_quaternion(rng)
+    grid = lambda make, rows, cols: [[make() for _ in range(cols)] for _ in range(rows)]
+    # 0 * Quaternion(-0.0) has w = 0 * -0.0 - 0 * 0 - 0 * 0 - 0 * 0 = -0.0, and so has
+    # conj(0) * (-0.0, -0.0, -0.0, -0.0): each term of w is -0.0, and only the 0.0 + in
+    # front of the fold turns the sum into +0.0
+    for a, b in [
+        (grid(pick, 2, 3), grid(pick, 3, 2)),
+        (grid(draw, 2, 3), grid(draw, 3, 2)),
+        (grid(lambda: ZERO, 2, 3), grid(lambda: Quaternion(-0.0), 3, 2)),
+    ]:
+        want = [[scalar_fold(map(Quaternion.__mul__, row, col)) for col in zip(*b)] for row in a]
+        assert matmul(qmat(a), qmat(b)).data.tobytes() == np.array(want).tobytes()
+    for u, v in [
+        (grid(pick, 1, 4)[0], grid(pick, 1, 4)[0]),
+        (random_state(rng, 4).amps, random_state(rng, 4).amps),
+        ([ZERO] * 4, [Quaternion(-0.0, -0.0, -0.0, -0.0)] * 4),
+    ]:
+        want = scalar_fold(map(Quaternion.__mul__, map(conj, u), v))
+        assert np.array(astuple(inner(QVector(u), QVector(v)))).tobytes() == want.tobytes()
 
 
 def test_dagger_of_phase_gate():
@@ -167,6 +201,17 @@ def test_phase_gate_requires_unit_phase():
     for nan in (float("nan"), Quaternion(0, float("nan"))):
         with pytest.raises(ValueError, match="phase must have unit norm"):
             phase_gate(nan)
+
+
+def test_phase_gate_unit_tolerance_edge():
+    # |q| within 1e-12 of 1 is a unit phase, and 2e-12 away is not, on either side
+    for unit in (ONE, K):
+        for off in (9e-13, -9e-13):
+            q = unit * (1.0 + off)
+            assert phase_gate(q) == diag(ONE, q)
+        for off in (2e-12, -2e-12):
+            with pytest.raises(ValueError, match="phase must have unit norm"):
+                phase_gate(unit * (1.0 + off))
 
 
 def test_rotation_is_real_and_unitary():

@@ -54,6 +54,17 @@ def test_bell_state_rejects_non_unit_phase():
             bell_state(nan)
 
 
+def test_bell_state_unit_tolerance_edge():
+    # |q| within 1e-12 of 1 is a unit phase, and 2e-12 away is not, on either side
+    for unit in (ONE, K):
+        for off in (9e-13, -9e-13):
+            q = unit * (1.0 + off)
+            assert bell_state(q).state.amps[0b11] == q * S
+        for off in (2e-12, -2e-12):
+            with pytest.raises(ValueError, match="relative phase must have unit norm"):
+                bell_state(unit * (1.0 + off))
+
+
 def test_apply_local_reproduces_order_dependent_states():
     start = bell_state(1.0)
     step1 = apply_local(start, 0, R_I)
