@@ -15,7 +15,6 @@ from .qlinalg import (
     QVector,
     diag,
     hadamard,
-    identity,
     inner,
     is_unitary,
     matmul,
@@ -29,7 +28,6 @@ from .register import (
     apply_local,
     basis_labels,
     bell_state,
-    computational_state,
     measure_product_basis,
     run_schedule,
     state_dump,

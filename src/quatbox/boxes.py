@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, starmap
+from itertools import accumulate, compress, starmap
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
@@ -30,6 +30,8 @@ NON_SIGNALLING_TOL = 1e-10
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 #: each pair's index in CELLS, 2a + b for an input cell and 2x + y for an output pair
 _CELL_INDEX = {cell: index for index, cell in enumerate(CELLS)}
+#: the PR-box rule as a mask, WINS[2a + b][2x + y]: whether output (x, y) wins input cell (a, b)
+WINS = tuple(tuple(x ^ y == a & b for x, y in CELLS) for a, b in CELLS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +64,7 @@ class BoxBehavior:
         thresholds = [tuple(accumulate(cell)) for cell in rows]
         object.__setattr__(self, "_thresholds", dict(zip(CELLS, thresholds)))
         # each cell's CHSH win, summed once here for scoring and the protocol's exact rates
-        wins = tuple(math.fsum(p for (x, y), p in zip(CELLS, cell) if x ^ y == a & b)
-                     for (a, b), cell in zip(CELLS, rows))
-        object.__setattr__(self, "wins", wins)
+        object.__setattr__(self, "wins", tuple(map(math.fsum, map(compress, rows, WINS))))
 
     def sample(self, a: int, b: int, rng) -> tuple[int, int]:
         """Draw one output pair for inputs (a, b); deterministic under a seeded rng."""
@@ -107,7 +107,7 @@ def _box(cell: Callable[[int, int], Iterable[float]]) -> BoxBehavior:
 
 def ideal_pr_box() -> BoxBehavior:
     """The perfect nonlocal box: x uniform and x ^ y = a*b always."""
-    return _box(lambda a, b: [0.5 * (x ^ y == a & b) for x, y in CELLS])
+    return BoxBehavior(0.5 * np.reshape(WINS, (2, 2, 2, 2)))
 
 
 def quaternionic_box() -> BoxBehavior:

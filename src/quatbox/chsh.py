@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boxes import CELLS, BoxBehavior
+from .boxes import CELLS, WINS, BoxBehavior
 
 #: Best CHSH win probability for local deterministic strategies, hence (by
 #: convexity) for any local hidden variable model.  Clauser, Horne, Shimony
@@ -51,14 +51,15 @@ def lhv_optimum() -> tuple[GameResult, tuple[tuple[int, int], tuple[int, int]]]:
 
     Shared randomness cannot beat the best deterministic pair: the win
     probability is linear in the strategy mixture, so the maximum is
-    attained at a vertex.  Pairs are scored by the game rule and no box is
+    attained at a vertex.  Pairs are scored through WINS and no box is
     built: a deterministic pair wins each cell with probability 1.0 or 0.0.
     Returns the optimum and the first argmax pair, each strategy given as
     (output for input 0, output for input 1).
     """
-    best = max(
-        ((f_alice, f_bob) for f_alice in CELLS for f_bob in CELLS),
-        key=lambda pair: sum(pair[0][a] ^ pair[1][b] == a & b for a, b in CELLS),
-    )
-    per_cell = {(a, b): float(best[0][a] ^ best[1][b] == a & b) for a, b in CELLS}
+    # each pair with its win in each cell 2a + b, WINS[2a + b][2 f_alice[a] + f_bob[b]]
+    scored = [((fa, fb), [row[2 * fa[a] + fb[b]] for row, (a, b) in zip(WINS, CELLS)])
+              for fa in CELLS for fb in CELLS]
+    totals = [sum(wins) for _, wins in scored]
+    best, wins = scored[totals.index(max(totals))]  # the first argmax
+    per_cell = dict(zip(CELLS, map(float, wins)))
     return GameResult(math.fsum(per_cell.values()) / 4.0, per_cell), best

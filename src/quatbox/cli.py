@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .boxes import (
-    CELLS,
+    WINS,
     BoxBehavior,
     classical_box,
     complex_quantum_box,
@@ -156,7 +156,7 @@ def run_chsh(args: argparse.Namespace) -> tuple[dict, int]:
             cells = (words[::2] >> 30 & 2 | words[::2] >> 63).astype(np.uint8)  # 2a + b
             out = box.sample_cells(cells, (words[1::2] >> 11) * 2.0**-53)
             rounds += np.bincount(cells << 2 | out, minlength=16)
-        wins = int(rounds[[x ^ y == a & b for a, b in CELLS for x, y in CELLS]].sum())
+        wins = int(rounds[np.ravel(WINS)].sum())
         payload["samples"] = {"n": args.samples, "empirical_win": wins / args.samples}
     return payload, 0
 
@@ -174,12 +174,7 @@ def run_vandam(args: argparse.Namespace) -> tuple[dict, int]:
         "n_alice": func.n_alice,
         "n_bob": func.n_bob,
         "seed": args.seed,
-        "n_inputs": report.n_inputs,
-        "success_rate": report.success_rate,
-        "empirical_rate": report.empirical_rate,
-        "boxes_used": report.boxes_used,
-        "bits_bob_to_alice": report.bits_bob_to_alice,
-        "bits_alice_to_bob": report.bits_alice_to_bob,
+        **vars(report),
         "pass": ok,
     }
     return payload, 0 if ok else 1

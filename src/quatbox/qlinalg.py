@@ -144,10 +144,6 @@ def qmat(rows: Iterable[Iterable]) -> QMatrix:
     return QMatrix(np.array([_pack(map(as_quaternion, row)) for row in rows]))
 
 
-def identity(n: int) -> QMatrix:
-    return diag(*[ONE] * n)
-
-
 def diag(*values) -> QMatrix:
     n = len(values)
     data = np.zeros((n, n, 4))

@@ -76,15 +76,6 @@ class ScheduledOp:
             raise ValueError("scheduled gate is not unitary")
 
 
-def computational_state(n_parties: int, label: str) -> Register:
-    """Register in a single computational basis state, e.g. '01'."""
-    if len(label) != n_parties or set(label) - {"0", "1"}:
-        raise ValueError(f"label {label!r} is not a string of {n_parties} bits")
-    amps = np.zeros((2**n_parties, 4))
-    amps[int(label, 2), 0] = 1.0
-    return Register(n_parties, QVector(amps))
-
-
 def bell_state(phase=1.0) -> Register:
     """(|00> + q|11>)/sqrt(2) for a unit-norm quaternion phase q."""
     q = as_quaternion(phase)

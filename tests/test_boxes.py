@@ -178,6 +178,30 @@ def test_behavior_validation_rejects_bad_tables():
         BoxBehavior(arr)
 
 
+def test_negative_entry_floor_edge():
+    def moved(e):
+        # e moves from P(0, 1 | 0, 0) to P(0, 0 | 0, 0): the cell still sums to 1 and Bob's
+        # marginal moves by e, far inside NON_SIGNALLING_TOL, so only the floor decides
+        arr = np.array(ideal_pr_box().probs)
+        arr[0, 0, 0, 0] += e
+        arr[0, 0, 0, 1] = -e
+        return arr
+
+    assert BoxBehavior(moved(1e-12)).probs.min() == -1e-12
+    with pytest.raises(ValueError, match="negative probability"):
+        BoxBehavior(moved(math.nextafter(1e-12, 1.0)))
+
+
+def test_cell_sum_bound_is_inclusive(monkeypatch):
+    # near 1 a float cell sum s has s - 1 a multiple of 2**-53, never the 1e-10 of
+    # NON_SIGNALLING_TOL itself; at a bound of 0 the PR box's exact sums of 1.0 pass
+    monkeypatch.setattr(quatbox.boxes, "NON_SIGNALLING_TOL", 0.0)
+    arr = np.array(ideal_pr_box().probs)
+    arr[1, 1, 0, 1] = 0.5 + 2**-52  # cell (1, 1) sums to 1 + 2**-52, one ulp over
+    with pytest.raises(ValueError, match="each input cell must sum to 1"):
+        BoxBehavior(arr)
+
+
 def test_cell_order_matches_the_readout_labels():
     # measured boxes read measure_product_basis(...).values() as P(x, y) in CELLS order
     assert [f"{x}{y}" for x, y in CELLS] == basis_labels(2)

@@ -40,6 +40,16 @@ def run_json(capsys, argv):
     return code, payload
 
 
+def forbid_draws(monkeypatch):
+    """Make both draw entry points raise: `sample`, and `sample_cells`, which every
+    Monte Carlo path calls and which need not go through `sample`."""
+    def no_draws(*args):
+        raise AssertionError("a box was sampled")
+
+    for name in ("sample", "sample_cells"):
+        monkeypatch.setattr(BoxBehavior, name, no_draws)
+
+
 def test_prbox_quaternionic_is_perfect(capsys):
     code, payload = run_json(capsys, ["prbox"])
     assert code == 0
@@ -70,6 +80,17 @@ def test_prbox_text_has_pass_column(capsys):
     assert code == 0
     assert out.count("PASS") == 4
     assert "CHSH win probability: 1.0000000000" in out
+
+
+def test_prbox_cell_bound_is_inclusive(capsys, monkeypatch):
+    # near 1 a float win w has w - 1 a multiple of 2**-53, never the 1e-10 of CELL_TOL
+    # itself; at a bound of 0 the ideal box's wins of exactly 1.0 pass, and the
+    # quaternionic box's 1 + 4.4e-16 fail
+    monkeypatch.setattr(cli, "CELL_TOL", 0.0)
+    code, payload = run_json(capsys, ["prbox", "--strategy", "ideal"])
+    assert (code, set(payload["cells_pass"].values())) == (0, {True})
+    code, payload = run_json(capsys, ["prbox", "--strategy", "quaternionic"])
+    assert (code, set(payload["cells_pass"].values())) == (1, {False})
 
 
 def test_prbox_samples_cross_check(capsys):
@@ -193,10 +214,7 @@ def test_samples_advance_the_generator_by_exactly_their_draws(capsys, monkeypatc
 def test_prbox_csv_ignores_samples_without_drawing(capsys, monkeypatch):
     _, plain, _ = run_cli(capsys, ["prbox", "--format", "csv"])
 
-    def no_draws(*args):
-        raise AssertionError("a box was sampled")
-
-    monkeypatch.setattr(BoxBehavior, "sample", no_draws)
+    forbid_draws(monkeypatch)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["prbox", "--format", "csv", "--samples", "1000000"])
     assert time.perf_counter() - start < 1.0
@@ -377,10 +395,7 @@ def test_vandam_over_cell_budget_exits_two_before_any_draw(capsys, monkeypatch, 
     path.write_text(json.dumps({"n_alice": 6, "n_bob": 6, "table": f"{packed:x}"}),
                     encoding="utf-8")
 
-    def no_draws(*args):
-        raise AssertionError("a box was sampled")
-
-    monkeypatch.setattr(BoxBehavior, "sample", no_draws)
+    forbid_draws(monkeypatch)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, ["vandam", "--function", str(path)])
     assert time.perf_counter() - start < 5.0
@@ -463,6 +478,16 @@ def test_order_demo_quaternionic(capsys):
     assert amp11_first[3] < 0 < amp11_second[3]  # -k vs +k on |11>
 
 
+def test_order_demo_bounds_are_inclusive(capsys, monkeypatch):
+    # the quaternionic orders' inner product is exactly 0 and the complex orders' states
+    # are exactly equal, so both verdicts hold at an ORTHO_TOL of 0
+    monkeypatch.setattr(cli, "ORTHO_TOL", 0.0)
+    code, payload = run_json(capsys, ["order-demo"])
+    assert (code, payload["orthogonal"]) == (0, True)
+    code, payload = run_json(capsys, ["order-demo", "--gates", "complex"])
+    assert (code, payload["states_identical"]) == (0, True)
+
+
 def test_order_demo_complex_gates_commute(capsys):
     code, payload = run_json(capsys, ["order-demo", "--gates", "complex"])
     assert code == 0
@@ -487,10 +512,7 @@ def test_unknown_flag_exits_two(capsys):
 
 @pytest.mark.parametrize("command", ["prbox", "chsh"])
 def test_oversized_samples_refused_before_any_draw(capsys, monkeypatch, command):
-    def no_draws(*args):
-        raise AssertionError("a box was sampled")
-
-    monkeypatch.setattr(BoxBehavior, "sample", no_draws)
+    forbid_draws(monkeypatch)
     code, out, err = run_cli(capsys, [command, "--samples", str(cli.MAX_SAMPLES + 1)])
     assert code == 2
     assert out == ""

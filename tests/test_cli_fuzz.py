@@ -152,17 +152,22 @@ def test_cli_boundary_holds_for_generated_truth_tables(tmp_path_factory, table, 
 def test_tables_over_the_cell_budget_exit_two_before_any_draw(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("table") / "table.json"
     path.write_text(table, encoding="utf-8")
-    draws = [0]
-    sample = BoxBehavior.sample
+    # both draw entry points, so a sample_cells that stops calling sample is counted too
+    calls = {"sample": 0, "sample_cells": 0}
+    originals = {name: getattr(BoxBehavior, name) for name in calls}
 
-    def counted(*args):
-        draws[0] += 1
-        return sample(*args)
+    def counting(name):
+        def counted(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return counted
 
-    BoxBehavior.sample = counted
+    for name in calls:
+        setattr(BoxBehavior, name, counting(name))
     try:
         code, err = check_boundary(["vandam", "--function", str(path)])
     finally:
-        BoxBehavior.sample = sample
-    assert (code, draws[0]) == (2, 0)
+        for name, original in originals.items():
+            setattr(BoxBehavior, name, original)
+    assert (code, calls) == (2, {"sample": 0, "sample_cells": 0})
     assert err.startswith("error:") and "box cells" in err

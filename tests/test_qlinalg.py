@@ -12,7 +12,6 @@ from quatbox.qlinalg import (
     diag,
     hadamard,
     hamilton,
-    identity,
     inner,
     is_unitary,
     matmul,
@@ -86,7 +85,7 @@ def test_dagger_of_phase_gate():
 
 
 def test_dagger_identity_fixed_point():
-    assert identity(3).dagger() == identity(3)
+    assert diag(1, 1, 1).dagger() == diag(1, 1, 1)
 
 
 def test_dagger_involution():
@@ -127,6 +126,13 @@ def test_is_unitary_tolerance_edge():
         assert is_unitary(qmat([[1, J * off], [0, 1]])) is verdict
 
 
+def test_is_unitary_accepts_a_deviation_of_exactly_its_tolerance():
+    # M M^dagger = [[1 + e^2, e], [e, 1]], 1 + e^2 rounds to 1, and sqrt(e * e) is e again,
+    # so e = 1e-10, UNITARY_TOL, sits on the bound
+    assert is_unitary(qmat([[1, 1e-10], [0, 1]]))
+    assert not is_unitary(qmat([[1, math.nextafter(1e-10, 1.0)], [0, 1]]))
+
+
 def test_is_unitary_rejects_non_square():
     with pytest.raises(ValueError):
         is_unitary(qmat([[1, 0]]))
@@ -136,7 +142,7 @@ def test_left_action_phase_gate_examples():
     s = INV_SQRT2
     plus = QVector((Quaternion(s), Quaternion(s)))
     assert left_action(R_I, plus).approx_eq(QVector((Quaternion(s), I * s)), 0.0)
-    assert left_action(identity(2), plus) == plus
+    assert left_action(diag(1, 1), plus) == plus
     # j * i = -k shows up when the second gate hits an i-phased amplitude
     assert left_action(R_J, QVector((Quaternion(s), I * s))).approx_eq(
         QVector((Quaternion(s), -K * s)), 0.0
@@ -218,7 +224,7 @@ def test_rotation_is_real_and_unitary():
     m = rotation(0.7)
     assert m.is_real()
     assert is_unitary(m)
-    assert rotation(0.0) == identity(2)
+    assert rotation(0.0) == diag(1, 1)
 
 
 def test_subfield_detection_on_matrices():

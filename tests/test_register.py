@@ -6,7 +6,7 @@ import pytest
 
 from quatbox import qlinalg
 from quatbox.qlinalg import (
-    INV_SQRT2, QVector, hadamard, identity, inner, phase_gate, rotation,
+    INV_SQRT2, QVector, diag, hadamard, inner, phase_gate, rotation,
 )
 from quatbox.quaternion import I, J, K, ONE, ZERO, Quaternion
 from quatbox.register import (
@@ -15,7 +15,6 @@ from quatbox.register import (
     apply_local,
     basis_labels,
     bell_state,
-    computational_state,
     measure_product_basis,
     run_schedule,
     state_dump,
@@ -81,7 +80,7 @@ def test_apply_local_reproduces_order_dependent_states():
 
 def test_apply_identity_is_noop():
     reg = bell_state(K)
-    assert apply_local(reg, 0, identity(2)).state == reg.state
+    assert apply_local(reg, 0, diag(1, 1)).state == reg.state
 
 
 def scalar_apply_local(reg, party, gate):
@@ -183,7 +182,7 @@ def test_apply_local_validates_inputs():
     with pytest.raises(ValueError):
         apply_local(reg, 2, R_I)
     with pytest.raises(ValueError):
-        apply_local(reg, 0, identity(4))
+        apply_local(reg, 0, diag(1, 1, 1, 1))
     with pytest.raises(ValueError):
         apply_local(reg, 0, diag(1, 2))
 
@@ -233,7 +232,7 @@ def test_scheduled_op_validates_gate():
     with pytest.raises(ValueError):
         ScheduledOp(1, -1, R_I)
     with pytest.raises(ValueError):
-        ScheduledOp(1, 0, identity(4))
+        ScheduledOp(1, 0, diag(1, 1, 1, 1))
 
 
 def test_complex_gates_commute_across_parties():
@@ -265,7 +264,7 @@ def test_normalization_preserved_along_schedules():
 
 
 def test_measure_computational_basis():
-    probs = measure_product_basis(bell_state(K), [identity(2), identity(2)])
+    probs = measure_product_basis(bell_state(K), [diag(1, 1), diag(1, 1)])
     assert abs(probs["00"] - 0.5) <= 1e-12
     assert abs(probs["11"] - 0.5) <= 1e-12
     assert probs["01"] == probs["10"] == 0.0
@@ -314,9 +313,19 @@ def test_measure_rejects_two_nonreal_basis_changes():
         measure_product_basis(bell_state(K), [R_I, R_J])
 
 
+def test_measure_subfield_tolerance_edge():
+    # an i component of 1e-14, SUBFIELD_TOL, still counts as real, so two such gates commute
+    reg = bell_state(K)
+    gate = phase_gate(Quaternion(1.0, 1e-14))
+    assert measure_product_basis(reg, [gate, gate]).keys() == set(basis_labels(2))
+    gate = phase_gate(Quaternion(1.0, math.nextafter(1e-14, 1.0)))
+    with pytest.raises(ValueError, match="do not commute"):
+        measure_product_basis(reg, [gate, gate])
+
+
 def test_measure_allows_single_nonreal_basis_change():
     reg = bell_state(K)
-    got = measure_product_basis(reg, [R_I, identity(2)])
+    got = measure_product_basis(reg, [R_I, diag(1, 1)])
     direct = apply_local(reg, 0, R_I)
     for label, amp in zip(basis_labels(2), direct.state.amps):
         assert abs(got[label] - amp.norm_sq()) <= 1e-15
@@ -336,20 +345,15 @@ def test_register_validation():
         Register(0, QVector((ONE,)))
 
 
-@pytest.mark.parametrize("label", ["1", "111", " 1", "12"])
-def test_computational_state_refuses_malformed_labels(label):
-    with pytest.raises(ValueError, match="2 bits"):
-        computational_state(2, label)
-
-
 def test_basis_labels_list_indices_in_binary():
     for n in range(1, 13):
         assert basis_labels(n) == [format(i, f"0{n}b") for i in range(2**n)]
 
 
 def test_computational_state_and_dump():
-    reg = computational_state(2, "10")
+    reg = Register(2, QVector((ZERO, ZERO, ONE, ZERO)))
     assert reg.state.amps[0b10] == Quaternion(1.0)
+    assert state_dump(reg)["amplitudes"][0b10] == [1.0, 0.0, 0.0, 0.0]
     dump = state_dump(bell_state(K))
     assert dump["labels"] == ["00", "01", "10", "11"]
     assert dump["amplitudes"][3] == [0.0, 0.0, 0.0, S]

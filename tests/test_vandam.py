@@ -280,6 +280,17 @@ def test_success_probability_is_one_for_perfect_boxes():
                 assert success_probability(f, x, y, box) == 1.0
 
 
+def test_exact_rates_clamp_cells_that_win_below_zero():
+    # the same outputs in every input cell, so the box is non-signalling: cells (0, 0),
+    # (0, 1) and (1, 0) win -1e-12 and cell (1, 1) wins 1 + 1e-12, and each win is clamped
+    # to [0, 1] before its gain 2 win - 1 enters the exact rates
+    box = BoxBehavior(np.reshape([-1e-12, 0.5, 0.5 + 1e-12, 0.0] * 4, (2, 2, 2, 2)))
+    assert box.wins[0] < 0.0 < box.wins[3] - 1.0
+    f = builtin_function("AND")
+    assert [success_probability(f, x, y, box) for x in (0, 1) for y in (0, 1)] == [0, 0, 0, 1]
+    assert verify_exhaustive(f, box, np.random.default_rng(0)).success_rate == 0.25
+
+
 # ---------------------------------------------------------------- verify
 
 
