@@ -29,6 +29,8 @@ EQUIVALENT = {
         "one character past the cap is refused just as two are",
     ("vandam.py", "if cells > VERIFY_CELL_BUDGET:", "if cells > VERIFY_CELL_BUDGET + 1:"):
         "the cell count is a multiple of 2**n, so it never equals the budget plus one",
+    ("register.py", "np.add(a * v0, b * v1,", "np.add(b * v1, a * v0,"):
+        "IEEE addition is commutative, so the readout's columns add in either order",
 }
 
 MUTANTS = [
@@ -40,6 +42,9 @@ MUTANTS = [
     ("qlinalg.py", "<= SUBFIELD_TOL", "< SUBFIELD_TOL"),
     ("qlinalg.py", "<= UNITARY_TOL", "< UNITARY_TOL"),
     ("qlinalg.py", "return 0.0 + np.add.accumulate", "return np.add.accumulate"),
+    ("qlinalg.py", "out += t[:, 1] * q[:, ::-1]\n    out += t[:, 2] * q[::-1]",
+     "out += t[:, 2] * q[::-1]\n    out += t[:, 1] * q[:, ::-1]"),
+    ("register.py", "if m.data[..., 1:].any():", "if not m.is_real:"),
     ("qlinalg.py", "q.norm() - 1.0) <= 1e-12", "q.norm() - 1.0) <= 1e-9"),
     ("register.py", "q.norm() - 1.0) <= 1e-12", "q.norm() - 1.0) <= 1e-9"),
     ("cli.py", "<= CELL_TOL", "< CELL_TOL"),

@@ -7,6 +7,11 @@ below keeps strict left-to-right order -- A[r][k] * B[k][c] for matrix
 products, gate[r][c] * amp[c] for actions -- because reordering factors
 changes answers.  Under this convention the *later* of two operations
 contributes the left factor of an accumulated phase.
+
+Every matrix-quaternion product goes through one kernel, `hamilton`, which
+reads the left factors from a `signed_table` (built once per `QMatrix`, as
+`QMatrix.table`) and adds a product's four terms k by k in the order
+`Quaternion.__mul__` does, so array results match the scalar ones bit for bit.
 """
 
 from __future__ import annotations
@@ -35,23 +40,37 @@ INV_SQRT2 = math.sqrt(0.5)
 
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 #: term k of component c of a Hamilton product is p[k] * _SIGN[k][c] * q[k ^ c]
-_PERM = np.arange(4)[:, None] ^ np.arange(4)
 _SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0],
                   [-1.0, -1.0, 1.0, 1.0]])
 
 
-def hamilton(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m[r][col] * v[col] for a (rows, cols, 4) matrix m and component-major
-    (4, cols, ...) quaternions v, as (rows, 4, cols, ...): the caller adds columns.
+def signed_table(m: np.ndarray) -> np.ndarray:
+    """m[r][col][k] * _SIGN[k][c] of a (rows, cols, 4) matrix, as a contiguous
+    (rows, k, c, cols) array: the left factors of `hamilton`'s terms."""
+    return np.ascontiguousarray((m[..., None] * _SIGN).transpose(0, 2, 3, 1))
+
+
+def hamilton(table: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m[r][col] * v[col] for the `signed_table` of a (rows, cols, 4) matrix m and
+    component-major (4, cols, ...) quaternions v, as (rows, 4, cols, ...): the
+    caller adds columns.
 
     Each component adds its terms for k = w, x, y, z in the order
-    `Quaternion.__mul__` does; a sign flip is exact and a + (-b) is a - b, so
-    each product matches the scalar one bit for bit.  The signs go on m, the
-    left factor, since an IEEE product's sign is the XOR of its factors' signs.
+    `Quaternion.__mul__` does, k by k into one buffer; a sign flip is exact and
+    a + (-b) is a - b, so each product matches the scalar one bit for bit.  The
+    signs sit in the table, on the left factor, since an IEEE product's sign is
+    the XOR of its factors' signs.  Term k of component c reads v[k ^ c]: with
+    c = 2 c0 + c1, k's low bit reverses c1 and its high bit c0, so each term
+    reads v through a strided view.
     """
-    table = (m[:, :, :, None] * _SIGN).transpose(0, 2, 3, 1)  # (row, k, c, col)
-    terms = table[(...,) + (None,) * (v.ndim - 2)] * v[_PERM]
-    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    rows, cols = len(table), v.shape[1]
+    t = table.reshape(rows, 4, 2, 2, cols, 1)
+    q = v.reshape(2, 2, cols, -1)  # the trailing axes as one: fewer axes for each ufunc to walk
+    out = t[:, 0] * q
+    out += t[:, 1] * q[:, ::-1]
+    out += t[:, 2] * q[::-1]
+    out += t[:, 3] * q[::-1, ::-1]
+    return out.reshape(rows, 4, *v.shape[1:])
 
 
 def norm_sq(a: np.ndarray) -> np.ndarray:
@@ -132,11 +151,18 @@ class QMatrix(_QuaternionArray):
         """`is_unitary(self)`, worked out once per matrix."""
         return is_unitary(self)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """`signed_table(self.data)`, built once per matrix."""
+        return signed_table(self.data)
+
     def dagger(self) -> QMatrix:
         """Transpose followed by entry-wise quaternionic conjugation."""
         return QMatrix(self.data.transpose(1, 0, 2) * _CONJUGATE)
 
+    @cached_property
     def is_real(self) -> bool:
+        """Every imaginary component within SUBFIELD_TOL of 0, worked out once per matrix."""
         return bool((np.abs(self.data[..., 1:]) <= SUBFIELD_TOL).all())
 
 
@@ -155,7 +181,7 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     """Matrix product with entry factors kept in left-to-right order."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    products = hamilton(a.data, b.data.transpose(2, 0, 1))  # (row, wxyz, k, col)
+    products = hamilton(a.table, b.data.transpose(2, 0, 1))  # (row, wxyz, k, col)
     return QMatrix(_fold_sum(products.transpose(0, 3, 1, 2), axis=3))  # comes out C-ordered
 
 
@@ -163,7 +189,7 @@ def inner(u: QVector, v: QVector) -> Quaternion:
     """<u|v> = sum_i conj(u_i) * v_i; antilinear in the left slot."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    products = hamilton((u.data * _CONJUGATE)[None], v.data.T)[0]  # (4, dim)
+    products = hamilton(signed_table((u.data * _CONJUGATE)[None]), v.data.T)[0]  # (4, dim)
     return Quaternion(*_fold_sum(products, axis=1).tolist())
 
 

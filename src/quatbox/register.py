@@ -3,7 +3,9 @@
 Local gates on different parties need not commute here, so "apply these
 gates" is not a set operation: a multi-gate experiment is a schedule, each
 operation carrying a distinct time tag, folded in increasing time order.
-Outcome probabilities follow the norm-squared rule.
+Outcome probabilities follow the norm-squared rule.  A readout applies its
+real basis changes with real arithmetic only, skipping the Hamilton kernel's
+signed-zero terms; the probabilities are the same bytes either way.
 
 Basis indexing: bit strings with party 0 as the most significant bit, so a
 two-party register lists amplitudes for 00, 01, 10, 11 in that order.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,11 +25,8 @@ from .quaternion import Quaternion, ZERO, as_quaternion
 
 
 def basis_labels(n_parties: int) -> list[str]:
-    """'00...0' to '11...1' in index order, each list built from the one before."""
-    labels = [""]
-    for _ in range(n_parties):
-        labels = [label + bit for label in labels for bit in "01"]
-    return labels
+    """'00...0' to '11...1' in index order."""
+    return list(map("".join, product("01", repeat=n_parties)))
 
 
 @dataclass(frozen=True)
@@ -85,21 +85,26 @@ def bell_state(phase=1.0) -> Register:
     return Register(2, QVector(tuple(amps)))
 
 
-def apply_local(reg: Register, party: int, gate: QMatrix) -> Register:
-    """Left-multiply the amplitude pair along one party's bit by a 2x2 unitary."""
-    if not 0 <= party < reg.n_parties:
-        raise ValueError(f"party {party} out of range for {reg.n_parties} parties")
+def _check_gate(gate: QMatrix) -> None:
     if gate.shape != (2, 2):
         raise ValueError("local gates must be 2x2")
     if not gate.unitary:
         raise ValueError("local gate is not unitary")
+
+
+def apply_local(reg: Register, party: int, gate: QMatrix) -> Register:
+    """Left-multiply the amplitude pair along one party's bit by a 2x2 unitary."""
+    if not 0 <= party < reg.n_parties:
+        raise ValueError(f"party {party} out of range for {reg.n_parties} parties")
+    _check_gate(gate)
     # component rows, axes (wxyz, this party's bit, higher parties, lower parties), copied
     # contiguous so that the products and sums below run along rows of dim / 2 amplitudes
     amps = np.ascontiguousarray(reg.state.data.T.reshape(4, 1 << party, 2, -1).swapaxes(1, 2))
-    products = hamilton(gate.data, amps)  # gate[r][col] * amp[col]: (row, wxyz, col, ...)
-    new = (products[:, :, 0] + products[:, :, 1]).transpose(1, 2, 0, 3).reshape(4, -1)
+    products = hamilton(gate.table, amps)  # gate[r][col] * amp[col]: (row, wxyz, col, ...)
+    new = np.empty((4, 1 << party, 2, amps.shape[-1]))
+    np.add(products[:, :, 0], products[:, :, 1], out=new.transpose(2, 0, 1, 3))
     # a (dim, 4) view of (4, dim) storage: past one party, the next gate's data.T is contiguous
-    return Register._evolved(reg.n_parties, QVector(new.T))
+    return Register._evolved(reg.n_parties, QVector(new.reshape(4, -1).T))
 
 
 def run_schedule(reg: Register, ops: Iterable[ScheduledOp]) -> Register:
@@ -130,16 +135,31 @@ def measure_product_basis(
     """
     if len(basis_changes) != reg.n_parties:
         raise ValueError("need exactly one basis change per party")
-    nonreal = [p for p, m in enumerate(basis_changes) if not m.is_real()]
+    nonreal = [p for p, m in enumerate(basis_changes) if not m.is_real]
     if len(nonreal) > 1:
         raise ValueError(
             f"non-real basis changes on parties {nonreal} do not commute; "
             "schedule them explicitly via run_schedule"
         )
-    out = reg
+    # A real change takes only the Hamilton kernel's nonzero terms, m[r][col].w * amp[col],
+    # in its order.  Its other terms are signed zeros: leaving them out can flip the sign
+    # of a zero amplitude, which later sums and products carry only as zero signs, and a
+    # zero of either sign squares to +0.0, so the probabilities come out the same bytes.
+    amps = reg.state.data.T  # (wxyz, dim)
     for party, m in enumerate(basis_changes):
-        out = apply_local(out, party, m)
-    return dict(zip(basis_labels(reg.n_parties), norm_sq(out.state.data).tolist()))
+        if m.data[..., 1:].any():  # exact zeros only: within SUBFIELD_TOL is not enough
+            evolved = apply_local(Register._evolved(reg.n_parties, QVector(amps.T)), party, m)
+            amps = evolved.state.data.T
+        else:
+            _check_gate(m)
+            (a, b), (c, d) = m.data[..., 0].tolist()
+            v = amps.reshape(4, 1 << party, 2, -1)  # (wxyz, higher, this party's bit, lower)
+            v0, v1 = v[:, :, 0], v[:, :, 1]
+            new = np.empty(v.shape)
+            np.add(a * v0, b * v1, out=new[:, :, 0])
+            np.add(c * v0, d * v1, out=new[:, :, 1])
+            amps = new.reshape(4, -1)
+    return dict(zip(basis_labels(reg.n_parties), norm_sq(amps.T).tolist()))
 
 
 def state_dump(reg: Register) -> dict:

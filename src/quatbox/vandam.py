@@ -214,8 +214,10 @@ def _cells(anf: ANF, idx: np.ndarray) -> np.ndarray:
 def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, box, rng):
     # Alice's outputs on inputs idx, drawing (u, v) from box once per cell of cells in C order:
     # f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his box outputs
-    out = box.sample_cells(cells.ravel(), rng.random(cells.size)).reshape(cells.shape)
-    fold = np.bitwise_xor.reduce(out ^ out >> 1, axis=-1) & 1  # (2u + v) ^ u: u ^ v in bit 0
+    fold = 0  # no mixed monomial, no draw: rng.random(0) would not advance rng either
+    if cells.size:
+        out = box.sample_cells(cells.ravel(), rng.random(cells.size)).reshape(cells.shape)
+        fold = np.bitwise_xor.reduce(out ^ out >> 1, axis=-1) & 1  # (2u + v) ^ u: u ^ v in bit 0
     return table[idx >> n_bob << n_bob] ^ table[idx & ((1 << n_bob) - 1)] ^ table[0] ^ fold
 
 

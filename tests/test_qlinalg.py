@@ -18,6 +18,7 @@ from quatbox.qlinalg import (
     phase_gate,
     qmat,
     rotation,
+    signed_table,
 )
 from quatbox.quaternion import I, J, K, ONE, ZERO, Quaternion
 
@@ -46,7 +47,7 @@ def test_hamilton_matches_scalar_product_bit_for_bit():
     arr = np.array([[q.w, q.x, q.y, q.z] for q in qs])
     want = np.array([[[(p * q).w, (p * q).x, (p * q).y, (p * q).z] for q in qs] for p in qs])
     # tobytes tells -0.0 from 0.0, which == does not
-    got = hamilton(arr[:, None], arr.T[:, None]).transpose(0, 2, 3, 1)[:, 0]
+    got = hamilton(signed_table(arr[:, None]), arr.T[:, None]).transpose(0, 2, 3, 1)[:, 0]
     assert got.tobytes() == want.tobytes()
 
 
@@ -222,14 +223,14 @@ def test_phase_gate_unit_tolerance_edge():
 
 def test_rotation_is_real_and_unitary():
     m = rotation(0.7)
-    assert m.is_real()
+    assert m.is_real
     assert is_unitary(m)
     assert rotation(0.0) == diag(1, 1)
 
 
 def test_subfield_detection_on_matrices():
-    assert hadamard().is_real()
-    assert not phase_gate(I).is_real()
+    assert hadamard().is_real
+    assert not phase_gate(I).is_real
 
 
 def test_vector_norm_and_normalization():

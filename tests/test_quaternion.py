@@ -102,8 +102,8 @@ def test_associativity(p, q, r):
 
 def test_subfield_predicates():
     # the predicate lives on QMatrix; a 1x1 matrix classifies a single scalar
-    assert diag(Quaternion(2.0)).is_real()
-    assert not diag(I).is_real()
+    assert diag(Quaternion(2.0)).is_real
+    assert not diag(I).is_real
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 
 from quatbox import qlinalg
 from quatbox.qlinalg import (
-    INV_SQRT2, QVector, diag, hadamard, inner, phase_gate, rotation,
+    INV_SQRT2, QVector, diag, hadamard, inner, phase_gate, qmat, rotation,
 )
 from quatbox.quaternion import I, J, K, ONE, ZERO, Quaternion
 from quatbox.register import (
@@ -145,6 +145,35 @@ def test_schedule_matches_scalar_fold_gate_by_gate(n):
             reg = Register(n, QVector(scalar_apply_local(reg, party, basis)))
         want = [amp.norm_sq() for amp in reg.state.amps]
         assert np.array(list(probs.values())).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), 10, 12])
+def test_readout_matches_norm_sq_after_apply_local_bit_for_bit(n):
+    # real basis changes skip the Hamilton kernel's signed-zero terms, which may flip
+    # the sign of a zero amplitude but never a probability's bytes
+    rng = np.random.default_rng(60 + n)
+    real = [rotation(0.0), hadamard(), rotation(rng.uniform(0.0, 2.0 * math.pi))]
+    # within SUBFIELD_TOL, so it counts as real, but its 1e-15 terms are not zeros
+    near_real = qmat([[S, Quaternion(S, 1e-15)], [S, -S]])
+    bases = [real[party % 3] for party in range(n)]
+    cases = [bases, [near_real] * n]
+    for party in sorted({0, n // 2, n - 1}):
+        cases.append(bases[:party] + [random_unitary(rng)] + bases[party + 1:])
+    for reg in (random_register(rng, n), signed_zero_register(rng, n)):
+        for case in cases:
+            out = reg
+            for party, basis in enumerate(case):
+                out = apply_local(out, party, basis)
+            probs = np.array(list(measure_product_basis(reg, case).values()))
+            assert probs.tobytes() == qlinalg.norm_sq(out.state.data).tobytes()
+
+
+def test_readout_checks_real_basis_changes_as_apply_local_does():
+    reg = bell_state(K)
+    with pytest.raises(ValueError, match="local gate is not unitary"):
+        measure_product_basis(reg, [hadamard(), diag(1, 2)])
+    with pytest.raises(ValueError, match="local gates must be 2x2"):
+        measure_product_basis(reg, [diag(1, 1, 1), hadamard()])
 
 
 def test_gate_unitarity_is_computed_once(monkeypatch):

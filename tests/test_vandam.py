@@ -222,6 +222,15 @@ def test_each_piece_of_protocol_work_is_done_once(monkeypatch):
     assert (checks[0], runs[0]) == (0, 0)
 
 
+def test_functions_without_mixed_monomials_draw_nothing(monkeypatch):
+    draws = count_calls(monkeypatch, BoxBehavior, "sample_cells")
+    rng = np.random.default_rng(7)
+    report = verify_exhaustive(builtin_function("XOR"), quaternionic_box(), rng)
+    assert (report.boxes_used, report.success_rate, report.empirical_rate) == (0, 1.0, 1.0)
+    assert draws[0] == 0
+    assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
+
 def test_boxes_used_counts_mixed_monomials():
     rng = np.random.default_rng(9)
     box = ideal_pr_box()
