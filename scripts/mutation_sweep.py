@@ -45,6 +45,11 @@ MUTANTS = [
     ("qlinalg.py", "out += t[:, 1] * q[:, ::-1]\n    out += t[:, 2] * q[::-1]",
      "out += t[:, 2] * q[::-1]\n    out += t[:, 1] * q[:, ::-1]"),
     ("register.py", "if m.data[..., 1:].any():", "if not m.is_real:"),
+    ("register.py", "out=new[..., 0])\n            np.add(c * v0, d * v1, out=new[..., 1])",
+     "out=new[..., 1])\n            np.add(c * v0, d * v1, out=new[..., 0])"),
+    ("register.py", "out=new.transpose(2, 0, 1)", "out=new[..., ::-1].transpose(2, 0, 1)"),
+    ("register.py", "amps.reshape(4, 2, -1)", "amps.reshape(4, -1, 2)"),
+    ("register.py", "return list(_labels(n_parties))", "return _labels(n_parties)"),
     ("qlinalg.py", "q.norm() - 1.0) <= 1e-12", "q.norm() - 1.0) <= 1e-9"),
     ("register.py", "q.norm() - 1.0) <= 1e-12", "q.norm() - 1.0) <= 1e-9"),
     ("cli.py", "<= CELL_TOL", "< CELL_TOL"),

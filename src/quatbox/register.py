@@ -3,9 +3,12 @@
 Local gates on different parties need not commute here, so "apply these
 gates" is not a set operation: a multi-gate experiment is a schedule, each
 operation carrying a distinct time tag, folded in increasing time order.
-Outcome probabilities follow the norm-squared rule.  A readout applies its
-real basis changes with real arithmetic only, skipping the Hamilton kernel's
-signed-zero terms; the probabilities are the same bytes either way.
+Outcome probabilities follow the norm-squared rule.  A readout changes the
+basis of the leading bit on each pass, reading the two halves of each
+component row and writing that bit last, so after n passes the bits are back
+in index order.  It applies its real basis changes with real arithmetic
+only, skipping the Hamilton kernel's signed-zero terms; the probabilities are
+the same bytes either way.  Basis labels are built once per register width.
 
 Basis indexing: bit strings with party 0 as the most significant bit, so a
 two-party register lists amplitudes for 00, 01, 10, 11 in that order.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -24,9 +28,14 @@ from .qlinalg import INV_SQRT2, QMatrix, QVector, hamilton, norm_sq
 from .quaternion import Quaternion, ZERO, as_quaternion
 
 
+@cache
+def _labels(n_parties: int) -> tuple[str, ...]:
+    return tuple(map("".join, product("01", repeat=n_parties)))
+
+
 def basis_labels(n_parties: int) -> list[str]:
-    """'00...0' to '11...1' in index order."""
-    return list(map("".join, product("01", repeat=n_parties)))
+    """'00...0' to '11...1' in index order, as a new list on each call."""
+    return list(_labels(n_parties))
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,11 @@ def measure_product_basis(
     matrices commute with everything, so their application order is
     irrelevant, but two non-real changes on distinct parties would need an
     explicit time order (use run_schedule for that).
+
+    Each pass changes the basis of the leading bit, whose two values split
+    each component row into halves, contiguous in (4, dim) storage, and writes
+    that bit last: the next party's bit then leads, and after n passes party 0
+    is the most significant bit again.
     """
     if len(basis_changes) != reg.n_parties:
         raise ValueError("need exactly one basis change per party")
@@ -146,20 +160,20 @@ def measure_product_basis(
     # of a zero amplitude, which later sums and products carry only as zero signs, and a
     # zero of either sign squares to +0.0, so the probabilities come out the same bytes.
     amps = reg.state.data.T  # (wxyz, dim)
-    for party, m in enumerate(basis_changes):
+    for m in basis_changes:
+        _check_gate(m)
+        v = amps.reshape(4, 2, -1)  # (wxyz, leading bit, the other bits)
+        new = np.empty((4, v.shape[-1], 2))  # (wxyz, the other bits, this bit)
         if m.data[..., 1:].any():  # exact zeros only: within SUBFIELD_TOL is not enough
-            evolved = apply_local(Register._evolved(reg.n_parties, QVector(amps.T)), party, m)
-            amps = evolved.state.data.T
+            products = hamilton(m.table, v)  # m[r][col] * v[col]: (row, wxyz, col, others)
+            np.add(products[:, :, 0], products[:, :, 1], out=new.transpose(2, 0, 1))
         else:
-            _check_gate(m)
             (a, b), (c, d) = m.data[..., 0].tolist()
-            v = amps.reshape(4, 1 << party, 2, -1)  # (wxyz, higher, this party's bit, lower)
-            v0, v1 = v[:, :, 0], v[:, :, 1]
-            new = np.empty(v.shape)
-            np.add(a * v0, b * v1, out=new[:, :, 0])
-            np.add(c * v0, d * v1, out=new[:, :, 1])
-            amps = new.reshape(4, -1)
-    return dict(zip(basis_labels(reg.n_parties), norm_sq(amps.T).tolist()))
+            v0, v1 = v[:, 0], v[:, 1]
+            np.add(a * v0, b * v1, out=new[..., 0])
+            np.add(c * v0, d * v1, out=new[..., 1])
+        amps = new.reshape(4, -1)
+    return dict(zip(_labels(reg.n_parties), norm_sq(amps.T).tolist()))
 
 
 def state_dump(reg: Register) -> dict:

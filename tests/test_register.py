@@ -157,15 +157,20 @@ def test_readout_matches_norm_sq_after_apply_local_bit_for_bit(n):
     near_real = qmat([[S, Quaternion(S, 1e-15)], [S, -S]])
     bases = [real[party % 3] for party in range(n)]
     cases = [bases, [near_real] * n]
-    for party in sorted({0, n // 2, n - 1}):
+    # the one non-real change at every party up to 6, past that the first, middle and last
+    for party in range(n) if n <= 6 else sorted({0, n // 2, n - 1}):
         cases.append(bases[:party] + [random_unitary(rng)] + bases[party + 1:])
-    for reg in (random_register(rng, n), signed_zero_register(rng, n)):
-        for case in cases:
-            out = reg
-            for party, basis in enumerate(case):
-                out = apply_local(out, party, basis)
-            probs = np.array(list(measure_product_basis(reg, case).values()))
-            assert probs.tobytes() == qlinalg.norm_sq(out.state.data).tobytes()
+    for start in (random_register(rng, n), signed_zero_register(rng, n)):
+        # a caller's (dim, 4) C-order state, and the (4, dim) storage apply_local returns
+        evolved = apply_local(start, n - 1, random_unitary(rng))
+        assert start.state.data.flags.c_contiguous and evolved.state.data.T.flags.c_contiguous
+        for reg in (start, evolved):
+            for case in cases:
+                out = reg
+                for party, basis in enumerate(case):
+                    out = apply_local(out, party, basis)
+                probs = np.array(list(measure_product_basis(reg, case).values()))
+                assert probs.tobytes() == qlinalg.norm_sq(out.state.data).tobytes()
 
 
 def test_readout_checks_real_basis_changes_as_apply_local_does():
@@ -377,6 +382,19 @@ def test_register_validation():
 def test_basis_labels_list_indices_in_binary():
     for n in range(1, 13):
         assert basis_labels(n) == [format(i, f"0{n}b") for i in range(2**n)]
+
+
+def test_basis_labels_are_a_new_list_on_each_call():
+    want = ["00", "01", "10", "11"]
+    labels = basis_labels(2)
+    assert basis_labels(2) is not labels
+    labels[0] = "mutated"
+    labels.append("extra")
+    assert basis_labels(2) == want
+    reg = bell_state(K)
+    state_dump(reg)["labels"].clear()
+    assert state_dump(reg)["labels"] == want
+    assert list(measure_product_basis(reg, [hadamard()] * 2)) == want
 
 
 def test_computational_state_and_dump():
