@@ -31,6 +31,8 @@ EQUIVALENT = {
         "the cell count is a multiple of 2**n, so it never equals the budget plus one",
     ("register.py", "np.add(a * v0, b * v1,", "np.add(b * v1, a * v0,"):
         "IEEE addition is commutative, so the readout's columns add in either order",
+    ("qlinalg.py", "w[:, None] * w[None]", "w[None] * w[:, None]"):
+        "IEEE multiplication is commutative, so each row-by-row product is the same bytes",
 }
 
 MUTANTS = [
@@ -44,7 +46,11 @@ MUTANTS = [
     ("qlinalg.py", "return 0.0 + np.add.accumulate", "return np.add.accumulate"),
     ("qlinalg.py", "out += t[:, 1] * q[:, ::-1]\n    out += t[:, 2] * q[::-1]",
      "out += t[:, 2] * q[::-1]\n    out += t[:, 1] * q[:, ::-1]"),
-    ("register.py", "if m.data[..., 1:].any():", "if not m.is_real:"),
+    ("qlinalg.py", "return bool(self.data[..., 1:].any())", "return not self.is_real"),
+    ("qlinalg.py", "if m.has_imaginary:", "if not m.is_real:"),
+    ("qlinalg.py", "axis=2) - np.eye(rows))", "axis=2))"),
+    ("qlinalg.py", "_fold_sum(w[:, None] * w[None], axis=2)", "(w[:, None] * w[None]).sum(axis=2)"),
+    ("register.py", "if m.has_imaginary:", "if not m.is_real:"),
     ("register.py", "out=new[..., 0])\n            np.add(c * v0, d * v1, out=new[..., 1])",
      "out=new[..., 1])\n            np.add(c * v0, d * v1, out=new[..., 0])"),
     ("register.py", "out=new.transpose(2, 0, 1)", "out=new[..., ::-1].transpose(2, 0, 1)"),

@@ -12,6 +12,9 @@ Every matrix-quaternion product goes through one kernel, `hamilton`, which
 reads the left factors from a `signed_table` (built once per `QMatrix`, as
 `QMatrix.table`) and adds a product's four terms k by k in the order
 `Quaternion.__mul__` does, so array results match the scalar ones bit for bit.
+A matrix whose imaginary components are all exactly zero is checked for
+unitarity with real arithmetic instead: the kernel's other terms would be
+signed zeros, which change no verdict.
 """
 
 from __future__ import annotations
@@ -165,6 +168,13 @@ class QMatrix(_QuaternionArray):
         """Every imaginary component within SUBFIELD_TOL of 0, worked out once per matrix."""
         return bool((np.abs(self.data[..., 1:]) <= SUBFIELD_TOL).all())
 
+    @cached_property
+    def has_imaginary(self) -> bool:
+        """Some imaginary component is not exactly 0 (NaN included), worked out once per
+        matrix.  Unlike `is_real` this has no tolerance: only a matrix without it can skip
+        the Hamilton kernel's signed-zero terms and still give the same bytes."""
+        return bool(self.data[..., 1:].any())
+
 
 def qmat(rows: Iterable[Iterable]) -> QMatrix:
     return QMatrix(np.array([_pack(map(as_quaternion, row)) for row in rows]))
@@ -194,12 +204,24 @@ def inner(u: QVector, v: QVector) -> Quaternion:
 
 
 def is_unitary(m: QMatrix) -> bool:
-    """True iff M * dagger(M) deviates from the identity by at most UNITARY_TOL per entry."""
+    """True iff M * dagger(M) deviates from the identity by at most UNITARY_TOL per entry.
+
+    A matrix without `has_imaginary` takes only the w-parts of the products,
+    w[r][k] * w[c][k], added in `matmul`'s left fold.  `matmul` would add signed
+    zeros to each of them and give x, y and z parts of +-0 (or NaN beside a
+    non-finite entry, which fails the check either way), so the squared
+    deviation, and the verdict, are the same bit for bit.
+    """
     rows, cols = m.shape
     if rows != cols:
         raise ValueError("unitarity is only defined for square matrices")
-    deviation = matmul(m, m.dagger()).data - np.eye(rows)[..., None] * [1.0, 0.0, 0.0, 0.0]
-    return bool((np.sqrt(norm_sq(deviation)) <= UNITARY_TOL).all())
+    if m.has_imaginary:
+        deviation = matmul(m, m.dagger()).data - np.eye(rows)[..., None] * [1.0, 0.0, 0.0, 0.0]
+        deviation_sq = norm_sq(deviation)
+    else:
+        w = m.data[..., 0]
+        deviation_sq = np.square(_fold_sum(w[:, None] * w[None], axis=2) - np.eye(rows))
+    return bool((np.sqrt(deviation_sq) <= UNITARY_TOL).all())
 
 
 def hadamard() -> QMatrix:

@@ -164,7 +164,7 @@ def measure_product_basis(
         _check_gate(m)
         v = amps.reshape(4, 2, -1)  # (wxyz, leading bit, the other bits)
         new = np.empty((4, v.shape[-1], 2))  # (wxyz, the other bits, this bit)
-        if m.data[..., 1:].any():  # exact zeros only: within SUBFIELD_TOL is not enough
+        if m.has_imaginary:
             products = hamilton(m.table, v)  # m[r][col] * v[col]: (row, wxyz, col, others)
             np.add(products[:, :, 0], products[:, :, 1], out=new.transpose(2, 0, 1))
         else:

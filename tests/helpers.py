@@ -1,6 +1,6 @@
 """Shared random generators for property tests, all taking an explicit rng, one
-hand-built box, scalar views of the package's conjugation and left action, and a
-call counter."""
+hand-built box, scalar views of the package's conjugation and left action, a
+reference unitarity check, and a call counter."""
 
 import math
 
@@ -22,7 +22,7 @@ from quatbox import (
     rotation,
 )
 from quatbox.boxes import BoxBehavior, classical_box, ideal_pr_box
-from quatbox.qlinalg import SUBFIELD_TOL
+from quatbox.qlinalg import SUBFIELD_TOL, UNITARY_TOL, norm_sq
 
 #: the eight unit elements {+-1, +-i, +-j, +-k}; exhaustive algebra checks run over these
 UNIT_GROUP = (ONE, -ONE, I, -I, J, -J, K, -K)
@@ -41,6 +41,13 @@ def conj(q: Quaternion) -> Quaternion:
 def left_action(u: QMatrix, v: QVector) -> QVector:
     """u v for a 2x2 gate and a normalized 2-vector, through the package's apply_local."""
     return apply_local(Register(1, v), 0, u).state
+
+
+def reference_is_unitary(m: QMatrix) -> bool:
+    """M * dagger(M) within UNITARY_TOL of the identity per entry, through the Hamilton
+    kernel for every matrix: the reference `is_unitary` must match bit for bit."""
+    eye = np.eye(m.shape[0])[..., None] * [1.0, 0.0, 0.0, 0.0]
+    return bool((np.sqrt(norm_sq(matmul(m, m.dagger()).data - eye)) <= UNITARY_TOL).all())
 
 
 def random_quaternion(rng, scale=2.0) -> Quaternion:

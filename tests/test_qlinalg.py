@@ -6,8 +6,11 @@ from operator import add
 import numpy as np
 import pytest
 
+from quatbox import qlinalg, register
+from quatbox.boxes import complex_quantum_box
 from quatbox.qlinalg import (
     INV_SQRT2,
+    QMatrix,
     QVector,
     diag,
     hadamard,
@@ -29,7 +32,9 @@ from helpers import (
     left_action,
     random_quaternion,
     random_state,
+    random_unit_quaternion,
     random_unitary,
+    reference_is_unitary,
 )
 
 R_I = phase_gate(I)
@@ -132,6 +137,74 @@ def test_is_unitary_accepts_a_deviation_of_exactly_its_tolerance():
     # so e = 1e-10, UNITARY_TOL, sits on the bound
     assert is_unitary(qmat([[1, 1e-10], [0, 1]]))
     assert not is_unitary(qmat([[1, math.nextafter(1e-10, 1.0)], [0, 1]]))
+
+
+def near_unitaries(rng, count):
+    """Real, near-real and quaternionic matrices of sizes 1-4, each a unitary whose
+    entries are moved by 1e-12 to 1e-9: about as far as UNITARY_TOL from either verdict."""
+    for i in range(count):
+        n = 1 + i % 4
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        data = np.zeros((n, n, 4))
+        data[..., 0] = q
+        if i % 3 == 2:  # quaternionic: unit phases on either side of the orthogonal matrix
+            left, right = (diag(*[random_unit_quaternion(rng) for _ in range(n)]) for _ in range(2))
+            data = matmul(matmul(left, QMatrix(data)), right).data.copy()
+            data += rng.normal(size=data.shape) * 10.0 ** rng.uniform(-12, -9)
+        else:
+            data[..., 0] += rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-12, -9)
+            if i % 3 == 1:  # near-real: imaginary parts far inside SUBFIELD_TOL
+                data[..., 1:] = rng.normal(size=(n, n, 3)) * 10.0 ** rng.uniform(-18, -15)
+        yield QMatrix(data)
+
+
+def fold_order_edge() -> QMatrix:
+    """An 8x8 real matrix whose first row's norm lands on UNITARY_TOL's accepting side
+    only when its squares are added left to right, 1 + b^2 + b^2 + ...; numpy's
+    pairwise sum of the same row lands two ulps past it."""
+    b = 3.7796480336418856e-06
+    w = np.eye(8)
+    w[0, 1:], w[1:, 0] = b, -b
+    return qmat(w.tolist())
+
+
+def test_is_unitary_matches_the_hamilton_reference():
+    rng = np.random.default_rng(6)
+    nan, inf = float("nan"), float("inf")
+    minus_zero = np.where(np.eye(2, dtype=bool)[..., None], [1.0, -0.0, -0.0, -0.0], -0.0)
+    edges = [
+        QMatrix(minus_zero),
+        qmat([[-0.0, -1.0], [1.0, -0.0]]),
+        diag(1, 1, 1),
+        fold_order_edge(),
+        *(qmat([[1, bad], [0, 1]])
+          for bad in (nan, inf, Quaternion(0, nan), Quaternion(0, 0, inf))),
+        qmat([[inf, 0], [0, 1]]),
+        qmat([[1, Quaternion(1e-10, 1e-15)], [0, 1]]),
+    ]
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN on either path
+        verdicts = [is_unitary(m) for m in edges]
+        assert verdicts == [reference_is_unitary(m) for m in edges]
+    assert verdicts == [True, True, True, True, False, False, False, False, False, False]
+    counts = {True: 0, False: 0}
+    for m in near_unitaries(rng, 1200):
+        verdict = is_unitary(m)
+        assert verdict is reference_is_unitary(m)
+        counts[verdict] += 1
+    assert min(counts.values()) >= 300
+
+
+def test_a_real_unitarity_check_makes_no_hamilton_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Hamilton kernel called")
+
+    monkeypatch.setattr(qlinalg, "hamilton", refuse)
+    monkeypatch.setattr(register, "hamilton", refuse)
+    for m in (rotation(0.3), hadamard(), diag(1, 1, 1)):
+        assert is_unitary(m)
+    complex_quantum_box()
+    with pytest.raises(AssertionError, match="Hamilton kernel called"):
+        is_unitary(phase_gate(J))
 
 
 def test_is_unitary_rejects_non_square():
