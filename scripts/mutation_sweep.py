@@ -44,13 +44,25 @@ MUTANTS = [
     ("qlinalg.py", "<= SUBFIELD_TOL", "< SUBFIELD_TOL"),
     ("qlinalg.py", "<= UNITARY_TOL", "< UNITARY_TOL"),
     ("qlinalg.py", "return 0.0 + np.add.accumulate", "return np.add.accumulate"),
-    ("qlinalg.py", "out += t[:, 1] * q[:, ::-1]\n    out += t[:, 2] * q[::-1]",
-     "out += t[:, 2] * q[::-1]\n    out += t[:, 1] * q[:, ::-1]"),
-    ("qlinalg.py", "return bool(self.data[..., 1:].any())", "return not self.is_real"),
-    ("qlinalg.py", "if m.has_imaginary:", "if not m.is_real:"),
+    ("qlinalg.py", "np.s_[:, ::-1], np.s_[::-1],", "np.s_[::-1], np.s_[:, ::-1],"),
+    ("qlinalg.py", "for k in planes[1:]:", "for k in planes[:0:-1]:"),  # two kept planes swapped
+    ("qlinalg.py", "nonzero = self.data.any(axis=(0, 1)).tolist()",
+     "nonzero = (np.abs(self.data) > SUBFIELD_TOL).any(axis=(0, 1)).tolist()"),
+    ("qlinalg.py", "if m.planes != (0,):", "if not m.is_real:"),
+    ("qlinalg.py", "if np.count_nonzero(np.isfinite(m.data)) != m.data.size:", "if False:"),
     ("qlinalg.py", "axis=2) - np.eye(rows))", "axis=2))"),
     ("qlinalg.py", "_fold_sum(w[:, None] * w[None], axis=2)", "(w[:, None] * w[None]).sum(axis=2)"),
-    ("register.py", "if m.has_imaginary:", "if not m.is_real:"),
+    ("register.py", "if m.planes != (0,):", "if not m.is_real:"),
+    # the zero guard: no input count, no output count, no second pass with all four planes
+    ("register.py", "(dense if dense is not None else _no_zero(work))", "True"),
+    ("register.py", "if reduced and not dense:", "if False:"),
+    ("register.py", "products = hamilton(gate.table, amps, _ALL_PLANES, kernel_out)",
+     "products = hamilton(gate.table, amps, planes, kernel_out)"),
+    ("register.py", "planes if reduced else _ALL_PLANES", "planes"),
+    ("register.py", "dense = _no_zero(state) if reduced else None",
+     "dense = _no_zero(state) if reduced else True"),
+    ("register.py", "isinstance(party, bool) or ", ""),
+    ("register.py", "1 << int(party)", "1 << party"),
     ("register.py", "out=new[..., 0])\n            np.add(c * v0, d * v1, out=new[..., 1])",
      "out=new[..., 1])\n            np.add(c * v0, d * v1, out=new[..., 0])"),
     ("register.py", "out=new.transpose(2, 0, 1)", "out=new[..., ::-1].transpose(2, 0, 1)"),

@@ -12,9 +12,11 @@ Every matrix-quaternion product goes through one kernel, `hamilton`, which
 reads the left factors from a `signed_table` (built once per `QMatrix`, as
 `QMatrix.table`) and adds a product's four terms k by k in the order
 `Quaternion.__mul__` does, so array results match the scalar ones bit for bit.
-A matrix whose imaginary components are all exactly zero is checked for
-unitarity with real arithmetic instead: the kernel's other terms would be
-signed zeros, which change no verdict.
+A caller may name the planes k to add (`QMatrix.planes`, the components that
+are not exactly zero somewhere in the matrix) and hand in the buffers to write;
+a left-out term is a signed zero, which changes no nonzero sum.  A matrix whose
+only plane is w is checked for unitarity with real arithmetic for that reason,
+and a matrix with a non-finite entry is refused before any product.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,35 +47,48 @@ _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 #: term k of component c of a Hamilton product is p[k] * _SIGN[k][c] * q[k ^ c]
 _SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0],
                   [-1.0, -1.0, 1.0, 1.0]])
+#: the view of (c0, c1, ...)-shaped quaternions that term k reads: v[k ^ c] at component c
+_READS = (np.s_[:], np.s_[:, ::-1], np.s_[::-1], np.s_[::-1, ::-1])
 
 
 def signed_table(m: np.ndarray) -> np.ndarray:
     """m[r][col][k] * _SIGN[k][c] of a (rows, cols, 4) matrix, as a contiguous
-    (rows, k, c, cols) array: the left factors of `hamilton`'s terms."""
-    return np.ascontiguousarray((m[..., None] * _SIGN).transpose(0, 2, 3, 1))
+    (k, rows, c0, c1, cols, 1) array with c = 2 c0 + c1: the left factors of
+    `hamilton`'s term k in one block, shaped to broadcast against the quaternions."""
+    rows, cols = m.shape[:2]
+    table = np.ascontiguousarray((m[..., None] * _SIGN).transpose(2, 0, 3, 1))
+    return table.reshape(4, rows, 2, 2, cols, 1)
 
 
-def hamilton(table: np.ndarray, v: np.ndarray) -> np.ndarray:
+def hamilton(table: np.ndarray, v: np.ndarray, planes: Sequence[int] = (0, 1, 2, 3),
+             out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """m[r][col] * v[col] for the `signed_table` of a (rows, cols, 4) matrix m and
     component-major (4, cols, ...) quaternions v, as (rows, 4, cols, ...): the
     caller adds columns.
 
-    Each component adds its terms for k = w, x, y, z in the order
-    `Quaternion.__mul__` does, k by k into one buffer; a sign flip is exact and
-    a + (-b) is a - b, so each product matches the scalar one bit for bit.  The
-    signs sit in the table, on the left factor, since an IEEE product's sign is
-    the XOR of its factors' signs.  Term k of component c reads v[k ^ c]: with
-    c = 2 c0 + c1, k's low bit reverses c1 and its high bit c0, so each term
-    reads v through a strided view.
+    Each component adds its terms for k = w, then each k of `planes[1:]` (`planes`
+    lists w first, as `QMatrix.planes` does), in the order `Quaternion.__mul__`
+    does, k by k into one buffer; a sign flip is exact and a + (-b) is a - b, so
+    with all four planes each product matches the scalar one bit for bit.  A plane
+    of m that is all zeros gives terms that are signed zeros, so leaving it out can
+    change only the sign of a zero.  The signs sit in the table, on the left factor,
+    since an IEEE product's sign is the XOR of its factors' signs.  Term k of
+    component c reads v[k ^ c]: with c = 2 c0 + c1, k's low bit reverses c1 and its
+    high bit c0, so each term reads v through a strided view.
+
+    `out` is a C-ordered (rows, 2, 2, cols, n) product buffer and a scratch buffer of
+    the same shape, with n the size of v's trailing axes; the result is a view of the
+    product buffer.  Without it, both are allocated here.
     """
-    rows, cols = len(table), v.shape[1]
-    t = table.reshape(rows, 4, 2, 2, cols, 1)
-    q = v.reshape(2, 2, cols, -1)  # the trailing axes as one: fewer axes for each ufunc to walk
-    out = t[:, 0] * q
-    out += t[:, 1] * q[:, ::-1]
-    out += t[:, 2] * q[::-1]
-    out += t[:, 3] * q[::-1, ::-1]
-    return out.reshape(rows, 4, *v.shape[1:])
+    q = v.reshape(2, 2, v.shape[1], -1)  # the trailing axes as one: fewer for each ufunc to walk
+    if out is None:
+        shape = (*table.shape[1:5], q.shape[-1])
+        out = np.empty(shape), np.empty(shape)
+    result, scratch = out
+    np.multiply(table[0], q, result)  # out as a positional argument: a cheaper call
+    for k in planes[1:]:
+        result += np.multiply(table[k], q[_READS[k]], scratch)
+    return result.reshape(table.shape[1], 4, *v.shape[1:])
 
 
 def norm_sq(a: np.ndarray) -> np.ndarray:
@@ -169,11 +184,13 @@ class QMatrix(_QuaternionArray):
         return bool((np.abs(self.data[..., 1:]) <= SUBFIELD_TOL).all())
 
     @cached_property
-    def has_imaginary(self) -> bool:
-        """Some imaginary component is not exactly 0 (NaN included), worked out once per
-        matrix.  Unlike `is_real` this has no tolerance: only a matrix without it can skip
-        the Hamilton kernel's signed-zero terms and still give the same bytes."""
-        return bool(self.data[..., 1:].any())
+    def planes(self) -> tuple[int, ...]:
+        """0, then each k in 1..3 whose component is not exactly 0 somewhere in the matrix
+        (NaN counts, -0.0 does not), worked out once per matrix: the Hamilton terms a
+        product with it needs, since every other term is a signed zero.  Unlike `is_real`
+        this has no tolerance: a 1e-15 term can change a sum's bytes."""
+        nonzero = self.data.any(axis=(0, 1)).tolist()
+        return (0, *(k for k in (1, 2, 3) if nonzero[k]))
 
 
 def qmat(rows: Iterable[Iterable]) -> QMatrix:
@@ -206,16 +223,18 @@ def inner(u: QVector, v: QVector) -> Quaternion:
 def is_unitary(m: QMatrix) -> bool:
     """True iff M * dagger(M) deviates from the identity by at most UNITARY_TOL per entry.
 
-    A matrix without `has_imaginary` takes only the w-parts of the products,
-    w[r][k] * w[c][k], added in `matmul`'s left fold.  `matmul` would add signed
-    zeros to each of them and give x, y and z parts of +-0 (or NaN beside a
-    non-finite entry, which fails the check either way), so the squared
-    deviation, and the verdict, are the same bit for bit.
+    A matrix with a non-finite entry is not unitary, and is refused before any
+    product, so the check warns nothing.  A matrix whose only plane is w takes only
+    the w-parts of the products, w[r][k] * w[c][k], added in `matmul`'s left fold.
+    `matmul` would add signed zeros to each of them and give x, y and z parts of
+    +-0, so the squared deviation, and the verdict, are the same bit for bit.
     """
     rows, cols = m.shape
     if rows != cols:
         raise ValueError("unitarity is only defined for square matrices")
-    if m.has_imaginary:
+    if np.count_nonzero(np.isfinite(m.data)) != m.data.size:
+        return False
+    if m.planes != (0,):
         deviation = matmul(m, m.dagger()).data - np.eye(rows)[..., None] * [1.0, 0.0, 0.0, 0.0]
         deviation_sq = norm_sq(deviation)
     else:

@@ -3,6 +3,14 @@
 Local gates on different parties need not commute here, so "apply these
 gates" is not a set operation: a multi-gate experiment is a schedule, each
 operation carrying a distinct time tag, folded in increasing time order.
+Every gate, one from `apply_local` or a schedule's, runs through one step,
+which holds one work copy of the state and the kernel's buffers for all the
+gates of a call, and writes each gate's result into the one (4, dim) state that
+the returned register owns.  A gate adds only the Hamilton planes it has (see
+`QMatrix.planes`) when no amplitude component it reads or writes is exactly
+zero, and otherwise all four, so each result is the same bytes as the full
+kernel's.
+
 Outcome probabilities follow the norm-squared rule.  A readout changes the
 basis of the leading bit on each pass, reading the two halves of each
 component row and writing that bit last, so after n passes the bits are back
@@ -77,6 +85,7 @@ class ScheduledOp:
         # NaN compares false with every tag, so it would leave the order to the list
         if not math.isfinite(self.time):
             raise ValueError(f"time tag must be finite, got {self.time!r}")
+        _check_party_type(self.party)
         if self.party < 0:
             raise ValueError("party index must be non-negative")
         if self.gate.shape != (2, 2):
@@ -101,19 +110,75 @@ def _check_gate(gate: QMatrix) -> None:
         raise ValueError("local gate is not unitary")
 
 
+def _check_party_type(party) -> None:
+    # a bool is an int to Python, and a float would fail only at 1 << party
+    if isinstance(party, bool) or not isinstance(party, (int, np.integer)):
+        raise ValueError(f"party index must be an integer, not {type(party).__name__}")
+
+
+#: every Hamilton plane, k = w, x, y, z
+_ALL_PLANES = (0, 1, 2, 3)
+
+
+def _no_zero(a: np.ndarray) -> bool:
+    return np.count_nonzero(a) == a.size
+
+
+def _evolve(reg: Register, steps: Sequence[tuple[int, QMatrix]]) -> Register:
+    """Apply each (party, gate) step in turn: the one per-gate step of `apply_local`
+    and `run_schedule`.
+
+    Every step is checked before any array is built.  The call then holds, for all
+    its gates, one buffer for a work copy of the state and the kernel's products and
+    scratch, and the (4, dim) state that the returned register owns, so it keeps no
+    scratch alive.  Each gate copies the state into `work`, ordered (wxyz, this
+    party's bit, higher parties, lower parties) so that the products and sums run
+    along rows of dim / 2 amplitudes, and writes the sum of its two columns into
+    the state.
+
+    A gate with fewer than four planes leaves its all-zero ones out when no input
+    component is exactly zero.  A left-out term is a signed zero, and adding one
+    leaves a nonzero sum as it is, so the full and the reduced sums are equal or
+    both zero at every step: an output with no exact zero is the same bytes as the
+    full kernel's, and any other is worked out again with all four planes.  An
+    output found free of zeros is the next gate's input, so a gate counts zeros
+    once, twice only when its input was not counted, and never with all four planes.
+    """
+    n = reg.n_parties
+    for party, gate in steps:
+        _check_party_type(party)
+        if not 0 <= party < n:
+            raise ValueError(f"party {party} out of range for {n} parties")
+        _check_gate(gate)
+    dim = 1 << n
+    # five slabs of 4 * dim: the work copy, then the kernel's (row, c0, c1, col, dim / 2)
+    # products and scratch, two slabs each
+    buffers = np.empty((5, 2, 2, 2, dim // 2))
+    work, kernel_out = buffers[0], (buffers[1:3], buffers[3:])
+    state = np.empty((4, dim))
+    source = reg.state.data.T  # (wxyz, dim)
+    dense = None  # `source` holds no exact zero: True, False, or not counted
+    for party, gate in steps:
+        higher = 1 << int(party)  # a numpy party would shift in its own, maybe narrow, type
+        amps = work.reshape(4, 2, higher, -1)
+        np.copyto(amps, source.reshape(4, higher, 2, -1).swapaxes(1, 2))
+        new = state.reshape(4, higher, 2, -1).transpose(2, 0, 1, 3)
+        planes = gate.planes
+        reduced = planes != _ALL_PLANES and (dense if dense is not None else _no_zero(work))
+        products = hamilton(gate.table, amps, planes if reduced else _ALL_PLANES, kernel_out)
+        np.add(products[:, :, 0], products[:, :, 1], out=new)  # (row, wxyz, col, ...) summed
+        dense = _no_zero(state) if reduced else None
+        if reduced and not dense:
+            products = hamilton(gate.table, amps, _ALL_PLANES, kernel_out)
+            np.add(products[:, :, 0], products[:, :, 1], out=new)
+        source = state
+    # a (dim, 4) view of (4, dim) storage: past one party, the next gate's data.T is contiguous
+    return Register._evolved(n, QVector(state.T))
+
+
 def apply_local(reg: Register, party: int, gate: QMatrix) -> Register:
     """Left-multiply the amplitude pair along one party's bit by a 2x2 unitary."""
-    if not 0 <= party < reg.n_parties:
-        raise ValueError(f"party {party} out of range for {reg.n_parties} parties")
-    _check_gate(gate)
-    # component rows, axes (wxyz, this party's bit, higher parties, lower parties), copied
-    # contiguous so that the products and sums below run along rows of dim / 2 amplitudes
-    amps = np.ascontiguousarray(reg.state.data.T.reshape(4, 1 << party, 2, -1).swapaxes(1, 2))
-    products = hamilton(gate.table, amps)  # gate[r][col] * amp[col]: (row, wxyz, col, ...)
-    new = np.empty((4, 1 << party, 2, amps.shape[-1]))
-    np.add(products[:, :, 0], products[:, :, 1], out=new.transpose(2, 0, 1, 3))
-    # a (dim, 4) view of (4, dim) storage: past one party, the next gate's data.T is contiguous
-    return Register._evolved(reg.n_parties, QVector(new.reshape(4, -1).T))
+    return _evolve(reg, ((party, gate),))
 
 
 def run_schedule(reg: Register, ops: Iterable[ScheduledOp]) -> Register:
@@ -121,15 +186,15 @@ def run_schedule(reg: Register, ops: Iterable[ScheduledOp]) -> Register:
 
     Duplicate time tags are rejected rather than broken arbitrarily: the
     result genuinely depends on the order, and this module refuses to guess
-    simultaneity semantics.
+    simultaneity semantics.  An empty schedule returns the register itself.
     """
     ordered = sorted(ops, key=lambda op: op.time)
     times = [op.time for op in ordered]
     if len(set(times)) != len(times):
         raise ValueError("schedule contains duplicate time tags; a total order is required")
-    for op in ordered:
-        reg = apply_local(reg, op.party, op.gate)
-    return reg
+    if not ordered:
+        return reg
+    return _evolve(reg, [(op.party, op.gate) for op in ordered])
 
 
 def measure_product_basis(
@@ -164,7 +229,7 @@ def measure_product_basis(
         _check_gate(m)
         v = amps.reshape(4, 2, -1)  # (wxyz, leading bit, the other bits)
         new = np.empty((4, v.shape[-1], 2))  # (wxyz, the other bits, this bit)
-        if m.has_imaginary:
+        if m.planes != (0,):
             products = hamilton(m.table, v)  # m[r][col] * v[col]: (row, wxyz, col, others)
             np.add(products[:, :, 0], products[:, :, 1], out=new.transpose(2, 0, 1))
         else:

@@ -45,6 +45,37 @@ def rand_matrix(rng, rows=2, cols=2):
     return qmat([[random_quaternion(rng) for _ in range(cols)] for _ in range(rows)])
 
 
+def test_planes_list_the_components_that_are_not_exactly_zero():
+    rng = np.random.default_rng(7)
+    nan = float("nan")
+    assert hadamard().planes == (0,)
+    assert phase_gate(I).planes == (0, 1)
+    assert phase_gate(J).planes == (0, 2)
+    assert phase_gate(K).planes == (0, 3)
+    assert random_unitary(rng).planes == (0, 1, 2, 3)
+    # -0.0 is a zero, NaN is not, and the w plane is always listed
+    assert QMatrix(np.where(np.arange(4) == 0, 1.0, -0.0) * np.ones((2, 2, 1))).planes == (0,)
+    assert qmat([[1, Quaternion(0, 0, nan)], [0, 1]]).planes == (0, 2)
+    assert qmat([[Quaternion(0, 1e-300), 0], [0, J]]).planes == (0, 1, 2)
+    assert qmat([[I, 0], [0, J]]).planes == (0, 1, 2)
+
+
+def test_hamilton_adds_only_the_listed_planes_into_the_given_buffers():
+    rng = np.random.default_rng(8)
+    m = rand_matrix(rng)
+    v = rng.normal(size=(4, 2, 3, 5))
+    buffers = np.empty((2, 2, 2, 2, 2, 15))
+    out = (buffers[0], buffers[1])
+    for planes in ((0,), (0, 1), (0, 2), (0, 3), (0, 1, 3), (0, 1, 2, 3)):
+        got = hamilton(m.table, v, planes, out)
+        assert np.shares_memory(got, buffers[0]) and not np.shares_memory(got, buffers[1])
+        assert got.tobytes() == hamilton(m.table, v, planes).tobytes()
+        # a left-out plane adds signed zeros only, which change no nonzero sum
+        listed = QMatrix(m.data * np.isin(np.arange(4), planes))
+        assert np.count_nonzero(got) == got.size
+        assert got.tobytes() == hamilton(listed.table, v).tobytes()
+
+
 def test_hamilton_matches_scalar_product_bit_for_bit():
     rng = np.random.default_rng(4)
     signed_zeros = [Quaternion(*rng.choice([0.0, -0.0, 1.0, -2.5], size=4)) for _ in range(20)]
@@ -182,8 +213,9 @@ def test_is_unitary_matches_the_hamilton_reference():
         qmat([[inf, 0], [0, 1]]),
         qmat([[1, Quaternion(1e-10, 1e-15)], [0, 1]]),
     ]
-    with np.errstate(invalid="ignore"):  # inf * 0 is NaN on either path
-        verdicts = [is_unitary(m) for m in edges]
+    # the suite turns warnings into errors, so is_unitary itself must warn nothing
+    verdicts = [is_unitary(m) for m in edges]
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN in the reference's products
         assert verdicts == [reference_is_unitary(m) for m in edges]
     assert verdicts == [True, True, True, True, False, False, False, False, False, False]
     counts = {True: 0, False: 0}

@@ -4,9 +4,9 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from quatbox import qlinalg
+from quatbox import qlinalg, register
 from quatbox.qlinalg import (
-    INV_SQRT2, QVector, diag, hadamard, inner, phase_gate, qmat, rotation,
+    INV_SQRT2, QVector, diag, hadamard, hamilton, inner, phase_gate, qmat, rotation,
 )
 from quatbox.quaternion import I, J, K, ONE, ZERO, Quaternion
 from quatbox.register import (
@@ -20,7 +20,7 @@ from quatbox.register import (
     state_dump,
 )
 
-from helpers import random_complex_unitary, random_register, random_unitary
+from helpers import count_calls, random_complex_unitary, random_register, random_unitary
 
 S = INV_SQRT2
 R_I = phase_gate(I)
@@ -171,6 +171,150 @@ def test_readout_matches_norm_sq_after_apply_local_bit_for_bit(n):
                     out = apply_local(out, party, basis)
                 probs = np.array(list(measure_product_basis(reg, case).values()))
                 assert probs.tobytes() == qlinalg.norm_sq(out.state.data).tobytes()
+
+
+def spy_planes(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the planes of every Hamilton kernel call a gate makes."""
+    calls = []
+    kernel = register.hamilton
+
+    def spy(table, v, planes=(0, 1, 2, 3), out=None):
+        calls.append(tuple(planes))
+        return kernel(table, v, planes, out)
+
+    monkeypatch.setattr(register, "hamilton", spy)
+    return calls
+
+
+def pair_register(rng, n, party, pair) -> Register:
+    """A random register whose amplitudes at one index pair along `party`'s bit are
+    replaced by `pair`, with no exact zero elsewhere."""
+    amps = np.array([astuple(q) for q in random_register(rng, n).state.amps])
+    mask = 1 << (n - 1 - party)
+    amps[0], amps[mask] = pair
+    return Register(n, QVector(amps / math.sqrt(float((amps * amps).sum()))))
+
+
+def test_guard_keeps_cancellation_to_an_exact_zero_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(70)
+    a = rng.normal(size=4)
+    reg = pair_register(rng, 3, 1, (a, a))  # a0 == a1: the Hadamard's row 1 cancels to +0
+    calls = spy_planes(monkeypatch)
+    got = apply_local(reg, 1, hadamard()).state.data
+    assert np.count_nonzero(got) < got.size
+    assert got.tobytes() == scalar_apply_local(reg, 1, hadamard()).tobytes()
+    assert calls == [(0,), (0, 1, 2, 3)]  # the zero sends the gate back to all four planes
+
+
+def test_guard_on_a_gate_with_negative_zero_imaginary_parts():
+    rng = np.random.default_rng(71)
+    data = np.where(np.arange(4) == 0, hadamard().data, -0.0)
+    gate = qlinalg.QMatrix(data)
+    assert gate.planes == (0,)
+    for reg in (random_register(rng, 3), signed_zero_register(rng, 3)):
+        for party in range(3):
+            got = apply_local(reg, party, gate).state.data
+            assert got.tobytes() == scalar_apply_local(reg, party, gate).tobytes()
+
+
+def test_guard_on_products_that_underflow(monkeypatch):
+    rng = np.random.default_rng(72)
+    tiny = 5e-324  # the least subnormal double: times a factor of at most 0.5, a signed zero
+    # a 1e-300 imaginary part on tiny amplitudes: its products underflow to signed zeros
+    near_one = phase_gate(Quaternion(1.0, 1e-300))
+    reg = pair_register(rng, 2, 0, rng.choice([-1e-30, 1e-30, tiny], size=(2, 4)))
+    got = apply_local(reg, 0, near_one).state.data
+    assert got.tobytes() == scalar_apply_local(reg, 0, near_one).tobytes()
+    # entries of exactly 0.5 halve the least subnormal to a tie, which rounds to a signed
+    # zero: every term of the pair's outputs is a zero, and the left-out ones set their signs
+    p = Quaternion(0.5, 0.5)
+    gate = qmat([[p, p], [p, -p]])
+    assert gate.planes == (0, 1)
+    signs = np.array([[1.0, -1.0, -1.0, -1.0], [-1.0, -1.0, -1.0, -1.0]])
+    reg = pair_register(rng, 2, 0, signs * tiny)
+    calls = spy_planes(monkeypatch)
+    got = apply_local(reg, 0, gate).state.data
+    assert got.tobytes() == scalar_apply_local(reg, 0, gate).tobytes()
+    assert calls == [(0, 1), (0, 1, 2, 3)]
+    # without the second pass, the reduced sum's signs differ from the scalar fold's
+    v = reg.state.data.T.reshape(4, 2, 1, 2)
+    reduced, full = hamilton(gate.table, v, gate.planes), hamilton(gate.table, v)
+    assert (reduced[:, :, 0] + reduced[:, :, 1]).tobytes() != (full[:, :, 0] + full[:, :, 1]).tobytes()
+
+
+def test_a_gate_adds_only_its_planes_where_no_zero_can_tell(monkeypatch):
+    rng = np.random.default_rng(73)
+    dense = random_register(rng, 4)
+    cases = [
+        # the paper's Bell states hold zeros, so their gates go straight to four planes
+        (bell_state(K), [(0, R_I), (1, R_J)], [(0, 1, 2, 3), (0, 1, 2, 3)], 2),
+        (dense, [(1, R_J)], [(0, 2)], 2),
+        # no zero count for a gate with all four planes; the counted output of one gate
+        # is the next gate's input
+        (dense, [(0, random_unitary(rng)), (1, R_I), (2, hadamard()), (3, R_J)],
+         [(0, 1, 2, 3), (0, 1), (0,), (0, 2)], 4),
+    ]
+    # each gate's unitarity is checked here, once, before anything is counted
+    cases = [(reg, [ScheduledOp(t, *step) for t, step in enumerate(steps)], planes, counts)
+             for reg, steps, planes, counts in cases]
+    calls = spy_planes(monkeypatch)
+    zero_counts = count_calls(monkeypatch, np, "count_nonzero")
+    for reg, ops, planes, counts in cases:
+        calls.clear()
+        zero_counts[0] = 0
+        run_schedule(reg, ops)
+        assert calls == planes
+        assert zero_counts == [counts]
+
+
+@pytest.mark.parametrize("party", [True, False, 0.0, 1.0, 0.5, np.float64(1.0), np.bool_(True), "1", None])
+def test_party_index_must_be_an_integer(monkeypatch, party):
+    kernel_calls = count_calls(monkeypatch, register, "hamilton")
+    reg = bell_state(K)
+    refusals = [lambda: ScheduledOp(0.0, party, hadamard()), lambda: apply_local(reg, party, R_I)]
+    for refused in refusals:
+        with pytest.raises(ValueError, match="party index must be an integer") as err:
+            refused()
+        assert "\n" not in str(err.value)
+    assert kernel_calls == [0]
+
+
+def test_numpy_integer_parties_act_as_ints():
+    rng = np.random.default_rng(74)
+    reg, gate = random_register(rng, 9), random_unitary(rng)
+    want = apply_local(reg, 8, gate).state.data.tobytes()
+    # 1 << np.uint8(8) would overflow in uint8 arithmetic
+    for party in (np.int64(8), np.int32(8), np.uint8(8)):
+        assert apply_local(reg, party, gate).state.data.tobytes() == want
+        assert run_schedule(reg, [ScheduledOp(1.0, party, gate)]).state.data.tobytes() == want
+
+
+def test_a_schedule_is_checked_before_any_gate_runs(monkeypatch):
+    kernel_calls = count_calls(monkeypatch, register, "hamilton")
+    ops = [ScheduledOp(1, 0, R_I), ScheduledOp(2, 2, R_J)]
+    with pytest.raises(ValueError, match="party 2 out of range for 2 parties"):
+        run_schedule(bell_state(K), ops)
+    assert kernel_calls == [0]
+
+
+def test_a_schedule_result_owns_only_its_state():
+    rng = np.random.default_rng(75)
+    n = 5
+    start = random_register(rng, n)
+    before = start.state.data.tobytes()
+    ops = [ScheduledOp(t, t % n, (random_unitary, random_complex_unitary)[t % 2](rng))
+           for t in range(6)]
+    first = run_schedule(start, ops)
+    kept = first.state.data.tobytes()
+    second = run_schedule(first, ops)
+    third = apply_local(second, 1, hadamard())
+    assert start.state.data.tobytes() == before and first.state.data.tobytes() == kept
+    results = [start, first, second, third]
+    for k, result in enumerate(results[1:], 1):
+        # the (4, dim) state alone: no work copy or kernel buffer stays alive with it
+        assert result.state.data.base.nbytes == 32 * 2**n
+        for earlier in results[:k]:
+            assert not np.shares_memory(result.state.data, earlier.state.data)
 
 
 def test_readout_checks_real_basis_changes_as_apply_local_does():
