@@ -7,7 +7,7 @@ copy then runs `python -m pytest -x -q` with its own src/ on PYTHONPATH.  A
 mutant is killed when the suite fails, and survives when it passes.  Some
 mutants cannot change any output; EQUIVALENT names them with the reason.
 
-    python3 scripts/mutation_sweep.py            # every mutant, about 5 minutes
+    python3 scripts/mutation_sweep.py            # every mutant, about 15 minutes
     python3 scripts/mutation_sweep.py boxes.py   # only mutants of files matching a name
 
 Exits 1 if a mutant outside EQUIVALENT survives, or if its `old` is no longer
@@ -37,9 +37,22 @@ EQUIVALENT = {
 
 MUTANTS = [
     ("boxes.py", "x ^ y == a & b", "x ^ y != a & b"),
-    ("boxes.py", "arr.min() < -1e-12", "arr.min() < -1e-11"),
-    ("boxes.py", "arr.min() < -1e-12", "arr.min() <= -1e-12"),
+    ("boxes.py", "min(entries) < -1e-12", "min(entries) < -1e-11"),
+    ("boxes.py", "min(entries) < -1e-12", "min(entries) <= -1e-12"),
+    ("boxes.py", "rows[0] + rows[1] + rows[2] + rows[3]", "rows[0] + rows[1] + rows[2]"),
     ("boxes.py", "> NON_SIGNALLING_TOL", ">= NON_SIGNALLING_TOL"),
+    # the cell sums: an entry left out, and no absolute value
+    ("boxes.py", "abs(p0 + p1 + p2 + p3 - 1.0)", "abs(p0 + p1 + p2 - 1.0)"),
+    ("boxes.py", "abs(p0 + p1 + p2 + p3 - 1.0)", "(p0 + p1 + p2 + p3 - 1.0)"),
+    # the marginal pairs: Bob's left out, pairs crossed, single entries for marginals
+    ("boxes.py", "((0, 2), (1, 3)))", "((0, 1), (2, 3)))"),
+    ("boxes.py", "((0, 2), (1, 3)))", "((0, 3), (1, 2)))"),
+    ("boxes.py", "rows[c][i] + rows[c][j] - (rows[d][i] + rows[d][j])",
+     "rows[c][i] - rows[d][i]"),
+    ("boxes.py", "(rows[d][i] + rows[d][j])) <= tol", "(rows[d][i] + rows[d][j])) < tol"),
+    # the time-order key: the tags' order ignored, and one readout for every cell
+    ("boxes.py", "for op in sorted(ops, key=attrgetter(\"time\"))", "for op in ops"),
+    ("boxes.py", "if order not in readouts:", "if not readouts:"),
     ("qlinalg.py", "SUBFIELD_TOL = 1e-14", "SUBFIELD_TOL = 1e-12"),
     ("qlinalg.py", "<= SUBFIELD_TOL", "< SUBFIELD_TOL"),
     ("qlinalg.py", "<= UNITARY_TOL", "< UNITARY_TOL"),
@@ -49,6 +62,11 @@ MUTANTS = [
     ("qlinalg.py", "nonzero = self.data.any(axis=(0, 1)).tolist()",
      "nonzero = (np.abs(self.data) > SUBFIELD_TOL).any(axis=(0, 1)).tolist()"),
     ("qlinalg.py", "if m.planes != (0,):", "if not m.is_real:"),
+    ("qlinalg.py", "(m.data * _CONJUGATE).transpose(2, 1, 0)", "m.data.transpose(2, 1, 0)"),
+    ("qlinalg.py", "(m.data * _CONJUGATE).transpose(2, 1, 0)",
+     "(m.data * _CONJUGATE).transpose(2, 0, 1)"),
+    ("qlinalg.py", "if not math.isfinite(theta):", "if False:"),
+    ("qlinalg.py", "data[..., 0] = rows", "data[..., 0] = np.transpose(rows)"),
     ("qlinalg.py", "if np.count_nonzero(np.isfinite(m.data)) != m.data.size:", "if False:"),
     ("qlinalg.py", "axis=2) - np.eye(rows))", "axis=2))"),
     ("qlinalg.py", "_fold_sum(w[:, None] * w[None], axis=2)", "(w[:, None] * w[None]).sum(axis=2)"),
@@ -62,6 +80,8 @@ MUTANTS = [
     ("register.py", "dense = _no_zero(state) if reduced else None",
      "dense = _no_zero(state) if reduced else True"),
     ("register.py", "isinstance(party, bool) or ", ""),
+    ("register.py", "if largest > 1.0:", "if largest >= 1.0:"),
+    ("register.py", "if largest > 1.0:", "if largest > 1.0 + 1e-15:"),
     ("register.py", "1 << int(party)", "1 << party"),
     ("register.py", "out=new[..., 0])\n            np.add(c * v0, d * v1, out=new[..., 1])",
      "out=new[..., 1])\n            np.add(c * v0, d * v1, out=new[..., 0])"),

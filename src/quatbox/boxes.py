@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, compress, starmap
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
@@ -47,18 +48,21 @@ class BoxBehavior:
         arr = np.array(self.probs, dtype=float)
         if arr.shape != (2, 2, 2, 2):
             raise ValueError(f"behavior table must have shape (2,2,2,2), got {arr.shape}")
-        if not np.isfinite(arr).all():
+        # the 16 entries as Python floats, one row per cell: a Python float sum that
+        # overflows is inf, with no warning, and inf fails the cell-sum check
+        rows = arr.reshape(4, 4).tolist()
+        entries = rows[0] + rows[1] + rows[2] + rows[3]
+        if not all(map(math.isfinite, entries)):
             raise ValueError("non-finite probability in behavior table")
-        if arr.min() < -1e-12:
+        if min(entries) < -1e-12:
             raise ValueError("negative probability in behavior table")
-        cell_sums = arr.sum(axis=(2, 3))
-        if np.max(np.abs(cell_sums - 1.0)) > NON_SIGNALLING_TOL:
+        # added left to right, as numpy adds a cell's four contiguous entries
+        if any(abs(p0 + p1 + p2 + p3 - 1.0) > NON_SIGNALLING_TOL for p0, p1, p2, p3 in rows):
             raise ValueError("each input cell must sum to 1")
+        if not _non_signalling(rows, NON_SIGNALLING_TOL):
+            raise ValueError("behavior table is signalling")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-        if not is_non_signalling(self):
-            raise ValueError("behavior table is signalling")
-        rows = arr.reshape(4, 4).tolist()
         # each cell's running sums p0, p0 + p1, ..., added once here instead of on every
         # draw; entries down to -1e-12 pass the checks above, so they need not increase
         thresholds = [tuple(accumulate(cell)) for cell in rows]
@@ -93,11 +97,20 @@ class BoxBehavior:
 
 def is_non_signalling(box: BoxBehavior, tol: float = NON_SIGNALLING_TOL) -> bool:
     """Check that each party's output marginal ignores the other party's input."""
-    mx = box.probs.sum(axis=3)  # [a, b, x]
-    my = box.probs.sum(axis=2)  # [a, b, y]
-    x_leak = np.max(np.abs(mx[:, 0, :] - mx[:, 1, :]))
-    y_leak = np.max(np.abs(my[0, :, :] - my[1, :, :]))
-    return bool(max(x_leak, y_leak) <= tol)
+    return _non_signalling(box.probs.reshape(4, 4).tolist(), tol)
+
+
+#: index pairs 2u + v that differ only in v, then only in u.  Alice's marginal P(x) adds
+#: outputs 2x + y over y, and must agree across cells 2a + b that differ only in b; Bob's
+#: adds over x, across cells that differ only in a
+_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)))
+
+
+def _non_signalling(rows: list[list[float]], tol: float) -> bool:
+    """Every output marginal of each party, from table rows in CELLS order, within tol
+    in the two input cells that differ only in the other party's input (NaN fails)."""
+    return all(abs(rows[c][i] + rows[c][j] - (rows[d][i] + rows[d][j])) <= tol
+               for pairs in _PAIRS for c, d in pairs for i, j in pairs)
 
 
 def _box(cell: Callable[[int, int], Iterable[float]]) -> BoxBehavior:
@@ -121,18 +134,26 @@ def quaternionic_box() -> BoxBehavior:
     (i*j)*k = -1.  Measuring both halves in the +/- basis (+ -> 0, - -> 1)
     at t5 converts that sign into perfectly correlated or anti-correlated
     outputs, so x ^ y = a*b in every cell.
+
+    A cell's outputs depend only on which party acts first, so each distinct
+    time order is evolved and read out once per call, and the cells that share
+    it (here the three with Alice first) read the same table.
     """
     gate_alice = phase_gate(I)
     gate_bob = phase_gate(J)
     shared = bell_state(K)
     measurement = [hadamard()] * 2
+    readouts = {}  # each time order's readout, keyed by the parties in the order they act
 
     def cell(a: int, b: int) -> Iterable[float]:
         ops = [
             ScheduledOp(1 if a == 0 else 3, 0, gate_alice),
             ScheduledOp(4 if b == 0 else 2, 1, gate_bob),
         ]
-        return measure_product_basis(run_schedule(shared, ops), measurement).values()
+        order = tuple(op.party for op in sorted(ops, key=attrgetter("time")))
+        if order not in readouts:
+            readouts[order] = measure_product_basis(run_schedule(shared, ops), measurement)
+        return readouts[order].values()
 
     return _box(cell)
 

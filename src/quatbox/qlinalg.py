@@ -224,10 +224,13 @@ def is_unitary(m: QMatrix) -> bool:
     """True iff M * dagger(M) deviates from the identity by at most UNITARY_TOL per entry.
 
     A matrix with a non-finite entry is not unitary, and is refused before any
-    product, so the check warns nothing.  A matrix whose only plane is w takes only
-    the w-parts of the products, w[r][k] * w[c][k], added in `matmul`'s left fold.
-    `matmul` would add signed zeros to each of them and give x, y and z parts of
-    +-0, so the squared deviation, and the verdict, are the same bit for bit.
+    product, so the check warns nothing.  A matrix with an imaginary plane takes the
+    products m[r][k] * conj(m[c][k]) from `hamilton` and adds them in `matmul`'s
+    left fold, as `matmul(m, m.dagger())` would, without building either matrix.  A
+    matrix whose only plane is w takes only the w-parts of the products,
+    w[r][k] * w[c][k], added in the same fold.  The kernel would add signed zeros to
+    each of them and give x, y and z parts of +-0, so the squared deviation, and
+    the verdict, are the same bit for bit.
     """
     rows, cols = m.shape
     if rows != cols:
@@ -235,7 +238,9 @@ def is_unitary(m: QMatrix) -> bool:
     if np.count_nonzero(np.isfinite(m.data)) != m.data.size:
         return False
     if m.planes != (0,):
-        deviation = matmul(m, m.dagger()).data - np.eye(rows)[..., None] * [1.0, 0.0, 0.0, 0.0]
+        products = hamilton(m.table, (m.data * _CONJUGATE).transpose(2, 1, 0))  # (r, wxyz, k, c)
+        product = _fold_sum(products.transpose(0, 3, 1, 2), axis=3)  # M * dagger(M), (r, c, wxyz)
+        deviation = product - np.eye(rows)[..., None] * [1.0, 0.0, 0.0, 0.0]
         deviation_sq = norm_sq(deviation)
     else:
         w = m.data[..., 0]
@@ -243,10 +248,17 @@ def is_unitary(m: QMatrix) -> bool:
     return bool((np.sqrt(deviation_sq) <= UNITARY_TOL).all())
 
 
+def _real_2x2(rows: list[list[float]]) -> QMatrix:
+    """The 2x2 matrix with these real entries: `qmat(rows)`, without a Quaternion per entry."""
+    data = np.zeros((2, 2, 4))
+    data[..., 0] = rows
+    return QMatrix(data)
+
+
 def hadamard() -> QMatrix:
     """Real Hadamard; maps the computational basis to the +/- basis."""
     s = INV_SQRT2
-    return qmat([[s, s], [s, -s]])
+    return _real_2x2([[s, s], [s, -s]])
 
 
 def phase_gate(phase) -> QMatrix:
@@ -258,6 +270,9 @@ def phase_gate(phase) -> QMatrix:
 
 
 def rotation(theta: float) -> QMatrix:
-    """Real rotation [[cos t, sin t], [-sin t, cos t]]; a basis change by angle t."""
+    """Real rotation [[cos t, sin t], [-sin t, cos t]]; a basis change by angle t, which
+    must be finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
-    return qmat([[c, s], [-s, c]])
+    return _real_2x2([[c, s], [-s, c]])

@@ -61,6 +61,11 @@ class Register:
             raise ValueError(
                 f"state dimension {self.state.dim} does not match {self.n_parties} parties"
             )
+        # a normalized state has no component outside [-1, 1], and a larger one could
+        # overflow when squared; NaN passes here and fails the norm check
+        largest = float(np.abs(self.state.data).max())
+        if largest > 1.0:
+            raise ValueError(f"state is not normalized: a component has magnitude {largest!r}")
         if not self.state.is_normalized():
             raise ValueError(f"state is not normalized: |psi|^2 = {self.state.norm_sq()!r}")
 

@@ -1,6 +1,6 @@
 """Shared random generators for property tests, all taking an explicit rng, one
-hand-built box, scalar views of the package's conjugation and left action, a
-reference unitarity check, and a call counter."""
+hand-built box, scalar views of the package's conjugation and left action,
+reference unitarity and behavior-table checks, and a call counter."""
 
 import math
 
@@ -21,7 +21,7 @@ from quatbox import (
     qmat,
     rotation,
 )
-from quatbox.boxes import BoxBehavior, classical_box, ideal_pr_box
+from quatbox.boxes import NON_SIGNALLING_TOL, BoxBehavior, classical_box, ideal_pr_box
 from quatbox.qlinalg import SUBFIELD_TOL, UNITARY_TOL, norm_sq
 
 #: the eight unit elements {+-1, +-i, +-j, +-k}; exhaustive algebra checks run over these
@@ -48,6 +48,32 @@ def reference_is_unitary(m: QMatrix) -> bool:
     kernel for every matrix: the reference `is_unitary` must match bit for bit."""
     eye = np.eye(m.shape[0])[..., None] * [1.0, 0.0, 0.0, 0.0]
     return bool((np.sqrt(norm_sq(matmul(m, m.dagger()).data - eye)) <= UNITARY_TOL).all())
+
+
+def reference_is_non_signalling(probs: np.ndarray, tol: float = NON_SIGNALLING_TOL) -> bool:
+    """Each party's output marginal ignores the other party's input, worked out with numpy
+    array reductions: the check `is_non_signalling` must agree with on every table."""
+    mx = probs.sum(axis=3)  # [a, b, x]
+    my = probs.sum(axis=2)  # [a, b, y]
+    x_leak = np.max(np.abs(mx[:, 0, :] - mx[:, 1, :]))
+    y_leak = np.max(np.abs(my[0, :, :] - my[1, :, :]))
+    return bool(max(x_leak, y_leak) <= tol)
+
+
+def reference_behavior_error(probs: np.ndarray) -> str | None:
+    """The message `BoxBehavior(probs)` must refuse a (2, 2, 2, 2) table with, or None,
+    from numpy array reductions in the constructor's order of checks."""
+    arr = np.array(probs, dtype=float)
+    if not np.isfinite(arr).all():
+        return "non-finite probability in behavior table"
+    if arr.min() < -1e-12:
+        return "negative probability in behavior table"
+    cell_sums = arr.sum(axis=(2, 3))
+    if np.max(np.abs(cell_sums - 1.0)) > NON_SIGNALLING_TOL:
+        return "each input cell must sum to 1"
+    if not reference_is_non_signalling(arr):
+        return "behavior table is signalling"
+    return None
 
 
 def random_quaternion(rng, scale=2.0) -> Quaternion:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +18,17 @@ from quatbox.boxes import (
     noisy_box,
     quaternionic_box,
 )
-from quatbox.register import basis_labels
+from quatbox.qlinalg import hadamard, phase_gate
+from quatbox.quaternion import I, J, K
+from quatbox.register import (
+    ScheduledOp,
+    basis_labels,
+    bell_state,
+    measure_product_basis,
+    run_schedule,
+)
 
-from helpers import count_calls
+from helpers import count_calls, reference_behavior_error, reference_is_non_signalling
 
 BITS = (0, 1)
 ALL_CELLS = list(itertools.product(BITS, repeat=2))
@@ -52,6 +61,24 @@ def test_quaternionic_box_prepares_its_shared_state_once(monkeypatch):
     preparations = count_calls(monkeypatch, quatbox.boxes, "bell_state")
     quaternionic_box()
     assert preparations[0] == 1
+
+
+def test_quaternionic_box_evolves_each_time_order_once(monkeypatch):
+    # the reference evolves and reads out all four cells; the box shares the three with
+    # Alice first, and must give the same bytes
+    gates = (phase_gate(I), phase_gate(J))
+    tags = ((1, 3), (4, 2))  # [party][input]: Alice at t1 or t3, Bob at t4 or t2
+    cells = []
+    for inputs in CELLS:
+        ops = [ScheduledOp(tags[party][bit], party, gates[party])
+               for party, bit in enumerate(inputs)]
+        readout = measure_product_basis(run_schedule(bell_state(K), ops), [hadamard()] * 2)
+        cells.append(list(readout.values()))
+    reference = np.reshape(cells, (2, 2, 2, 2))
+    runs = count_calls(monkeypatch, quatbox.boxes, "run_schedule")
+    readouts = count_calls(monkeypatch, quatbox.boxes, "measure_product_basis")
+    assert quaternionic_box().probs.tobytes() == reference.tobytes()
+    assert runs[0] == readouts[0] == 2
 
 
 def test_quaternionic_box_winning_logic_per_cell():
@@ -200,6 +227,89 @@ def test_cell_sum_bound_is_inclusive(monkeypatch):
     arr[1, 1, 0, 1] = 0.5 + 2**-52  # cell (1, 1) sums to 1 + 2**-52, one ulp over
     with pytest.raises(ValueError, match="each input cell must sum to 1"):
         BoxBehavior(arr)
+
+
+def test_an_overflowing_table_is_refused_without_a_warning():
+    with np.errstate(all="raise"), pytest.raises(ValueError) as err:
+        BoxBehavior(np.full((2, 2, 2, 2), 1e308))
+    assert str(err.value) == "each input cell must sum to 1"
+
+
+NAN, INF = float("nan"), float("inf")
+#: entries at the edges of the checks: the -1e-12 floor and one ulp below it, a half one ulp
+#: high (a cell then sums one ulp over 1), zeros of both signs, non-finite and huge values
+EDGE_ENTRIES = (-1e-12, math.nextafter(-1e-12, -1.0), 0.5 + 2**-52, 0.0, -0.0, 1.0,
+                NAN, INF, -INF, 1e308)
+#: amounts a table entry moves by, about the checks' tolerances and one ulp either side
+NUDGES = (1e-12, 5e-11, 1e-10, math.nextafter(1e-10, 0.0), math.nextafter(1e-10, 1.0),
+          2e-10, 1e-3, 2**-53)
+
+
+def _edited(base: np.ndarray, edits) -> np.ndarray:
+    """A copy of base with each (kind, index, other, value) edit applied: an entry set to a
+    value, shifted by it, or moved by it to another entry of its cell, which keeps the cell
+    sum and moves the marginals."""
+    arr = np.array(base)
+    for kind, index, other, value in edits:
+        if kind == "set":
+            arr[index] = value
+        elif kind == "shift":
+            arr[index] += value
+        else:
+            arr[index] += value
+            arr[index[:2] + other] -= value
+    return arr
+
+
+_BASES = (ideal_pr_box().probs, quaternionic_box().probs, complex_quantum_box().probs,
+          noisy_box(ideal_pr_box(), 0.8).probs, classical_box((0, 1), (1, 0)).probs)
+_ENTRY = st.tuples(*[st.sampled_from((0, 1))] * 4)
+_EDIT = st.one_of(
+    st.tuples(st.just("set"), _ENTRY, st.just(None), st.sampled_from(EDGE_ENTRIES)),
+    st.tuples(st.sampled_from(("shift", "move")), _ENTRY, st.tuples(*[st.sampled_from((0, 1))] * 2),
+              st.sampled_from(NUDGES).flatmap(lambda e: st.sampled_from((e, -e)))),
+)
+
+
+@given(st.sampled_from(_BASES), st.lists(_EDIT, max_size=3),
+       st.sampled_from((0.0, 1e-12, 1e-10, 1e-3)))
+@settings(max_examples=400, deadline=None)
+def test_table_checks_match_the_numpy_reference(base, edits, tol):
+    arr = _edited(base, edits)
+    with np.errstate(all="ignore"):  # the reference's sums of 1e308 overflow
+        want_error, want_non_signalling = (reference_behavior_error(arr),
+                                           reference_is_non_signalling(arr, tol))
+    with np.errstate(all="raise"):
+        try:
+            BoxBehavior(arr)
+        except ValueError as err:
+            got_error = str(err)
+        else:
+            got_error = None
+        assert got_error == want_error
+        assert is_non_signalling(SimpleNamespace(probs=arr), tol) is want_non_signalling
+
+
+def test_table_checks_match_the_numpy_reference_at_each_edge():
+    # each edge entry in each position of the PR box, and each nudge moved within each cell
+    tables = [_edited(ideal_pr_box().probs, [("set", entry, None, value)])
+              for entry in itertools.product((0, 1), repeat=4) for value in EDGE_ENTRIES]
+    tables += [_edited(ideal_pr_box().probs, [("move", entry, other, sign * nudge)])
+               for entry in itertools.product((0, 1), repeat=4)
+               for other in itertools.product((0, 1), repeat=2)
+               for nudge in NUDGES for sign in (1, -1)]
+    errors = set()
+    for arr in tables:
+        with np.errstate(all="ignore"):
+            want = reference_behavior_error(arr), reference_is_non_signalling(arr, 0.0)
+        try:
+            BoxBehavior(arr)
+            got_error = None
+        except ValueError as err:
+            got_error = str(err)
+        assert (got_error, is_non_signalling(SimpleNamespace(probs=arr), 0.0)) == want
+        errors.add(got_error)
+    assert len(errors) == 5  # every check decides some table, and some tables pass
 
 
 def test_cell_order_matches_the_readout_labels():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple
 from functools import reduce
 from operator import add
@@ -29,6 +30,7 @@ from helpers import (
     UNIT_GROUP,
     approx_eq,
     conj,
+    count_calls,
     left_action,
     random_quaternion,
     random_state,
@@ -239,6 +241,14 @@ def test_a_real_unitarity_check_makes_no_hamilton_product(monkeypatch):
         is_unitary(phase_gate(J))
 
 
+def test_is_unitary_builds_no_matrix_product(monkeypatch):
+    # the Hamilton path adds m[r][k] * conj(m[c][k]) itself: no dagger, no matmul
+    gates = [phase_gate(J), random_unitary(np.random.default_rng(3)), qmat([[1, I], [0, 1]])]
+    products = count_calls(monkeypatch, qlinalg, "matmul")
+    assert [is_unitary(m) for m in gates] == [True, True, False]
+    assert products[0] == 0
+
+
 def test_is_unitary_rejects_non_square():
     with pytest.raises(ValueError):
         is_unitary(qmat([[1, 0]]))
@@ -331,6 +341,24 @@ def test_rotation_is_real_and_unitary():
     assert m.is_real
     assert is_unitary(m)
     assert rotation(0.0) == diag(1, 1)
+
+
+def test_real_gates_are_the_bytes_qmat_builds():
+    # each entry's imaginary parts are +0.0, and a negated zero sine stays -0.0
+    for theta in (0.0, -0.0, 0.7, math.pi / 8, -math.pi / 8, math.pi, 2.0 * math.pi):
+        c, s = math.cos(theta), math.sin(theta)
+        assert rotation(theta).data.tobytes() == qmat([[c, s], [-s, c]]).data.tobytes()
+    s = INV_SQRT2
+    assert hadamard().data.tobytes() == qmat([[s, s], [s, -s]]).data.tobytes()
+
+
+def test_rotation_refuses_a_non_finite_angle():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for theta in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError) as err:
+                rotation(theta)
+            assert str(err.value) == f"rotation angle must be finite, got {theta!r}"
 
 
 def test_subfield_detection_on_matrices():

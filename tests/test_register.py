@@ -523,6 +523,24 @@ def test_register_validation():
         Register(0, QVector((ONE,)))
 
 
+def test_register_refuses_a_component_outside_the_unit_interval():
+    # before any square, so no overflow warning, even under a raising errstate
+    with np.errstate(all="raise"):
+        for big in (1e200, -1e200, float("inf"), 1.0 + 2**-52):
+            amps = np.array([[big, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+            with pytest.raises(ValueError) as err:
+                Register(1, QVector(amps))
+            message = f"state is not normalized: a component has magnitude {abs(big)!r}"
+            assert str(err.value) == message
+        for unit in (1.0, -1.0):
+            Register(1, QVector(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, unit, 0.0]])))
+    # NaN is not outside the interval, and is refused by the norm check as before
+    with pytest.raises(ValueError, match=r"\|psi\|\^2 = nan"):
+        Register(1, QVector(np.array([[float("nan"), 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])))
+    # an evolved register, a unitary image of a checked one, is not checked again
+    assert Register._evolved(1, QVector(np.full((2, 4), 2.0))).state.dim == 2
+
+
 def test_basis_labels_list_indices_in_binary():
     for n in range(1, 13):
         assert basis_labels(n) == [format(i, f"0{n}b") for i in range(2**n)]
