@@ -53,6 +53,14 @@ MUTANTS = [
     # the time-order key: the tags' order ignored, and one readout for every cell
     ("boxes.py", "for op in sorted(ops, key=attrgetter(\"time\"))", "for op in ops"),
     ("boxes.py", "if order not in readouts:", "if not readouts:"),
+    # the draw: a running sum that r equals, cells crossed, the float-dust fallback, each
+    # sum paired with the next output pair, and sequences that take -1 as an index
+    ("boxes.py", "if r < threshold:", "if r <= threshold:"),
+    ("boxes.py", "self._thresholds[a][b]", "self._thresholds[b][a]"),
+    ("boxes.py", "return CELLS[-1]", "return CELLS[0]"),
+    ("boxes.py", "zip(accumulate(cell), CELLS)", "zip(accumulate(cell), CELLS[1:] + CELLS[:1])"),
+    ("boxes.py", "{0: {0: pairs[0], 1: pairs[1]},\n" + " " * 49 + "1: {0: pairs[2], 1: pairs[3]}}",
+     "[[pairs[0], pairs[1]], [pairs[2], pairs[3]]]"),
     ("qlinalg.py", "SUBFIELD_TOL = 1e-14", "SUBFIELD_TOL = 1e-12"),
     ("qlinalg.py", "<= SUBFIELD_TOL", "< SUBFIELD_TOL"),
     ("qlinalg.py", "<= UNITARY_TOL", "< UNITARY_TOL"),
@@ -69,6 +77,10 @@ MUTANTS = [
     ("qlinalg.py", "data[..., 0] = rows", "data[..., 0] = np.transpose(rows)"),
     ("qlinalg.py", "if np.count_nonzero(np.isfinite(m.data)) != m.data.size:", "if False:"),
     ("qlinalg.py", "axis=2) - np.eye(rows))", "axis=2))"),
+    # the gates written in place: a -0.0 part turned into +0.0
+    ("qlinalg.py", "data[1, 1] = _COMPONENTS(q)", "data[1, 1] = np.add(_COMPONENTS(q), 0.0)"),
+    ("qlinalg.py", "data[i, i] = _COMPONENTS(as_quaternion(value))",
+     "data[i, i] = np.add(_COMPONENTS(as_quaternion(value)), 0.0)"),
     ("qlinalg.py", "_fold_sum(w[:, None] * w[None], axis=2)", "(w[:, None] * w[None]).sum(axis=2)"),
     ("register.py", "if m.planes != (0,):", "if not m.is_real:"),
     # the zero guard: no input count, no output count, no second pass with all four planes
@@ -95,6 +107,7 @@ MUTANTS = [
     ("cli.py", "report.success_rate >= 1.0", "report.success_rate >= 1.0 - 1e-12"),
     ("vandam.py", "min(max(win, 0.0), 1.0)", "min(win, 1.0)"),
     ("vandam.py", "min(max(win, 0.0), 1.0)", "max(win, 0.0)"),
+    ("vandam.py", "np.bitwise_count(idx >> width & idx)", "np.bitwise_count(idx >> width | idx)"),
     *EQUIVALENT,
 ]
 

@@ -63,19 +63,22 @@ class BoxBehavior:
             raise ValueError("behavior table is signalling")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-        # each cell's running sums p0, p0 + p1, ..., added once here instead of on every
-        # draw; entries down to -1e-12 pass the checks above, so they need not increase
-        thresholds = [tuple(accumulate(cell)) for cell in rows]
-        object.__setattr__(self, "_thresholds", dict(zip(CELLS, thresholds)))
+        # _thresholds[a][b]: input cell (a, b)'s running sums p0, p0 + p1, ..., each paired
+        # with its output pair, added once here instead of on every draw; entries down to
+        # -1e-12 pass the checks above, so the sums need not increase.  Dicts keyed by bit,
+        # not sequences, so an input outside {0, 1} raises KeyError
+        pairs = [tuple(zip(accumulate(cell), CELLS)) for cell in rows]
+        object.__setattr__(self, "_thresholds", {0: {0: pairs[0], 1: pairs[1]},
+                                                 1: {0: pairs[2], 1: pairs[3]}})
         # each cell's CHSH win, summed once here for scoring and the protocol's exact rates
         object.__setattr__(self, "wins", tuple(map(math.fsum, map(compress, rows, WINS))))
 
     def sample(self, a: int, b: int, rng) -> tuple[int, int]:
         """Draw one output pair for inputs (a, b); deterministic under a seeded rng."""
         r = rng.random()
-        for idx, threshold in enumerate(self._thresholds[(a, b)]):
+        for threshold, cell in self._thresholds[a][b]:
             if r < threshold:  # the first one above r, not a bisection
-                return CELLS[idx]
+                return cell
         return CELLS[-1]  # cumulative sum fell short of 1 by float dust
 
     def sample_cells(self, cells: np.ndarray, doubles: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quaternion import ONE, Quaternion, as_quaternion
+from .quaternion import Quaternion, as_quaternion
 
 #: entry-wise tolerance for accepting a matrix as unitary
 UNITARY_TOL = 1e-10
@@ -103,8 +103,12 @@ def _fold_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     return 0.0 + np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
 
 
+#: a quaternion's (w, x, y, z)
+_COMPONENTS = attrgetter("w", "x", "y", "z")
+
+
 def _pack(quaternions: Iterable[Quaternion]) -> np.ndarray:
-    return np.array(list(map(attrgetter("w", "x", "y", "z"), quaternions))).reshape(-1, 4)
+    return np.array(list(map(_COMPONENTS, quaternions))).reshape(-1, 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +202,12 @@ def qmat(rows: Iterable[Iterable]) -> QMatrix:
 
 
 def diag(*values) -> QMatrix:
+    """Diagonal matrix of these quaternions or reals, written entry by entry into a
+    zeroed array."""
     n = len(values)
     data = np.zeros((n, n, 4))
-    data[range(n), range(n)] = _pack(map(as_quaternion, values))
+    for i, value in enumerate(values):
+        data[i, i] = _COMPONENTS(as_quaternion(value))
     return QMatrix(data)
 
 
@@ -266,7 +273,10 @@ def phase_gate(phase) -> QMatrix:
     q = as_quaternion(phase)
     if not abs(q.norm() - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"phase must have unit norm, got |q| = {q.norm()!r}")
-    return diag(ONE, q)
+    data = np.zeros((2, 2, 4))  # diag(1, q), written in place
+    data[0, 0, 0] = 1.0
+    data[1, 1] = _COMPONENTS(q)
+    return QMatrix(data)
 
 
 def rotation(theta: float) -> QMatrix:

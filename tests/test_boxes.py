@@ -350,6 +350,33 @@ def test_sample_respects_support():
             assert x ^ y == (a & b)
 
 
+def test_sample_gives_the_last_pair_when_the_sums_fall_short():
+    # every cell sums to 1 - 4e-11, inside the tolerance, with the shortfall on output
+    # (1, 1): a double at or past the last running sum is still (1, 1), not a first pair
+    box = BoxBehavior(np.full((2, 2, 2, 2), 0.25) - [[0.0, 0.0], [0.0, 4e-11]])
+    last = box.probs.reshape(4, 4).cumsum(axis=1)[:, -1].tolist()
+    for (a, b), total in zip(ALL_CELLS, last):
+        assert total < 1.0
+        for r in (math.nextafter(total, 0.0), total, 1.0 - 1e-11, math.nextafter(1.0, 0.0)):
+            assert box.sample(a, b, SimpleNamespace(random=lambda: r)) == (1, 1)
+
+
+@pytest.mark.parametrize("box", [ideal_pr_box(), quaternionic_box(), complex_quantum_box(),
+                                 noisy_box(complex_quantum_box(), 0.8),
+                                 classical_box((0, 1), (1, 0))])
+def test_sample_takes_bits_and_refuses_other_inputs(box):
+    rng = np.random.default_rng(8)
+    for a, b in ((2, 0), (0, 2), (-1, 0), (0.5, 0)):
+        with pytest.raises(KeyError):
+            box.sample(a, b, rng)
+    # a bool or a numpy integer is the same bit as the int, drawn from the same seed
+    inputs = ALL_CELLS * 50
+    for bit in (bool, np.int64):
+        int_rng, bit_rng = np.random.default_rng(9), np.random.default_rng(9)
+        want = [box.sample(a, b, int_rng) for a, b in inputs]
+        assert [box.sample(bit(a), bit(b), bit_rng) for a, b in inputs] == want
+
+
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1, 2**63])
 def test_one_array_of_doubles_equals_as_many_scalar_draws(seed):
     # sample_cells draws a whole block with rng.random(n) and hands the doubles to sample

@@ -352,6 +352,23 @@ def test_real_gates_are_the_bytes_qmat_builds():
     assert hadamard().data.tobytes() == qmat([[s, s], [s, -s]]).data.tobytes()
 
 
+def test_phase_gates_and_diagonals_are_the_bytes_qmat_builds():
+    rng = np.random.default_rng(13)
+    phases = [I, J, K, Quaternion(-0.0, -0.0, -0.0, -1.0)]
+    for _ in range(20):
+        # a random unit quaternion with some parts -0.0, which the array must keep
+        zeros = rng.integers(0, 2, 4).astype(bool)
+        zeros[rng.integers(4)] = False
+        parts = np.where(zeros, -0.0, rng.normal(size=4))
+        phases.append(Quaternion(*(parts / np.linalg.norm(parts)).tolist()))
+    for q in phases:
+        want = qmat([[1, 0], [0, q]]).data.tobytes()
+        assert phase_gate(q).data.tobytes() == want
+        assert diag(1, q).data.tobytes() == want
+    assert diag(-0.0, ONE).data.tobytes() == qmat([[-0.0, 0], [0, 1]]).data.tobytes()
+    assert diag(1, 1, 1).data.tobytes() == qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).data.tobytes()
+
+
 def test_rotation_refuses_a_non_finite_angle():
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")

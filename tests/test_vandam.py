@@ -570,6 +570,16 @@ def test_builtin_registry():
         builtin_function("MAJ")
 
 
+def test_inner_product_tables_equal_the_callable_ones():
+    def parity(x, y):
+        return bin(x & y).count("1") & 1
+
+    for width in range(1, 6):
+        want = BooleanFunction.from_callable(width, width, parity)
+        got = quatbox.vandam._inner_product(width)
+        assert (got.n_alice, got.n_bob, got.table) == (width, width, want.table)
+
+
 def test_truth_table_json_roundtrip():
     rng = np.random.default_rng(12)
     f = random_function(rng, 3, 2)
