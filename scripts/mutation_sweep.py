@@ -58,6 +58,7 @@ MUTANTS = [
     ("boxes.py", "if r < threshold:", "if r <= threshold:"),
     ("boxes.py", "self._thresholds[a][b]", "self._thresholds[b][a]"),
     ("boxes.py", "return CELLS[-1]", "return CELLS[0]"),
+    ("boxes.py", "{2 * a + b: (a, b, src) for a, b in CELLS}", "[(a, b, src) for a, b in CELLS]"),
     ("boxes.py", "zip(accumulate(cell), CELLS)", "zip(accumulate(cell), CELLS[1:] + CELLS[:1])"),
     ("boxes.py", "{0: {0: pairs[0], 1: pairs[1]},\n" + " " * 49 + "1: {0: pairs[2], 1: pairs[3]}}",
      "[[pairs[0], pairs[1]], [pairs[2], pairs[3]]]"),
@@ -78,7 +79,7 @@ MUTANTS = [
     ("qlinalg.py", "if np.count_nonzero(np.isfinite(m.data)) != m.data.size:", "if False:"),
     ("qlinalg.py", "axis=2) - np.eye(rows))", "axis=2))"),
     # the gates written in place: a -0.0 part turned into +0.0
-    ("qlinalg.py", "data[1, 1] = _COMPONENTS(q)", "data[1, 1] = np.add(_COMPONENTS(q), 0.0)"),
+    ("qlinalg.py", "return diag(1.0, q)", "return diag(q, 1.0)"),
     ("qlinalg.py", "data[i, i] = _COMPONENTS(as_quaternion(value))",
      "data[i, i] = np.add(_COMPONENTS(as_quaternion(value)), 0.0)"),
     ("qlinalg.py", "_fold_sum(w[:, None] * w[None], axis=2)", "(w[:, None] * w[None]).sum(axis=2)"),
@@ -86,15 +87,23 @@ MUTANTS = [
     # the zero guard: no input count, no output count, no second pass with all four planes
     ("register.py", "(dense if dense is not None else _no_zero(work))", "True"),
     ("register.py", "if reduced and not dense:", "if False:"),
-    ("register.py", "products = hamilton(gate.table, amps, _ALL_PLANES, kernel_out)",
-     "products = hamilton(gate.table, amps, planes, kernel_out)"),
+    ("register.py", "products = hamilton(op.gate.table, amps, _ALL_PLANES, kernel_out)",
+     "products = hamilton(op.gate.table, amps, planes, kernel_out)"),
     ("register.py", "planes if reduced else _ALL_PLANES", "planes"),
     ("register.py", "dense = _no_zero(state) if reduced else None",
      "dense = _no_zero(state) if reduced else True"),
-    ("register.py", "isinstance(party, bool) or ", ""),
+    # each gate, party and party count checked once, where it enters
+    ("register.py", "isinstance(self.party, bool) or ", ""),
+    ("register.py", "isinstance(n, bool) or ", ""),
+    ("register.py", "op.party >= n", "op.party > n"),
+    ("register.py", "_check_gate(self.gate)", "None"),
+    ("register.py", "if not isinstance(gate, QMatrix):", "if False:"),
+    ("register.py", "not isinstance(self.time, (int, float, numbers.Real)) or ", ""),
+    ("register.py", "if not all(isinstance(op, ScheduledOp) for op in ordered):", "if False:"),
+    ("register.py", "    for m in basis_changes:\n        _check_gate(m)\n", ""),
     ("register.py", "if largest > 1.0:", "if largest >= 1.0:"),
     ("register.py", "if largest > 1.0:", "if largest > 1.0 + 1e-15:"),
-    ("register.py", "1 << int(party)", "1 << party"),
+    ("register.py", "1 << int(op.party)", "1 << op.party"),
     ("register.py", "out=new[..., 0])\n            np.add(c * v0, d * v1, out=new[..., 1])",
      "out=new[..., 1])\n            np.add(c * v0, d * v1, out=new[..., 0])"),
     ("register.py", "out=new.transpose(2, 0, 1)", "out=new[..., ::-1].transpose(2, 0, 1)"),
@@ -108,6 +117,9 @@ MUTANTS = [
     ("vandam.py", "min(max(win, 0.0), 1.0)", "min(win, 1.0)"),
     ("vandam.py", "min(max(win, 0.0), 1.0)", "max(win, 0.0)"),
     ("vandam.py", "np.bitwise_count(idx >> width & idx)", "np.bitwise_count(idx >> width | idx)"),
+    # the widths, checked once in _table_size: a bool width, and numpy widths added as numpy
+    ("vandam.py", "isinstance(n, bool) or ", ""),
+    ("vandam.py", "width = int(n_alice) + int(n_bob)", "width = n_alice + n_bob"),
     *EQUIVALENT,
 ]
 

@@ -86,7 +86,7 @@ class BoxBehavior:
         c = 2a + b of `cells`, in order, each taking the next of `doubles` as the
         `rng.random()` it would call."""
         src = SimpleNamespace(random=iter(doubles.tolist()).__next__)
-        args = [(a, b, src) for a, b in CELLS]
+        args = {2 * a + b: (a, b, src) for a, b in CELLS}  # keyed, so a cell -1 is refused
         draws = starmap(self.sample, map(args.__getitem__, cells.tolist()))
         return np.fromiter(map(_CELL_INDEX.__getitem__, draws), np.uint8, len(cells))
 

@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vandam", parents=[common, boxed],
                        help="exhaustively verify the one-bit protocol on a function")
     p.add_argument("--function", required=True,
-                   help="built-in name (AND, XOR, IP2, IP4) or truth-table JSON file")
+                   help=f"built-in name ({', '.join(BUILTIN_FUNCTIONS)}) or truth-table JSON file")
 
     p = sub.add_parser("order-demo", parents=[common],
                        help="apply two local gates in both time orders and compare")

@@ -273,10 +273,7 @@ def phase_gate(phase) -> QMatrix:
     q = as_quaternion(phase)
     if not abs(q.norm() - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"phase must have unit norm, got |q| = {q.norm()!r}")
-    data = np.zeros((2, 2, 4))  # diag(1, q), written in place
-    data[0, 0, 0] = 1.0
-    data[1, 1] = _COMPONENTS(q)
-    return QMatrix(data)
+    return diag(1.0, q)
 
 
 def rotation(theta: float) -> QMatrix:

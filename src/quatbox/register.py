@@ -3,13 +3,14 @@
 Local gates on different parties need not commute here, so "apply these
 gates" is not a set operation: a multi-gate experiment is a schedule, each
 operation carrying a distinct time tag, folded in increasing time order.
-Every gate, one from `apply_local` or a schedule's, runs through one step,
-which holds one work copy of the state and the kernel's buffers for all the
-gates of a call, and writes each gate's result into the one (4, dim) state that
-the returned register owns.  A gate adds only the Hamilton planes it has (see
-`QMatrix.planes`) when no amplitude component it reads or writes is exactly
-zero, and otherwise all four, so each result is the same bytes as the full
-kernel's.
+Every gate reaches a register as a `ScheduledOp`, which checks its party and
+gate once: `apply_local` wraps its one gate in one, and a schedule hands on
+its sorted ops.  One step runs them all; it holds one work copy of the state
+and the kernel's buffers for all the gates of a call, and writes each gate's
+result into the one (4, dim) state that the returned register owns.  A gate
+adds only the Hamilton planes it has (see `QMatrix.planes`) when no amplitude
+component it reads or writes is exactly zero, and otherwise all four, so each
+result is the same bytes as the full kernel's.
 
 Outcome probabilities follow the norm-squared rule.  A readout changes the
 basis of the leading bit on each pass, reading the two halves of each
@@ -25,6 +26,7 @@ two-party register lists amplitudes for 00, 01, 10, 11 in that order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -55,12 +57,11 @@ class Register:
     state: QVector
 
     def __post_init__(self):
-        if self.n_parties < 1:
-            raise ValueError("need at least one party")
-        if self.state.dim != 2**self.n_parties:
-            raise ValueError(
-                f"state dimension {self.state.dim} does not match {self.n_parties} parties"
-            )
+        n = self.n_parties  # a bool is an int to Python; a float would fail only at 1 << n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_parties must be an integer of at least 1, got {n!r}")
+        if self.state.dim != 2**n:
+            raise ValueError(f"state dimension {self.state.dim} does not match {n} parties")
         # a normalized state has no component outside [-1, 1], and a larger one could
         # overflow when squared; NaN passes here and fails the norm check
         largest = float(np.abs(self.state.data).max())
@@ -78,25 +79,33 @@ class Register:
         return reg
 
 
+def _check_gate(gate: QMatrix) -> None:
+    if not isinstance(gate, QMatrix):
+        raise ValueError(f"a local gate must be a QMatrix, not {type(gate).__name__}")
+    if gate.shape != (2, 2):
+        raise ValueError("local gates must be 2x2")
+    if not gate.unitary:
+        raise ValueError("local gate is not unitary")
+
+
 @dataclass(frozen=True)
 class ScheduledOp:
-    """A single-party 2x2 unitary tagged with the time at which it acts."""
+    """A single-party 2x2 unitary tagged with the time it acts at: how every gate enters."""
 
     time: float
     party: int
     gate: QMatrix
 
     def __post_init__(self):
-        # NaN compares false with every tag, so it would leave the order to the list
-        if not math.isfinite(self.time):
-            raise ValueError(f"time tag must be finite, got {self.time!r}")
-        _check_party_type(self.party)
+        # NaN compares false with every tag, so it would leave the order to the list;
+        # int and float come first, found without numbers.Real's slower check
+        if not isinstance(self.time, (int, float, numbers.Real)) or not math.isfinite(self.time):
+            raise ValueError(f"time tag must be a finite real number, got {self.time!r}")
+        if isinstance(self.party, bool) or not isinstance(self.party, (int, np.integer)):
+            raise ValueError(f"party index must be an integer, not {type(self.party).__name__}")
         if self.party < 0:
             raise ValueError("party index must be non-negative")
-        if self.gate.shape != (2, 2):
-            raise ValueError("scheduled gates act on one qubit and must be 2x2")
-        if not self.gate.unitary:
-            raise ValueError("scheduled gate is not unitary")
+        _check_gate(self.gate)
 
 
 def bell_state(phase=1.0) -> Register:
@@ -108,19 +117,6 @@ def bell_state(phase=1.0) -> Register:
     return Register(2, QVector(tuple(amps)))
 
 
-def _check_gate(gate: QMatrix) -> None:
-    if gate.shape != (2, 2):
-        raise ValueError("local gates must be 2x2")
-    if not gate.unitary:
-        raise ValueError("local gate is not unitary")
-
-
-def _check_party_type(party) -> None:
-    # a bool is an int to Python, and a float would fail only at 1 << party
-    if isinstance(party, bool) or not isinstance(party, (int, np.integer)):
-        raise ValueError(f"party index must be an integer, not {type(party).__name__}")
-
-
 #: every Hamilton plane, k = w, x, y, z
 _ALL_PLANES = (0, 1, 2, 3)
 
@@ -129,17 +125,17 @@ def _no_zero(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == a.size
 
 
-def _evolve(reg: Register, steps: Sequence[tuple[int, QMatrix]]) -> Register:
-    """Apply each (party, gate) step in turn: the one per-gate step of `apply_local`
-    and `run_schedule`.
+def _evolve(reg: Register, ops: Sequence[ScheduledOp]) -> Register:
+    """Apply each op's gate in the order given: the one gate path.  Each op checked
+    its party and gate when it was built; only each party < n, which depends on the
+    register, is checked here, before any array is built.
 
-    Every step is checked before any array is built.  The call then holds, for all
-    its gates, one buffer for a work copy of the state and the kernel's products and
-    scratch, and the (4, dim) state that the returned register owns, so it keeps no
-    scratch alive.  Each gate copies the state into `work`, ordered (wxyz, this
-    party's bit, higher parties, lower parties) so that the products and sums run
-    along rows of dim / 2 amplitudes, and writes the sum of its two columns into
-    the state.
+    The call holds, for all its gates, one buffer for a work copy of the state and
+    the kernel's products and scratch, and the (4, dim) state that the returned
+    register owns, so it keeps no scratch alive.  Each gate copies the state into
+    `work`, ordered (wxyz, this party's bit, higher parties, lower parties) so that
+    the products and sums run along rows of dim / 2 amplitudes, and writes the sum
+    of its two columns into the state.
 
     A gate with fewer than four planes leaves its all-zero ones out when no input
     component is exactly zero.  A left-out term is a signed zero, and adding one
@@ -150,11 +146,9 @@ def _evolve(reg: Register, steps: Sequence[tuple[int, QMatrix]]) -> Register:
     once, twice only when its input was not counted, and never with all four planes.
     """
     n = reg.n_parties
-    for party, gate in steps:
-        _check_party_type(party)
-        if not 0 <= party < n:
-            raise ValueError(f"party {party} out of range for {n} parties")
-        _check_gate(gate)
+    for op in ops:
+        if op.party >= n:
+            raise ValueError(f"party {op.party} out of range for {n} parties")
     dim = 1 << n
     # five slabs of 4 * dim: the work copy, then the kernel's (row, c0, c1, col, dim / 2)
     # products and scratch, two slabs each
@@ -163,18 +157,18 @@ def _evolve(reg: Register, steps: Sequence[tuple[int, QMatrix]]) -> Register:
     state = np.empty((4, dim))
     source = reg.state.data.T  # (wxyz, dim)
     dense = None  # `source` holds no exact zero: True, False, or not counted
-    for party, gate in steps:
-        higher = 1 << int(party)  # a numpy party would shift in its own, maybe narrow, type
+    for op in ops:
+        higher = 1 << int(op.party)  # a numpy party would shift in its own, maybe narrow, type
         amps = work.reshape(4, 2, higher, -1)
         np.copyto(amps, source.reshape(4, higher, 2, -1).swapaxes(1, 2))
         new = state.reshape(4, higher, 2, -1).transpose(2, 0, 1, 3)
-        planes = gate.planes
+        planes = op.gate.planes
         reduced = planes != _ALL_PLANES and (dense if dense is not None else _no_zero(work))
-        products = hamilton(gate.table, amps, planes if reduced else _ALL_PLANES, kernel_out)
+        products = hamilton(op.gate.table, amps, planes if reduced else _ALL_PLANES, kernel_out)
         np.add(products[:, :, 0], products[:, :, 1], out=new)  # (row, wxyz, col, ...) summed
         dense = _no_zero(state) if reduced else None
         if reduced and not dense:
-            products = hamilton(gate.table, amps, _ALL_PLANES, kernel_out)
+            products = hamilton(op.gate.table, amps, _ALL_PLANES, kernel_out)
             np.add(products[:, :, 0], products[:, :, 1], out=new)
         source = state
     # a (dim, 4) view of (4, dim) storage: past one party, the next gate's data.T is contiguous
@@ -182,8 +176,8 @@ def _evolve(reg: Register, steps: Sequence[tuple[int, QMatrix]]) -> Register:
 
 
 def apply_local(reg: Register, party: int, gate: QMatrix) -> Register:
-    """Left-multiply the amplitude pair along one party's bit by a 2x2 unitary."""
-    return _evolve(reg, ((party, gate),))
+    """Left-multiply one party's amplitude pairs by a 2x2 unitary: a one-op schedule."""
+    return _evolve(reg, (ScheduledOp(0.0, party, gate),))
 
 
 def run_schedule(reg: Register, ops: Iterable[ScheduledOp]) -> Register:
@@ -193,13 +187,16 @@ def run_schedule(reg: Register, ops: Iterable[ScheduledOp]) -> Register:
     result genuinely depends on the order, and this module refuses to guess
     simultaneity semantics.  An empty schedule returns the register itself.
     """
-    ordered = sorted(ops, key=lambda op: op.time)
+    ordered = list(ops)
+    if not all(isinstance(op, ScheduledOp) for op in ordered):
+        raise ValueError("a schedule must hold ScheduledOps only")
+    ordered.sort(key=lambda op: op.time)
     times = [op.time for op in ordered]
     if len(set(times)) != len(times):
         raise ValueError("schedule contains duplicate time tags; a total order is required")
     if not ordered:
         return reg
-    return _evolve(reg, [(op.party, op.gate) for op in ordered])
+    return _evolve(reg, ordered)
 
 
 def measure_product_basis(
@@ -219,6 +216,8 @@ def measure_product_basis(
     """
     if len(basis_changes) != reg.n_parties:
         raise ValueError("need exactly one basis change per party")
+    for m in basis_changes:
+        _check_gate(m)
     nonreal = [p for p, m in enumerate(basis_changes) if not m.is_real]
     if len(nonreal) > 1:
         raise ValueError(
@@ -231,7 +230,6 @@ def measure_product_basis(
     # zero of either sign squares to +0.0, so the probabilities come out the same bytes.
     amps = reg.state.data.T  # (wxyz, dim)
     for m in basis_changes:
-        _check_gate(m)
         v = amps.reshape(4, 2, -1)  # (wxyz, leading bit, the other bits)
         new = np.empty((4, v.shape[-1], 2))  # (wxyz, the other bits, this bit)
         if m.planes != (0,):

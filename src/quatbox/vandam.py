@@ -39,11 +39,16 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def _table_size(n_alice: int, n_bob: int) -> int:
+    # bool is an int subclass; a width of true or 1.9 is malformed, not 1
+    for n in (n_alice, n_bob):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError("n_alice and n_bob must be integers")
     if n_alice < 0 or n_bob < 0:
         raise ValueError("bit widths must be non-negative")
-    if n_alice + n_bob > VERIFY_SIZE_CAP:
-        raise ValueError(f"refusing a truth table over 2**{n_alice + n_bob} inputs")
-    return 1 << (n_alice + n_bob)
+    width = int(n_alice) + int(n_bob)  # a numpy width would add and shift in its own type
+    if width > VERIFY_SIZE_CAP:
+        raise ValueError(f"refusing a truth table over 2**{width} inputs")
+    return 1 << width
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,9 @@ class BooleanFunction:
     @classmethod
     def from_json_obj(cls, obj: dict) -> BooleanFunction:
         n_alice, n_bob = obj["n_alice"], obj["n_bob"]
-        # bool is an int subclass; a width of true or 1.9 is a malformed file, not 1
-        if type(n_alice) is not int or type(n_bob) is not int:
-            raise ValueError("n_alice and n_bob must be integers")
+        size = _table_size(n_alice, n_bob)  # a file is judged by its widths first
         if not isinstance(obj["table"], str):
             raise ValueError("table must be a hex string")
-        size = _table_size(n_alice, n_bob)
         # int(text, 16) alone also takes a 0x prefix, a sign, underscores,
         # surrounding whitespace and non-ASCII digits
         if not obj["table"] or not _HEX_DIGITS.issuperset(obj["table"]):

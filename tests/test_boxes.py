@@ -369,6 +369,10 @@ def test_sample_takes_bits_and_refuses_other_inputs(box):
     for a, b in ((2, 0), (0, 2), (-1, 0), (0.5, 0)):
         with pytest.raises(KeyError):
             box.sample(a, b, rng)
+    # a cell outside 0..3 is refused too, not read from the end of a sequence
+    for cell in (-1, 4):
+        with pytest.raises(KeyError):
+            box.sample_cells(np.array([cell]), np.array([0.5]))
     # a bool or a numpy integer is the same bit as the int, drawn from the same seed
     inputs = ALL_CELLS * 50
     for bit in (bool, np.int64):

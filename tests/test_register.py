@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -274,6 +275,33 @@ def test_party_index_must_be_an_integer(monkeypatch, party):
     refusals = [lambda: ScheduledOp(0.0, party, hadamard()), lambda: apply_local(reg, party, R_I)]
     for refused in refusals:
         with pytest.raises(ValueError, match="party index must be an integer") as err:
+            refused()
+        assert "\n" not in str(err.value)
+    assert kernel_calls == [0]
+
+
+def test_gate_path_refuses_bad_input_where_it_enters(monkeypatch):
+    kernel_calls = count_calls(monkeypatch, register, "hamilton")
+    reg = bell_state(K)
+    one_party = QVector(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    unchecked = SimpleNamespace(time=1.0, party=0, gate=diag(1, 2))
+    refusals = [
+        (lambda: ScheduledOp(1.0, 0, np.eye(2)), "local gate must be a QMatrix, not ndarray"),
+        (lambda: apply_local(reg, 0, np.eye(2)), "local gate must be a QMatrix"),
+        (lambda: measure_product_basis(reg, [hadamard(), np.eye(2)]), "must be a QMatrix"),
+        # every basis change is checked before the first pass, a non-real one included
+        (lambda: measure_product_basis(reg, [R_I, diag(1, 2)]), "local gate is not unitary"),
+        (lambda: ScheduledOp("1", 0, R_I), "time tag must be a finite real number, got '1'"),
+        (lambda: ScheduledOp(1j, 0, R_I), "time tag must be a finite real number"),
+        (lambda: Register(1.0, one_party), "n_parties must be an integer of at least 1"),
+        (lambda: Register(True, one_party), "n_parties must be an integer of at least 1"),
+        (lambda: apply_local(reg, -1, R_I), "party index must be non-negative"),
+        # a schedule hands its ops on unchecked, so it takes nothing but ScheduledOps
+        (lambda: run_schedule(reg, [unchecked]), "a schedule must hold ScheduledOps only"),
+        (lambda: run_schedule(reg, [(0, R_I)]), "a schedule must hold ScheduledOps only"),
+    ]
+    for refused, message in refusals:
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message) as err:
             refused()
         assert "\n" not in str(err.value)
     assert kernel_calls == [0]

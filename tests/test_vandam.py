@@ -349,6 +349,28 @@ def test_verify_size_cap():
         BooleanFunction.from_callable(11, 10, fn)
 
 
+def test_widths_are_checked_once_wherever_a_function_is_built():
+    def fn(x, y):
+        raise AssertionError("fn was called")
+
+    # a bool or a float width is refused by the constructor, from_callable and the file reader
+    for n_alice, n_bob in ((True, 0), (0, True), (1.0, 0), (1, 0.5), ("1", 1)):
+        builds = [lambda: BooleanFunction(n_alice, n_bob, b"\x00\x01"),
+                  lambda: BooleanFunction.from_callable(n_alice, n_bob, fn),
+                  lambda: BooleanFunction.from_json_obj(
+                      {"n_alice": n_alice, "n_bob": n_bob, "table": "2"})]
+        for build in builds:
+            with np.errstate(all="raise"), pytest.raises(ValueError, match="must be integers"):
+                build()
+    # numpy integers are widths, added as Python ints: 200 + 100 does not wrap past the cap
+    want = BooleanFunction.from_callable(2, 1, lambda x, y: x & y)
+    for width in (np.int64, np.uint8):
+        f = BooleanFunction(width(2), width(1), want.table)
+        assert f.table == want.table and anf_transform(f) == anf_transform(want)
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="over 2\\*\\*300 inputs"):
+        BooleanFunction(np.uint8(200), np.uint8(100), b"")
+
+
 # ------------------------------------------- engine against the per-input loop
 
 
