@@ -30,7 +30,7 @@ EQUIVALENT = {
     ("vandam.py", "if cells > VERIFY_CELL_BUDGET:", "if cells > VERIFY_CELL_BUDGET + 1:"):
         "the cell count is a multiple of 2**n, so it never equals the budget plus one",
     ("register.py", "np.add(a * v0, b * v1,", "np.add(b * v1, a * v0,"):
-        "IEEE addition is commutative, so the readout's columns add in either order",
+        "IEEE addition is commutative, so a w-only gate's columns add in either order",
     ("qlinalg.py", "w[:, None] * w[None]", "w[None] * w[:, None]"):
         "IEEE multiplication is commutative, so each row-by-row product is the same bytes",
 }
@@ -83,31 +83,36 @@ MUTANTS = [
     ("qlinalg.py", "data[i, i] = _COMPONENTS(as_quaternion(value))",
      "data[i, i] = np.add(_COMPONENTS(as_quaternion(value)), 0.0)"),
     ("qlinalg.py", "_fold_sum(w[:, None] * w[None], axis=2)", "(w[:, None] * w[None]).sum(axis=2)"),
-    ("register.py", "if m.planes != (0,):", "if not m.is_real:"),
-    # the zero guard: no input count, no output count, no second pass with all four planes
-    ("register.py", "(dense if dense is not None else _no_zero(work))", "True"),
-    ("register.py", "if reduced and not dense:", "if False:"),
-    ("register.py", "products = hamilton(op.gate.table, amps, _ALL_PLANES, kernel_out)",
-     "products = hamilton(op.gate.table, amps, planes, kernel_out)"),
-    ("register.py", "planes if reduced else _ALL_PLANES", "planes"),
-    ("register.py", "dense = _no_zero(state) if reduced else None",
-     "dense = _no_zero(state) if reduced else True"),
-    # each gate, party and party count checked once, where it enters
-    ("register.py", "isinstance(self.party, bool) or ", ""),
-    ("register.py", "isinstance(n, bool) or ", ""),
-    ("register.py", "op.party >= n", "op.party > n"),
-    ("register.py", "_check_gate(self.gate)", "None"),
-    ("register.py", "if not isinstance(gate, QMatrix):", "if False:"),
-    ("register.py", "not isinstance(self.time, (int, float, numbers.Real)) or ", ""),
-    ("register.py", "if not all(isinstance(op, ScheduledOp) for op in ordered):", "if False:"),
-    ("register.py", "    for m in basis_changes:\n        _check_gate(m)\n", ""),
-    ("register.py", "if largest > 1.0:", "if largest >= 1.0:"),
-    ("register.py", "if largest > 1.0:", "if largest > 1.0 + 1e-15:"),
-    ("register.py", "1 << int(op.party)", "1 << op.party"),
+    # the gate step: a w-only gate sent to the kernel, or a near-real one taken as real
+    ("register.py", "if reduced and op.gate.planes == (0,):", "if False:"),
+    ("register.py", "if reduced and op.gate.planes == (0,):", "if reduced and op.gate.is_real:"),
+    # the zero guard: the input count forced True, the rerun dropped, planes kept in the rerun
+    ("register.py", "reduced = _no_zero(source)", "reduced = True"),
+    ("register.py", "if reduced and not _no_zero(state):", "if False:"),
+    ("register.py", "op.gate.planes if reduced else _ALL_PLANES", "op.gate.planes"),
+    # the layout: a turn past the width, the lead left on the gate's party, no rotation back
+    ("register.py", "turn = (op.party - lead) % n", "turn = op.party - lead"),
+    ("register.py", "lead = (op.party + 1) % n", "lead = op.party"),
+    ("register.py", "return _rotate(source, -lead % n) if lead else source", "return source"),
+    ("register.py", "_rotate(source, -lead % n)", "_rotate(source, lead)"),
+    ("register.py", "swapaxes(1, 2).copy()", "copy()"),
+    ("register.py", "v = source.reshape(4, 2, -1)", "v = source.reshape(4, -1, 2)"),
     ("register.py", "out=new[..., 0])\n            np.add(c * v0, d * v1, out=new[..., 1])",
      "out=new[..., 1])\n            np.add(c * v0, d * v1, out=new[..., 0])"),
     ("register.py", "out=new.transpose(2, 0, 1)", "out=new[..., ::-1].transpose(2, 0, 1)"),
-    ("register.py", "amps.reshape(4, 2, -1)", "amps.reshape(4, -1, 2)"),
+    # each gate, party and party count checked once, where it enters, and kept as an int
+    ("register.py", "isinstance(self.party, bool) or ", ""),
+    ("register.py", "isinstance(n, bool) or ", ""),
+    ("register.py", "op.party >= n", "op.party > n"),
+    ("register.py", 'object.__setattr__(self, "party", int(self.party))', "None"),
+    ("register.py", "n = int(n)", "n = n"),
+    ("register.py", "if not isinstance(self.gate, QMatrix):", "if False:"),
+    ("register.py", "if self.gate.shape != (2, 2):", "if False:"),
+    ("register.py", "if not self.gate.unitary:", "if False:"),
+    ("register.py", "not isinstance(self.time, (int, float, numbers.Real)) or ", ""),
+    ("register.py", "if not all(isinstance(op, ScheduledOp) for op in ordered):", "if False:"),
+    ("register.py", "if largest > 1.0:", "if largest >= 1.0:"),
+    ("register.py", "if largest > 1.0:", "if largest > 1.0 + 1e-15:"),
     ("register.py", "return list(_labels(n_parties))", "return _labels(n_parties)"),
     ("qlinalg.py", "q.norm() - 1.0) <= 1e-12", "q.norm() - 1.0) <= 1e-9"),
     ("register.py", "q.norm() - 1.0) <= 1e-12", "q.norm() - 1.0) <= 1e-9"),
@@ -117,9 +122,12 @@ MUTANTS = [
     ("vandam.py", "min(max(win, 0.0), 1.0)", "min(win, 1.0)"),
     ("vandam.py", "min(max(win, 0.0), 1.0)", "max(win, 0.0)"),
     ("vandam.py", "np.bitwise_count(idx >> width & idx)", "np.bitwise_count(idx >> width | idx)"),
-    # the widths, checked once in _table_size: a bool width, and numpy widths added as numpy
+    # the widths, checked once in _table_size: a bool width, and numpy widths added, kept
+    # and shifted as numpy
     ("vandam.py", "isinstance(n, bool) or ", ""),
     ("vandam.py", "width = int(n_alice) + int(n_bob)", "width = n_alice + n_bob"),
+    ("vandam.py", 'object.__setattr__(self, "n_alice", int(self.n_alice))', "None"),
+    ("vandam.py", "range(1 << int(n_alice))", "range(1 << n_alice)"),
     *EQUIVALENT,
 ]
 

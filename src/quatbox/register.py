@@ -4,20 +4,20 @@ Local gates on different parties need not commute here, so "apply these
 gates" is not a set operation: a multi-gate experiment is a schedule, each
 operation carrying a distinct time tag, folded in increasing time order.
 Every gate reaches a register as a `ScheduledOp`, which checks its party and
-gate once: `apply_local` wraps its one gate in one, and a schedule hands on
-its sorted ops.  One step runs them all; it holds one work copy of the state
-and the kernel's buffers for all the gates of a call, and writes each gate's
-result into the one (4, dim) state that the returned register owns.  A gate
-adds only the Hamilton planes it has (see `QMatrix.planes`) when no amplitude
-component it reads or writes is exactly zero, and otherwise all four, so each
-result is the same bytes as the full kernel's.
-
-Outcome probabilities follow the norm-squared rule.  A readout changes the
-basis of the leading bit on each pass, reading the two halves of each
-component row and writing that bit last, so after n passes the bits are back
-in index order.  It applies its real basis changes with real arithmetic
-only, skipping the Hamilton kernel's signed-zero terms; the probabilities are
-the same bytes either way.  Basis labels are built once per register width.
+gate once: `apply_local` wraps its one gate in one, a schedule hands on its
+sorted ops, and a readout's basis changes are one op per party, in party
+order, before the norm-squared rule.  One step runs them all.  A gate acts on
+the leading bit, whose two values split each (4, dim) component row into
+contiguous halves, and writes that bit last, so the next party's bit leads;
+an op on any other party first rotates its bit to the front, and the result
+is rotated back to index order, so parties in index order need no copy.  A
+gate whose only plane is w (see `QMatrix.planes`) may take real arithmetic,
+and any other the Hamilton kernel with only its planes: both leave out terms
+that are signed zeros, and adding one changes no nonzero sum, so at every
+gate each component equals the full kernel's or both are zero.  A result
+with no exact zero is then the same bytes as the full kernel's, and zeros of
+either sign square to +0.0, so a readout's probabilities always are; a gate
+call whose input or result holds an exact zero runs with all four planes.
 
 Basis indexing: bit strings with party 0 as the most significant bit, so a
 two-party register lists amplitudes for 00, 01, 10, 11 in that order.
@@ -60,6 +60,8 @@ class Register:
         n = self.n_parties  # a bool is an int to Python; a float would fail only at 1 << n
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_parties must be an integer of at least 1, got {n!r}")
+        n = int(n)  # 2**n of a numpy count would be taken in its own, maybe narrow, type
+        object.__setattr__(self, "n_parties", n)
         if self.state.dim != 2**n:
             raise ValueError(f"state dimension {self.state.dim} does not match {n} parties")
         # a normalized state has no component outside [-1, 1], and a larger one could
@@ -79,15 +81,6 @@ class Register:
         return reg
 
 
-def _check_gate(gate: QMatrix) -> None:
-    if not isinstance(gate, QMatrix):
-        raise ValueError(f"a local gate must be a QMatrix, not {type(gate).__name__}")
-    if gate.shape != (2, 2):
-        raise ValueError("local gates must be 2x2")
-    if not gate.unitary:
-        raise ValueError("local gate is not unitary")
-
-
 @dataclass(frozen=True)
 class ScheduledOp:
     """A single-party 2x2 unitary tagged with the time it acts at: how every gate enters."""
@@ -105,7 +98,14 @@ class ScheduledOp:
             raise ValueError(f"party index must be an integer, not {type(self.party).__name__}")
         if self.party < 0:
             raise ValueError("party index must be non-negative")
-        _check_gate(self.gate)
+        # a numpy party would shift in its own, maybe narrow, type
+        object.__setattr__(self, "party", int(self.party))
+        if not isinstance(self.gate, QMatrix):
+            raise ValueError(f"a local gate must be a QMatrix, not {type(self.gate).__name__}")
+        if self.gate.shape != (2, 2):
+            raise ValueError("local gates must be 2x2")
+        if not self.gate.unitary:
+            raise ValueError("local gate is not unitary")
 
 
 def bell_state(phase=1.0) -> Register:
@@ -125,53 +125,52 @@ def _no_zero(a: np.ndarray) -> bool:
     return np.count_nonzero(a) == a.size
 
 
+def _rotate(amps: np.ndarray, turn: int) -> np.ndarray:
+    """(4, dim) amplitudes with their leading `turn` bits moved last, in a new array."""
+    return amps.reshape(4, 1 << turn, -1).swapaxes(1, 2).copy().reshape(4, -1)
+
+
+def _run(source: np.ndarray, n: int, ops: Sequence[ScheduledOp], reduced: bool) -> np.ndarray:
+    """Each op's gate applied to (4, dim) amplitudes in the order given, as a new
+    (4, dim) array in index order; with `reduced`, each gate adds only its planes."""
+    kernel_out = np.empty((2, 2, 2, 2, 2, (1 << n) // 2))  # hamilton's products and scratch
+    lead = 0  # the party whose bit is the most significant one of `source`
+    for op in ops:
+        turn = (op.party - lead) % n
+        if turn:
+            source = _rotate(source, turn)
+        v = source.reshape(4, 2, -1)  # (wxyz, this party's bit, the other bits)
+        new = np.empty((4, v.shape[-1], 2))  # (wxyz, the other bits, this bit)
+        if reduced and op.gate.planes == (0,):
+            (a, b), (c, d) = op.gate.data[..., 0].tolist()
+            v0, v1 = v[:, 0], v[:, 1]
+            np.add(a * v0, b * v1, out=new[..., 0])
+            np.add(c * v0, d * v1, out=new[..., 1])
+        else:
+            planes = op.gate.planes if reduced else _ALL_PLANES
+            products = hamilton(op.gate.table, v, planes, kernel_out)  # (row, wxyz, col, others)
+            np.add(products[:, :, 0], products[:, :, 1], out=new.transpose(2, 0, 1))
+        source = new.reshape(4, -1)
+        lead = (op.party + 1) % n
+    return _rotate(source, -lead % n) if lead else source
+
+
 def _evolve(reg: Register, ops: Sequence[ScheduledOp]) -> Register:
     """Apply each op's gate in the order given: the one gate path.  Each op checked
     its party and gate when it was built; only each party < n, which depends on the
-    register, is checked here, before any array is built.
-
-    The call holds, for all its gates, one buffer for a work copy of the state and
-    the kernel's products and scratch, and the (4, dim) state that the returned
-    register owns, so it keeps no scratch alive.  Each gate copies the state into
-    `work`, ordered (wxyz, this party's bit, higher parties, lower parties) so that
-    the products and sums run along rows of dim / 2 amplitudes, and writes the sum
-    of its two columns into the state.
-
-    A gate with fewer than four planes leaves its all-zero ones out when no input
-    component is exactly zero.  A left-out term is a signed zero, and adding one
-    leaves a nonzero sum as it is, so the full and the reduced sums are equal or
-    both zero at every step: an output with no exact zero is the same bytes as the
-    full kernel's, and any other is worked out again with all four planes.  An
-    output found free of zeros is the next gate's input, so a gate counts zeros
-    once, twice only when its input was not counted, and never with all four planes.
-    """
+    register, is checked here, before any array is built.  A run with each gate's
+    planes is kept when neither its input nor its output holds an exact zero;
+    otherwise the call runs with all four planes."""
     n = reg.n_parties
     for op in ops:
         if op.party >= n:
             raise ValueError(f"party {op.party} out of range for {n} parties")
-    dim = 1 << n
-    # five slabs of 4 * dim: the work copy, then the kernel's (row, c0, c1, col, dim / 2)
-    # products and scratch, two slabs each
-    buffers = np.empty((5, 2, 2, 2, dim // 2))
-    work, kernel_out = buffers[0], (buffers[1:3], buffers[3:])
-    state = np.empty((4, dim))
     source = reg.state.data.T  # (wxyz, dim)
-    dense = None  # `source` holds no exact zero: True, False, or not counted
-    for op in ops:
-        higher = 1 << int(op.party)  # a numpy party would shift in its own, maybe narrow, type
-        amps = work.reshape(4, 2, higher, -1)
-        np.copyto(amps, source.reshape(4, higher, 2, -1).swapaxes(1, 2))
-        new = state.reshape(4, higher, 2, -1).transpose(2, 0, 1, 3)
-        planes = op.gate.planes
-        reduced = planes != _ALL_PLANES and (dense if dense is not None else _no_zero(work))
-        products = hamilton(op.gate.table, amps, planes if reduced else _ALL_PLANES, kernel_out)
-        np.add(products[:, :, 0], products[:, :, 1], out=new)  # (row, wxyz, col, ...) summed
-        dense = _no_zero(state) if reduced else None
-        if reduced and not dense:
-            products = hamilton(op.gate.table, amps, _ALL_PLANES, kernel_out)
-            np.add(products[:, :, 0], products[:, :, 1], out=new)
-        source = state
-    # a (dim, 4) view of (4, dim) storage: past one party, the next gate's data.T is contiguous
+    reduced = _no_zero(source)
+    state = _run(source, n, ops, reduced)
+    if reduced and not _no_zero(state):
+        state = _run(source, n, ops, reduced=False)
+    # a (dim, 4) view of (4, dim) storage: past one party, the next call's data.T is contiguous
     return Register._evolved(n, QVector(state.T))
 
 
@@ -207,40 +206,19 @@ def measure_product_basis(
     At most one party may carry a basis change with non-real entries: real
     matrices commute with everything, so their application order is
     irrelevant, but two non-real changes on distinct parties would need an
-    explicit time order (use run_schedule for that).
-
-    Each pass changes the basis of the leading bit, whose two values split
-    each component row into halves, contiguous in (4, dim) storage, and writes
-    that bit last: the next party's bit then leads, and after n passes party 0
-    is the most significant bit again.
+    explicit time order (use run_schedule for that).  Each change is checked
+    as a gate is, and all take the gate step in party order, with no zero guard.
     """
     if len(basis_changes) != reg.n_parties:
         raise ValueError("need exactly one basis change per party")
-    for m in basis_changes:
-        _check_gate(m)
-    nonreal = [p for p, m in enumerate(basis_changes) if not m.is_real]
+    ops = [ScheduledOp(p, p, m) for p, m in enumerate(basis_changes)]
+    nonreal = [op.party for op in ops if not op.gate.is_real]
     if len(nonreal) > 1:
         raise ValueError(
             f"non-real basis changes on parties {nonreal} do not commute; "
             "schedule them explicitly via run_schedule"
         )
-    # A real change takes only the Hamilton kernel's nonzero terms, m[r][col].w * amp[col],
-    # in its order.  Its other terms are signed zeros: leaving them out can flip the sign
-    # of a zero amplitude, which later sums and products carry only as zero signs, and a
-    # zero of either sign squares to +0.0, so the probabilities come out the same bytes.
-    amps = reg.state.data.T  # (wxyz, dim)
-    for m in basis_changes:
-        v = amps.reshape(4, 2, -1)  # (wxyz, leading bit, the other bits)
-        new = np.empty((4, v.shape[-1], 2))  # (wxyz, the other bits, this bit)
-        if m.planes != (0,):
-            products = hamilton(m.table, v)  # m[r][col] * v[col]: (row, wxyz, col, others)
-            np.add(products[:, :, 0], products[:, :, 1], out=new.transpose(2, 0, 1))
-        else:
-            (a, b), (c, d) = m.data[..., 0].tolist()
-            v0, v1 = v[:, 0], v[:, 1]
-            np.add(a * v0, b * v1, out=new[..., 0])
-            np.add(c * v0, d * v1, out=new[..., 1])
-        amps = new.reshape(4, -1)
+    amps = _run(reg.state.data.T, reg.n_parties, ops, reduced=True)
     return dict(zip(_labels(reg.n_parties), norm_sq(amps.T).tolist()))
 
 

@@ -62,6 +62,9 @@ class BooleanFunction:
 
     def __post_init__(self):
         expected = _table_size(self.n_alice, self.n_bob)
+        # numpy widths would shift in their own, maybe narrow, type and not serialize
+        object.__setattr__(self, "n_alice", int(self.n_alice))
+        object.__setattr__(self, "n_bob", int(self.n_bob))
         if len(self.table) != expected:
             raise ValueError(f"table must have {expected} entries, got {len(self.table)}")
         bits = np.asarray(memoryview(self.table) if isinstance(self.table, bytes) else self.table)
@@ -80,7 +83,8 @@ class BooleanFunction:
         cls, n_alice: int, n_bob: int, fn: Callable[[int, int], int]
     ) -> BooleanFunction:
         _table_size(n_alice, n_bob)  # the widths are refused before fn is called
-        table = bytes(fn(x, y) & 1 for x in range(1 << n_alice) for y in range(1 << n_bob))
+        xs, ys = range(1 << int(n_alice)), range(1 << int(n_bob))
+        table = bytes(fn(x, y) & 1 for x in xs for y in ys)
         return cls(n_alice, n_bob, table)
 
     def to_json_obj(self) -> dict:

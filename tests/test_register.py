@@ -204,7 +204,37 @@ def test_guard_keeps_cancellation_to_an_exact_zero_bit_for_bit(monkeypatch):
     got = apply_local(reg, 1, hadamard()).state.data
     assert np.count_nonzero(got) < got.size
     assert got.tobytes() == scalar_apply_local(reg, 1, hadamard()).tobytes()
-    assert calls == [(0,), (0, 1, 2, 3)]  # the zero sends the gate back to all four planes
+    # the real first pass calls no kernel; the zero sends the call back to all four planes
+    assert calls == [(0, 1, 2, 3)]
+
+
+def test_guard_judges_a_schedule_by_its_final_state(monkeypatch):
+    rng = np.random.default_rng(76)
+    a = rng.normal(size=4)
+    reg = pair_register(rng, 3, 1, (a, a))  # dense, but the Hadamard on party 1 cancels to +0
+    mix_j = qmat([[S, J * S], [J * S, S]])
+    cases = [
+        # a later mixing gate on party 1 fills the zero: one reduced run, no rerun
+        ([(1, hadamard()), (1, mix_j), (0, hadamard()), (2, R_I)], [(0, 2), (0, 1)]),
+        # the zero survives to the end: the whole call runs again with all four planes
+        ([(1, hadamard()), (0, R_I), (2, R_J)], [(0, 1), (0, 2)] + [(0, 1, 2, 3)] * 3),
+    ]
+    calls = spy_planes(monkeypatch)
+    zero_counts = count_calls(monkeypatch, np, "count_nonzero")
+    for steps, planes in cases:
+        ops = [ScheduledOp(t, *step) for t, step in enumerate(steps)]
+        want = reg
+        for op in ops:
+            want = Register(3, QVector(scalar_apply_local(want, op.party, op.gate)))
+            if op.time == 0:
+                assert not want.state.data.all()
+        assert want.state.data.all() == (len(planes) == 2)  # a zero at the end: a rerun
+        calls.clear()
+        zero_counts[0] = 0
+        got = run_schedule(reg, ops).state.data
+        assert got.tobytes() == want.state.data.tobytes()
+        assert calls == planes
+        assert zero_counts == [2]  # the input once and the first run's result once
 
 
 def test_guard_on_a_gate_with_negative_zero_imaginary_parts():
@@ -247,13 +277,14 @@ def test_a_gate_adds_only_its_planes_where_no_zero_can_tell(monkeypatch):
     rng = np.random.default_rng(73)
     dense = random_register(rng, 4)
     cases = [
-        # the paper's Bell states hold zeros, so their gates go straight to four planes
-        (bell_state(K), [(0, R_I), (1, R_J)], [(0, 1, 2, 3), (0, 1, 2, 3)], 2),
+        # the paper's Bell states hold zeros, so their gates go straight to four planes,
+        # after one zero count on the input
+        (bell_state(K), [(0, R_I), (1, R_J)], [(0, 1, 2, 3), (0, 1, 2, 3)], 1),
         (dense, [(1, R_J)], [(0, 2)], 2),
-        # no zero count for a gate with all four planes; the counted output of one gate
-        # is the next gate's input
+        # the input and the result are counted once each, whatever the gates; a gate
+        # whose only plane is w takes real arithmetic and no kernel call
         (dense, [(0, random_unitary(rng)), (1, R_I), (2, hadamard()), (3, R_J)],
-         [(0, 1, 2, 3), (0, 1), (0,), (0, 2)], 4),
+         [(0, 1, 2, 3), (0, 1), (0, 2)], 2),
     ]
     # each gate's unitarity is checked here, once, before anything is counted
     cases = [(reg, [ScheduledOp(t, *step) for t, step in enumerate(steps)], planes, counts)

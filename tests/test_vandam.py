@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 import pathlib
 import runpy
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,8 @@ from quatbox.boxes import (
     quaternionic_box,
 )
 from quatbox.chsh import chsh_value
+from quatbox.qlinalg import QVector
+from quatbox.register import Register
 from quatbox.vandam import (
     BooleanFunction,
     anf_transform,
@@ -369,6 +373,20 @@ def test_widths_are_checked_once_wherever_a_function_is_built():
         assert f.table == want.table and anf_transform(f) == anf_transform(want)
     with np.errstate(all="raise"), pytest.raises(ValueError, match="over 2\\*\\*300 inputs"):
         BooleanFunction(np.uint8(200), np.uint8(100), b"")
+
+
+def test_numpy_widths_and_party_counts_are_kept_as_ints():
+    # numpy counts once serialized as numpy ints, and narrow ones wrapped in 1 << n and 2**n
+    amps = np.zeros((512, 4))
+    amps[0, 0] = 1.0
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        f = BooleanFunction(np.int64(1), np.int64(1), b"\x00\x00\x00\x01")
+        assert json.dumps(f.to_json_obj()) == '{"n_alice": 1, "n_bob": 1, "table": "8"}'
+        g = BooleanFunction.from_callable(np.uint8(8), np.uint8(0), lambda x, y: x & 1)
+        assert g == BooleanFunction.from_callable(8, 0, lambda x, y: x & 1)
+        reg = Register(np.uint8(9), QVector(amps))
+    assert [type(n) for n in (f.n_alice, f.n_bob, g.n_alice, g.n_bob, reg.n_parties)] == [int] * 5
 
 
 # ------------------------------------------- engine against the per-input loop
