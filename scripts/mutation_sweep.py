@@ -31,8 +31,6 @@ EQUIVALENT = {
         "the cell count is a multiple of 2**n, so it never equals the budget plus one",
     ("register.py", "np.add(a * v0, b * v1,", "np.add(b * v1, a * v0,"):
         "IEEE addition is commutative, so a w-only gate's columns add in either order",
-    ("qlinalg.py", "w[:, None] * w[None]", "w[None] * w[:, None]"):
-        "IEEE multiplication is commutative, so each row-by-row product is the same bytes",
 }
 
 MUTANTS = [
@@ -65,24 +63,23 @@ MUTANTS = [
     ("qlinalg.py", "SUBFIELD_TOL = 1e-14", "SUBFIELD_TOL = 1e-12"),
     ("qlinalg.py", "<= SUBFIELD_TOL", "< SUBFIELD_TOL"),
     ("qlinalg.py", "<= UNITARY_TOL", "< UNITARY_TOL"),
-    ("qlinalg.py", "return 0.0 + np.add.accumulate", "return np.add.accumulate"),
     ("qlinalg.py", "np.s_[:, ::-1], np.s_[::-1],", "np.s_[::-1], np.s_[:, ::-1],"),
     ("qlinalg.py", "for k in planes[1:]:", "for k in planes[:0:-1]:"),  # two kept planes swapped
     ("qlinalg.py", "nonzero = self.data.any(axis=(0, 1)).tolist()",
      "nonzero = (np.abs(self.data) > SUBFIELD_TOL).any(axis=(0, 1)).tolist()"),
-    ("qlinalg.py", "if m.planes != (0,):", "if not m.is_real:"),
-    ("qlinalg.py", "(m.data * _CONJUGATE).transpose(2, 1, 0)", "m.data.transpose(2, 1, 0)"),
-    ("qlinalg.py", "(m.data * _CONJUGATE).transpose(2, 1, 0)",
-     "(m.data * _CONJUGATE).transpose(2, 0, 1)"),
+    # the scalar fold: a term's sign flipped, a -0.0 start, the conjugate dropped, the
+    # identity taken off every entry, and the non-finite guard dropped
+    ("qlinalg.py", "px * qw + py * qz - pz * qy", "px * qw - py * qz - pz * qy"),
+    ("qlinalg.py", "w = x = y = z = 0.0", "w = x = y = z = -0.0"),
+    ("qlinalg.py", "conjugates = (m.data * _CONJUGATE).tolist()", "conjugates = m.data.tolist()"),
+    ("qlinalg.py", "w -= r == c", "w -= 1"),
+    ("qlinalg.py", "if np.count_nonzero(np.isfinite(m.data)) != m.data.size:", "if False:"),
     ("qlinalg.py", "if not math.isfinite(theta):", "if False:"),
     ("qlinalg.py", "data[..., 0] = rows", "data[..., 0] = np.transpose(rows)"),
-    ("qlinalg.py", "if np.count_nonzero(np.isfinite(m.data)) != m.data.size:", "if False:"),
-    ("qlinalg.py", "axis=2) - np.eye(rows))", "axis=2))"),
     # the gates written in place: a -0.0 part turned into +0.0
     ("qlinalg.py", "return diag(1.0, q)", "return diag(q, 1.0)"),
     ("qlinalg.py", "data[i, i] = _COMPONENTS(as_quaternion(value))",
      "data[i, i] = np.add(_COMPONENTS(as_quaternion(value)), 0.0)"),
-    ("qlinalg.py", "_fold_sum(w[:, None] * w[None], axis=2)", "(w[:, None] * w[None]).sum(axis=2)"),
     # the gate step: a w-only gate sent to the kernel, or a near-real one taken as real
     ("register.py", "if reduced and op.gate.planes == (0,):", "if False:"),
     ("register.py", "if reduced and op.gate.planes == (0,):", "if reduced and op.gate.is_real:"),
@@ -107,6 +104,7 @@ MUTANTS = [
     ("register.py", 'object.__setattr__(self, "party", int(self.party))', "None"),
     ("register.py", "n = int(n)", "n = n"),
     ("register.py", "if not isinstance(self.gate, QMatrix):", "if False:"),
+    ("register.py", "if not isinstance(self.state, QVector):", "if False:"),
     ("register.py", "if self.gate.shape != (2, 2):", "if False:"),
     ("register.py", "if not self.gate.unitary:", "if False:"),
     ("register.py", "not isinstance(self.time, (int, float, numbers.Real)) or ", ""),
@@ -128,6 +126,10 @@ MUTANTS = [
     ("vandam.py", "width = int(n_alice) + int(n_bob)", "width = n_alice + n_bob"),
     ("vandam.py", 'object.__setattr__(self, "n_alice", int(self.n_alice))', "None"),
     ("vandam.py", "range(1 << int(n_alice))", "range(1 << n_alice)"),
+    # the protocol's inputs: a bool or float let through, and numpy inputs kept as numpy
+    ("vandam.py", "isinstance(value, bool) or ", ""),
+    ("vandam.py", "not isinstance(value, (int, np.integer))", "False"),
+    ("vandam.py", "return int(x), int(y)", "return x, y"),
     *EQUIVALENT,
 ]
 

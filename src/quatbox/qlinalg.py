@@ -8,15 +8,14 @@ products, gate[r][c] * amp[c] for actions -- because reordering factors
 changes answers.  Under this convention the *later* of two operations
 contributes the left factor of an accumulated phase.
 
-Every matrix-quaternion product goes through one kernel, `hamilton`, which
+The gate step on 2^n amplitudes goes through one kernel, `hamilton`, which
 reads the left factors from a `signed_table` (built once per `QMatrix`, as
 `QMatrix.table`) and adds a product's four terms k by k in the order
 `Quaternion.__mul__` does, so array results match the scalar ones bit for bit.
-A caller may name the planes k to add (`QMatrix.planes`, the components that
-are not exactly zero somewhere in the matrix) and hand in the buffers to write;
-a left-out term is a signed zero, which changes no nonzero sum.  A matrix whose
-only plane is w is checked for unitarity with real arithmetic for that reason,
-and a matrix with a non-finite entry is refused before any product.
+Its caller names the planes k to add (`QMatrix.planes`, the components that
+are not exactly zero somewhere in the matrix); a left-out term is a signed
+zero, which changes no nonzero sum.  `matmul`, `inner` and `is_unitary` are one
+scalar fold, `_fold`, of the same terms in the same order over Python floats.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ def signed_table(m: np.ndarray) -> np.ndarray:
     return table.reshape(4, rows, 2, 2, cols, 1)
 
 
-def hamilton(table: np.ndarray, v: np.ndarray, planes: Sequence[int] = (0, 1, 2, 3),
-             out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def hamilton(table: np.ndarray, v: np.ndarray, planes: Sequence[int],
+             out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """m[r][col] * v[col] for the `signed_table` of a (rows, cols, 4) matrix m and
     component-major (4, cols, ...) quaternions v, as (rows, 4, cols, ...): the
     caller adds columns.
@@ -78,12 +77,9 @@ def hamilton(table: np.ndarray, v: np.ndarray, planes: Sequence[int] = (0, 1, 2,
 
     `out` is a C-ordered (rows, 2, 2, cols, n) product buffer and a scratch buffer of
     the same shape, with n the size of v's trailing axes; the result is a view of the
-    product buffer.  Without it, both are allocated here.
+    product buffer.
     """
     q = v.reshape(2, 2, v.shape[1], -1)  # the trailing axes as one: fewer for each ufunc to walk
-    if out is None:
-        shape = (*table.shape[1:5], q.shape[-1])
-        out = np.empty(shape), np.empty(shape)
     result, scratch = out
     np.multiply(table[0], q, result)  # out as a positional argument: a cheaper call
     for k in planes[1:]:
@@ -97,10 +93,16 @@ def norm_sq(a: np.ndarray) -> np.ndarray:
     return squares[..., 0] + squares[..., 1] + squares[..., 2] + squares[..., 3]
 
 
-def _fold_sum(terms: np.ndarray, axis: int) -> np.ndarray:
-    """ZERO + t0 + t1 + ... along an axis.  A left-to-right sum is -0.0 only
-    when every term is, and adding +0.0 afterwards changes exactly that case."""
-    return 0.0 + np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+def _fold(ps: Iterable[Sequence[float]], qs: Iterable[Sequence[float]]) -> tuple[float, ...]:
+    """+0.0 + p0 * q0 + p1 * q1 + ... of (w, x, y, z) float sequences, left to right and
+    each product's terms in `Quaternion.__mul__`'s order; the +0.0 makes a -0.0 sum +0.0."""
+    w = x = y = z = 0.0
+    for (pw, px, py, pz), (qw, qx, qy, qz) in zip(ps, qs):
+        w += pw * qw - px * qx - py * qy - pz * qz
+        x += pw * qx + px * qw + py * qz - pz * qy
+        y += pw * qy - px * qz + py * qw + pz * qx
+        z += pw * qz + px * qy - py * qx + pz * qw
+    return w, x, y, z
 
 
 #: a quaternion's (w, x, y, z)
@@ -178,10 +180,6 @@ class QMatrix(_QuaternionArray):
         """`signed_table(self.data)`, built once per matrix."""
         return signed_table(self.data)
 
-    def dagger(self) -> QMatrix:
-        """Transpose followed by entry-wise quaternionic conjugation."""
-        return QMatrix(self.data.transpose(1, 0, 2) * _CONJUGATE)
-
     @cached_property
     def is_real(self) -> bool:
         """Every imaginary component within SUBFIELD_TOL of 0, worked out once per matrix."""
@@ -215,44 +213,39 @@ def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
     """Matrix product with entry factors kept in left-to-right order."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    products = hamilton(a.table, b.data.transpose(2, 0, 1))  # (row, wxyz, k, col)
-    return QMatrix(_fold_sum(products.transpose(0, 3, 1, 2), axis=3))  # comes out C-ordered
+    columns = b.data.transpose(1, 0, 2).tolist()
+    entries = [[_fold(row, col) for col in columns] for row in a.data.tolist()]
+    return QMatrix(np.reshape(entries, (a.shape[0], b.shape[1], 4)))  # keeps empty shapes
 
 
 def inner(u: QVector, v: QVector) -> Quaternion:
     """<u|v> = sum_i conj(u_i) * v_i; antilinear in the left slot."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    products = hamilton(signed_table((u.data * _CONJUGATE)[None]), v.data.T)[0]  # (4, dim)
-    return Quaternion(*_fold_sum(products, axis=1).tolist())
+    return Quaternion(*_fold((u.data * _CONJUGATE).tolist(), v.data.tolist()))
 
 
 def is_unitary(m: QMatrix) -> bool:
     """True iff M * dagger(M) deviates from the identity by at most UNITARY_TOL per entry.
 
     A matrix with a non-finite entry is not unitary, and is refused before any
-    product, so the check warns nothing.  A matrix with an imaginary plane takes the
-    products m[r][k] * conj(m[c][k]) from `hamilton` and adds them in `matmul`'s
-    left fold, as `matmul(m, m.dagger())` would, without building either matrix.  A
-    matrix whose only plane is w takes only the w-parts of the products,
-    w[r][k] * w[c][k], added in the same fold.  The kernel would add signed zeros to
-    each of them and give x, y and z parts of +-0, so the squared deviation, and
-    the verdict, are the same bit for bit.
+    product.  Entry (r, c) of M * dagger(M) is the fold of row r of M with the
+    conjugate of row c, as `matmul` would add it.
     """
     rows, cols = m.shape
     if rows != cols:
         raise ValueError("unitarity is only defined for square matrices")
     if np.count_nonzero(np.isfinite(m.data)) != m.data.size:
         return False
-    if m.planes != (0,):
-        products = hamilton(m.table, (m.data * _CONJUGATE).transpose(2, 1, 0))  # (r, wxyz, k, c)
-        product = _fold_sum(products.transpose(0, 3, 1, 2), axis=3)  # M * dagger(M), (r, c, wxyz)
-        deviation = product - np.eye(rows)[..., None] * [1.0, 0.0, 0.0, 0.0]
-        deviation_sq = norm_sq(deviation)
-    else:
-        w = m.data[..., 0]
-        deviation_sq = np.square(_fold_sum(w[:, None] * w[None], axis=2) - np.eye(rows))
-    return bool((np.sqrt(deviation_sq) <= UNITARY_TOL).all())
+    conjugates = (m.data * _CONJUGATE).tolist()
+    for r, row in enumerate(m.data.tolist()):
+        for c, other in enumerate(conjugates):
+            w, x, y, z = _fold(row, other)
+            w -= r == c  # the identity's entry
+            # * and not **: a float's ** raises OverflowError where * gives inf
+            if not math.sqrt(w * w + x * x + y * y + z * z) <= UNITARY_TOL:
+                return False
+    return True
 
 
 def _real_2x2(rows: list[list[float]]) -> QMatrix:

@@ -57,6 +57,8 @@ class Register:
     state: QVector
 
     def __post_init__(self):
+        if not isinstance(self.state, QVector):
+            raise ValueError(f"state must be a QVector, not {type(self.state).__name__}")
         n = self.n_parties  # a bool is an int to Python; a float would fail only at 1 << n
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_parties must be an integer of at least 1, got {n!r}")

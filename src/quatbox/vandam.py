@@ -72,11 +72,14 @@ class BooleanFunction:
             raise ValueError("table entries must be bits")
         object.__setattr__(self, "table", bits.astype(np.uint8).tobytes())
 
-    def _check_inputs(self, x: int, y: int) -> None:
-        if not 0 <= x < (1 << self.n_alice):
-            raise ValueError(f"x = {x} out of range for {self.n_alice} bits")
-        if not 0 <= y < (1 << self.n_bob):
-            raise ValueError(f"y = {y} out of range for {self.n_bob} bits")
+    def _check_inputs(self, x: int, y: int) -> tuple[int, int]:
+        for name, value, bits in (("x", x, self.n_alice), ("y", y, self.n_bob)):
+            # as for widths: a bool or 0.5 is malformed, and numpy would shift in its own type
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not 0 <= value < (1 << bits):
+                raise ValueError(f"{name} = {value} out of range for {bits} bits")
+        return int(x), int(y)
 
     @classmethod
     def from_callable(
@@ -192,7 +195,7 @@ def vandam_protocol(f: BooleanFunction, x: int, y: int, box: BoxBehavior, rng) -
     """Run the one-bit protocol on inputs (x, y), drawing from `box` once per
     mixed monomial.  With perfect boxes the output equals f(x, y) for every
     input and rng; with imperfect boxes it is a random variable."""
-    f._check_inputs(x, y)
+    x, y = f._check_inputs(x, y)
     anf = anf_transform(f)
     idx = np.array([(x << f.n_bob) | y])
     output = _outputs(_table(f), f.n_bob, idx, _cells(anf, idx), box, rng)
@@ -230,7 +233,7 @@ def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, 
 def success_probability(f: BooleanFunction, x: int, y: int, box: BoxBehavior) -> float:
     """Exact probability that the protocol outputs f(x, y), averaging over
     the boxes' randomness (every mixed monomial drawing from `box`)."""
-    f._check_inputs(x, y)
+    x, y = f._check_inputs(x, y)
     cells = _cells(anf_transform(f), np.array([(x << f.n_bob) | y]))
     return float(_success_rates(cells, _gains(box))[0])
 

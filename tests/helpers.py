@@ -1,8 +1,11 @@
 """Shared random generators for property tests, all taking an explicit rng, one
-hand-built box, scalar views of the package's conjugation and left action,
-reference unitarity and behavior-table checks, and a call counter."""
+hand-built box, a reference dagger and scalar fold, scalar views of the package's
+conjugation and left action, reference unitarity and behavior-table checks, and a
+call counter."""
 
 import math
+from dataclasses import astuple
+from operator import add
 
 import numpy as np
 
@@ -33,9 +36,23 @@ def approx_eq(p: Quaternion, q: Quaternion, tol: float = 1e-12) -> bool:
     return all(abs(a - b) <= tol for a, b in zip((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
 
 
+def dagger(m: QMatrix) -> QMatrix:
+    """Transpose followed by entry-wise quaternionic conjugation."""
+    return QMatrix(m.data.transpose(1, 0, 2) * [1.0, -1.0, -1.0, -1.0])
+
+
+def scalar_fold(products) -> np.ndarray:
+    """0.0 + t0 + t1 + ... of each component of the Quaternion products, added left to
+    right: (0.0, 0.0, 0.0, 0.0) for none."""
+    total = (0.0, 0.0, 0.0, 0.0)
+    for q in products:
+        total = tuple(map(add, total, astuple(q)))
+    return np.array(total)
+
+
 def conj(q: Quaternion) -> Quaternion:
     """q's conjugate as the package takes it: the dagger of the 1x1 matrix [[q]]."""
-    return Quaternion(*qmat([[q]]).dagger().data[0, 0].tolist())
+    return Quaternion(*dagger(qmat([[q]])).data[0, 0].tolist())
 
 
 def left_action(u: QMatrix, v: QVector) -> QVector:
@@ -44,10 +61,16 @@ def left_action(u: QMatrix, v: QVector) -> QVector:
 
 
 def reference_is_unitary(m: QMatrix) -> bool:
-    """M * dagger(M) within UNITARY_TOL of the identity per entry, through the Hamilton
-    kernel for every matrix: the reference `is_unitary` must match bit for bit."""
-    eye = np.eye(m.shape[0])[..., None] * [1.0, 0.0, 0.0, 0.0]
-    return bool((np.sqrt(norm_sq(matmul(m, m.dagger()).data - eye)) <= UNITARY_TOL).all())
+    """M * dagger(M) within UNITARY_TOL of the identity per entry, from scalar
+    `Quaternion.__mul__` products added in `scalar_fold`: the verdict `is_unitary`
+    must give.  A non-finite entry gives a non-finite deviation, so it is refused too."""
+    n = m.shape[0]
+    rows = [[Quaternion(*q) for q in row] for row in m.data.tolist()]
+    columns = [[Quaternion(*q) for q in col] for col in dagger(m).data.transpose(1, 0, 2).tolist()]
+    product = [[scalar_fold(map(Quaternion.__mul__, row, col)) for col in columns] for row in rows]
+    deviation = np.reshape(product, (n, n, 4)) - np.eye(n)[..., None] * [1.0, 0.0, 0.0, 0.0]
+    with np.errstate(over="ignore"):  # a finite deviation past 1e154 squares to inf
+        return bool((np.sqrt(norm_sq(deviation)) <= UNITARY_TOL).all())
 
 
 def reference_is_non_signalling(probs: np.ndarray, tol: float = NON_SIGNALLING_TOL) -> bool:

@@ -1,11 +1,12 @@
 import math
 import warnings
 from dataclasses import astuple
-from functools import reduce
-from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quatbox import qlinalg, register
 from quatbox.boxes import complex_quantum_box
@@ -25,18 +26,21 @@ from quatbox.qlinalg import (
     signed_table,
 )
 from quatbox.quaternion import I, J, K, ONE, ZERO, Quaternion
+from quatbox.register import apply_local, bell_state
 
 from helpers import (
     UNIT_GROUP,
     approx_eq,
     conj,
     count_calls,
+    dagger,
     left_action,
     random_quaternion,
     random_state,
     random_unit_quaternion,
     random_unitary,
     reference_is_unitary,
+    scalar_fold,
 )
 
 R_I = phase_gate(I)
@@ -68,14 +72,15 @@ def test_hamilton_adds_only_the_listed_planes_into_the_given_buffers():
     v = rng.normal(size=(4, 2, 3, 5))
     buffers = np.empty((2, 2, 2, 2, 2, 15))
     out = (buffers[0], buffers[1])
+    fresh = lambda: (np.empty(buffers.shape[1:]), np.empty(buffers.shape[1:]))
     for planes in ((0,), (0, 1), (0, 2), (0, 3), (0, 1, 3), (0, 1, 2, 3)):
         got = hamilton(m.table, v, planes, out)
         assert np.shares_memory(got, buffers[0]) and not np.shares_memory(got, buffers[1])
-        assert got.tobytes() == hamilton(m.table, v, planes).tobytes()
+        assert got.tobytes() == hamilton(m.table, v, planes, fresh()).tobytes()
         # a left-out plane adds signed zeros only, which change no nonzero sum
         listed = QMatrix(m.data * np.isin(np.arange(4), planes))
         assert np.count_nonzero(got) == got.size
-        assert got.tobytes() == hamilton(listed.table, v).tobytes()
+        assert got.tobytes() == hamilton(listed.table, v, (0, 1, 2, 3), fresh()).tobytes()
 
 
 def test_hamilton_matches_scalar_product_bit_for_bit():
@@ -85,60 +90,115 @@ def test_hamilton_matches_scalar_product_bit_for_bit():
     arr = np.array([[q.w, q.x, q.y, q.z] for q in qs])
     want = np.array([[[(p * q).w, (p * q).x, (p * q).y, (p * q).z] for q in qs] for p in qs])
     # tobytes tells -0.0 from 0.0, which == does not
-    got = hamilton(signed_table(arr[:, None]), arr.T[:, None]).transpose(0, 2, 3, 1)[:, 0]
+    out = np.empty((len(qs), 2, 2, 1, len(qs))), np.empty((len(qs), 2, 2, 1, len(qs)))
+    got = hamilton(signed_table(arr[:, None]), arr.T[:, None], (0, 1, 2, 3), out)
+    got = got.transpose(0, 2, 3, 1)[:, 0]
     assert got.tobytes() == want.tobytes()
 
 
-def scalar_fold(products) -> np.ndarray:
-    """0.0 + t0 + t1 + ... of each component of the products, added left to right."""
-    return np.array([reduce(add, terms, 0.0) for terms in zip(*map(astuple, products))])
+#: normal floats and the components where IEEE arithmetic has edges: signed zeros,
+#: subnormals, values whose products overflow, infinities and NaN
+_COMPONENTS = st.one_of(
+    st.floats(-4.0, 4.0, allow_subnormal=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                     math.inf, -math.inf, math.nan]),
+)
 
 
-def test_matmul_and_inner_match_the_scalar_fold_bit_for_bit():
-    rng = np.random.default_rng(5)
-    pick = lambda: Quaternion(*rng.choice([0.0, -0.0, 1.0, -2.5], size=4))
-    draw = lambda: random_quaternion(rng)
-    grid = lambda make, rows, cols: [[make() for _ in range(cols)] for _ in range(rows)]
-    # 0 * Quaternion(-0.0) has w = 0 * -0.0 - 0 * 0 - 0 * 0 - 0 * 0 = -0.0, and so has
-    # conj(0) * (-0.0, -0.0, -0.0, -0.0): each term of w is -0.0, and only the 0.0 + in
-    # front of the fold turns the sum into +0.0
-    for a, b in [
-        (grid(pick, 2, 3), grid(pick, 3, 2)),
-        (grid(draw, 2, 3), grid(draw, 3, 2)),
-        (grid(lambda: ZERO, 2, 3), grid(lambda: Quaternion(-0.0), 3, 2)),
-    ]:
-        want = [[scalar_fold(map(Quaternion.__mul__, row, col)) for col in zip(*b)] for row in a]
-        assert matmul(qmat(a), qmat(b)).data.tobytes() == np.array(want).tobytes()
-    for u, v in [
-        (grid(pick, 1, 4)[0], grid(pick, 1, 4)[0]),
-        (random_state(rng, 4).amps, random_state(rng, 4).amps),
-        ([ZERO] * 4, [Quaternion(-0.0, -0.0, -0.0, -0.0)] * 4),
-    ]:
-        want = scalar_fold(map(Quaternion.__mul__, map(conj, u), v))
-        assert np.array(astuple(inner(QVector(u), QVector(v)))).tobytes() == want.tobytes()
+def quaternion_arrays(*shape):
+    """(*shape, 4) float arrays of `_COMPONENTS`, empty shapes included."""
+    return arrays(float, (*shape, 4), elements=_COMPONENTS, fill=st.nothing())
+
+
+@st.composite
+def matrix_pairs(draw):
+    rows, inner_dim, cols = draw(st.tuples(*[st.integers(0, 4)] * 3))
+    return (QMatrix(draw(quaternion_arrays(rows, inner_dim))),
+            QMatrix(draw(quaternion_arrays(inner_dim, cols))))
+
+
+@st.composite
+def vector_pairs(draw):
+    dim = draw(st.integers(0, 16))
+    return QVector(draw(quaternion_arrays(dim))), QVector(draw(quaternion_arrays(dim)))
+
+
+@st.composite
+def edited_unitaries(draw):
+    """A signed permutation matrix of sizes 0-4 with a unit of {1, i, j, k} in each row, an
+    exact unitary, with up to three components replaced by ones near UNITARY_TOL or drawn
+    from `_COMPONENTS`: either verdict is common."""
+    n = draw(st.integers(0, 4))
+    data = np.zeros((n, n, 4))
+    for r, c in enumerate(draw(st.permutations(range(n)))):
+        data[r, c, draw(st.integers(0, 3))] = draw(st.sampled_from([1.0, -1.0]))
+    if n:
+        places = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3))
+        values = st.one_of(st.floats(-2e-10, 2e-10), _COMPONENTS)
+        for place, value in draw(st.lists(st.tuples(places, values), max_size=3)):
+            data[place] = value
+    return QMatrix(data)
+
+
+def quaternions(data: np.ndarray) -> list:
+    """The nested lists of Quaternions a (..., 4) array holds."""
+    if data.ndim > 2:
+        return [quaternions(part) for part in data]
+    return [Quaternion(*parts) for parts in data.tolist()]
+
+
+def nan_blind_bytes(a: np.ndarray) -> bytes:
+    """a's bytes with each NaN written as one quiet NaN.  Where two NaNs meet, CPython's
+    float + gives the sign of either, by whether the interpreter has specialized the
+    instruction yet, so a NaN's sign bit is not reproducible even in scalar code."""
+    return np.where(np.isnan(a), math.nan, a).tobytes()
+
+
+_ZERO_ROWS = np.zeros((2, 3, 4))
+_MINUS_ZERO_W = np.zeros((3, 2, 4)) * [-1.0, 1.0, 1.0, 1.0]
+
+
+# 0 * Quaternion(-0.0) has w = 0 * -0.0 - 0 * 0 - 0 * 0 - 0 * 0 = -0.0, and so has
+# conj(0) * (-0.0, -0.0, -0.0, -0.0): each term of w is -0.0, and only the 0.0 + in
+# front of the fold turns the sum into +0.0
+@example((QMatrix(_ZERO_ROWS), QMatrix(_MINUS_ZERO_W)),
+         (QVector(np.zeros((4, 4))), QVector(np.full((4, 4), -0.0))), diag(1, 1, 1))
+@given(matrix_pairs(), vector_pairs(), edited_unitaries())
+@settings(max_examples=150, deadline=None)
+def test_matmul_and_inner_match_the_scalar_fold_bit_for_bit(pair, vectors, square):
+    # the suite turns warnings into errors, so none of the three may warn on any input
+    a, b = pair
+    rows, columns = quaternions(a.data), quaternions(b.data.transpose(1, 0, 2))
+    want = [[scalar_fold(map(Quaternion.__mul__, row, col)) for col in columns] for row in rows]
+    want = np.reshape(want, (a.shape[0], b.shape[1], 4))
+    assert nan_blind_bytes(matmul(a, b).data) == nan_blind_bytes(want)
+    u, v = vectors
+    want = scalar_fold(map(Quaternion.__mul__, map(conj, u.amps), v.amps))
+    assert nan_blind_bytes(np.array(astuple(inner(u, v)))) == nan_blind_bytes(want)
+    assert is_unitary(square) is reference_is_unitary(square)
 
 
 def test_dagger_of_phase_gate():
-    assert R_I.dagger() == diag(ONE, -I)
-    assert R_J.dagger() == diag(ONE, -J)
+    assert dagger(R_I) == diag(ONE, -I)
+    assert dagger(R_J) == diag(ONE, -J)
 
 
 def test_dagger_identity_fixed_point():
-    assert diag(1, 1, 1).dagger() == diag(1, 1, 1)
+    assert dagger(diag(1, 1, 1)) == diag(1, 1, 1)
 
 
 def test_dagger_involution():
     rng = np.random.default_rng(0)
     for _ in range(50):
         m = rand_matrix(rng, 3, 2)
-        assert m.dagger().dagger() == m
+        assert dagger(dagger(m)) == m
 
 
 def test_dagger_antihomomorphism():
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b = rand_matrix(rng), rand_matrix(rng)
-        assert matmul(a, b).dagger().approx_eq(matmul(b.dagger(), a.dagger()), 1e-12)
+        assert dagger(matmul(a, b)).approx_eq(matmul(dagger(b), dagger(a)), 1e-12)
 
 
 def test_is_unitary_examples():
@@ -201,7 +261,7 @@ def fold_order_edge() -> QMatrix:
     return qmat(w.tolist())
 
 
-def test_is_unitary_matches_the_hamilton_reference():
+def test_is_unitary_matches_the_scalar_reference():
     rng = np.random.default_rng(6)
     nan, inf = float("nan"), float("inf")
     minus_zero = np.where(np.eye(2, dtype=bool)[..., None], [1.0, -0.0, -0.0, -0.0], -0.0)
@@ -217,8 +277,7 @@ def test_is_unitary_matches_the_hamilton_reference():
     ]
     # the suite turns warnings into errors, so is_unitary itself must warn nothing
     verdicts = [is_unitary(m) for m in edges]
-    with np.errstate(invalid="ignore"):  # inf * 0 is NaN in the reference's products
-        assert verdicts == [reference_is_unitary(m) for m in edges]
+    assert verdicts == [reference_is_unitary(m) for m in edges]
     assert verdicts == [True, True, True, True, False, False, False, False, False, False]
     counts = {True: 0, False: 0}
     for m in near_unitaries(rng, 1200):
@@ -229,24 +288,30 @@ def test_is_unitary_matches_the_hamilton_reference():
 
 
 def test_a_real_unitarity_check_makes_no_hamilton_product(monkeypatch):
+    # no unitarity check reaches the kernel, real or not; the gate step still does
     def refuse(*args):
         raise AssertionError("Hamilton kernel called")
 
     monkeypatch.setattr(qlinalg, "hamilton", refuse)
     monkeypatch.setattr(register, "hamilton", refuse)
-    for m in (rotation(0.3), hadamard(), diag(1, 1, 1)):
+    for m in (rotation(0.3), hadamard(), diag(1, 1, 1), phase_gate(J), diag(I, K)):
         assert is_unitary(m)
     complex_quantum_box()
     with pytest.raises(AssertionError, match="Hamilton kernel called"):
-        is_unitary(phase_gate(J))
+        apply_local(bell_state(K), 0, phase_gate(J))
 
 
 def test_is_unitary_builds_no_matrix_product(monkeypatch):
-    # the Hamilton path adds m[r][k] * conj(m[c][k]) itself: no dagger, no matmul
+    # the check folds m[r][k] * conj(m[c][k]) itself: no dagger, no matmul; and a matrix
+    # with a non-finite entry is refused before any fold
     gates = [phase_gate(J), random_unitary(np.random.default_rng(3)), qmat([[1, I], [0, 1]])]
     products = count_calls(monkeypatch, qlinalg, "matmul")
     assert [is_unitary(m) for m in gates] == [True, True, False]
     assert products[0] == 0
+    folds = count_calls(monkeypatch, qlinalg, "_fold")
+    for bad in (float("nan"), float("inf"), Quaternion(0, 0, 0, -float("inf"))):
+        assert not is_unitary(qmat([[1, bad], [0, 1]]))
+    assert folds[0] == 0
 
 
 def test_is_unitary_rejects_non_square():

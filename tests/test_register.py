@@ -269,7 +269,9 @@ def test_guard_on_products_that_underflow(monkeypatch):
     assert calls == [(0, 1), (0, 1, 2, 3)]
     # without the second pass, the reduced sum's signs differ from the scalar fold's
     v = reg.state.data.T.reshape(4, 2, 1, 2)
-    reduced, full = hamilton(gate.table, v, gate.planes), hamilton(gate.table, v)
+    buffers = lambda: (np.empty((2, 2, 2, 2, 2)), np.empty((2, 2, 2, 2, 2)))
+    reduced = hamilton(gate.table, v, gate.planes, buffers())
+    full = hamilton(gate.table, v, (0, 1, 2, 3), buffers())
     assert (reduced[:, :, 0] + reduced[:, :, 1]).tobytes() != (full[:, :, 0] + full[:, :, 1]).tobytes()
 
 
@@ -580,6 +582,14 @@ def test_register_validation():
         Register(2, QVector((ONE, ONE, ZERO, ZERO)))  # not normalized
     with pytest.raises(ValueError):
         Register(0, QVector((ONE,)))
+
+
+def test_register_refuses_a_state_that_is_not_a_qvector():
+    # before its other checks: even a bad party count is not reached
+    for n, state in ((2, np.zeros((4, 4))), (2, [ONE, ZERO, ZERO, ZERO]), (0, None)):
+        with pytest.raises(ValueError) as err:
+            Register(n, state)
+        assert str(err.value) == f"state must be a QVector, not {type(state).__name__}"
 
 
 def test_register_refuses_a_component_outside_the_unit_interval():

@@ -208,6 +208,26 @@ def test_protocol_validates_input_ranges():
             success_probability(f, x, y, ideal_pr_box())
 
 
+def test_protocol_refuses_inputs_that_are_not_integers():
+    f = builtin_function("AND")
+    for x, y, message in ((0.5, 0, "x must be an integer, got 0.5"),
+                          (True, 0, "x must be an integer, got True"),
+                          (0, False, "y must be an integer, got False"),
+                          (1.0, 1, "x must be an integer, got 1.0"),
+                          (1, "1", "y must be an integer, got '1'")):
+        with pytest.raises(ValueError) as err:
+            vandam_protocol(f, x, y, ideal_pr_box(), np.random.default_rng(5))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            success_probability(f, x, y, ideal_pr_box())
+        assert str(err.value) == message
+    # numpy integers are inputs too, shifted as Python ints: uint8 8 << 5 would wrap to 0
+    g = BooleanFunction.from_callable(4, 5, lambda x, y: x >> 3)
+    for x, y in ((np.uint8(8), np.uint8(0)), (np.int64(8), 0)):
+        assert vandam_protocol(g, x, y, ideal_pr_box(), np.random.default_rng(5)).output == 1
+        assert success_probability(g, x, y, ideal_pr_box()) == 1.0
+
+
 def test_each_piece_of_protocol_work_is_done_once(monkeypatch):
     box = quaternionic_box()
     anf_calls = count_calls(monkeypatch, quatbox.vandam, "anf_transform")
