@@ -56,10 +56,27 @@ MUTANTS = [
     ("boxes.py", "if r < threshold:", "if r <= threshold:"),
     ("boxes.py", "self._thresholds[a][b]", "self._thresholds[b][a]"),
     ("boxes.py", "return CELLS[-1]", "return CELLS[0]"),
-    ("boxes.py", "{2 * a + b: (a, b, src) for a, b in CELLS}", "[(a, b, src) for a, b in CELLS]"),
-    ("boxes.py", "zip(accumulate(cell), CELLS)", "zip(accumulate(cell), CELLS[1:] + CELLS[:1])"),
+    ("boxes.py", "tuple(zip(cell, CELLS))", "tuple(zip(cell, CELLS[1:] + CELLS[:1]))"),
     ("boxes.py", "{0: {0: pairs[0], 1: pairs[1]},\n" + " " * 49 + "1: {0: pairs[2], 1: pairs[3]}}",
      "[[pairs[0], pairs[1]], [pairs[2], pairs[3]]]"),
+    # the scan: a running sum that a double equals, a NaN taken as below every sum, a step's
+    # `&=` dropped or made `=`, threshold rows swapped or shifted, and each bound of the
+    # cell range check moved by one, or the empty case sent to min()
+    ("boxes.py", "past &= ~(doubles < t[1])", "past &= ~(doubles <= t[1])"),
+    ("boxes.py", "past = ~(doubles < t[0])", "past = ~(doubles <= t[0])"),
+    ("boxes.py", "past = ~(doubles < t[0])", "past = doubles >= t[0]"),
+    ("boxes.py", "        past &= ~(doubles < t[1])\n", ""),
+    ("boxes.py", "past &= ~(doubles < t[2])", "past = ~(doubles < t[2])"),
+    ("boxes.py", "past &= ~(doubles < t[1])\n        out += past\n        past &= ~(doubles < t[2])",
+     "past &= ~(doubles < t[2])\n        out += past\n        past &= ~(doubles < t[1])"),
+    ("boxes.py", "np.array(sums).T[:3]", "np.array(sums).T[1:]"),
+    ("boxes.py", "0 <= cells.min()", "-1 <= cells.min()"),
+    ("boxes.py", "0 <= cells.min()", "1 <= cells.min()"),
+    ("boxes.py", "cells.max() <= 3", "cells.max() <= 4"),
+    ("boxes.py", "cells.max() <= 3", "cells.max() <= 2"),
+    ("boxes.py", "if cells.size and not", "if not"),
+    # the noise parameter: a bool taken as p = 1
+    ("boxes.py", "isinstance(p, (bool, np.bool_)) or ", ""),
     ("qlinalg.py", "SUBFIELD_TOL = 1e-14", "SUBFIELD_TOL = 1e-12"),
     ("qlinalg.py", "<= SUBFIELD_TOL", "< SUBFIELD_TOL"),
     ("qlinalg.py", "<= UNITARY_TOL", "< UNITARY_TOL"),
@@ -76,6 +93,8 @@ MUTANTS = [
     ("qlinalg.py", "if np.count_nonzero(np.isfinite(m.data)) != m.data.size:", "if False:"),
     ("qlinalg.py", "if not math.isfinite(theta):", "if False:"),
     ("qlinalg.py", "data[..., 0] = rows", "data[..., 0] = np.transpose(rows)"),
+    # a float or a nested row in place of a Quaternion, let through to _pack
+    ("qlinalg.py", "if not all(isinstance(q, Quaternion) for q in data):", "if False:"),
     # the gates written in place: a -0.0 part turned into +0.0
     ("qlinalg.py", "return diag(1.0, q)", "return diag(q, 1.0)"),
     ("qlinalg.py", "data[i, i] = _COMPONENTS(as_quaternion(value))",
@@ -130,6 +149,9 @@ MUTANTS = [
     ("vandam.py", "isinstance(value, bool) or ", ""),
     ("vandam.py", "not isinstance(value, (int, np.integer))", "False"),
     ("vandam.py", "return int(x), int(y)", "return x, y"),
+    # the protocol's per-draw loop: each cell's bits crossed, and the pair's xor taken as u
+    ("vandam.py", "args = [(a, b, src) for a, b in CELLS]", "args = [(b, a, src) for a, b in CELLS]"),
+    ("vandam.py", "starmap(xor, draws)", "(u for u, v in draws)"),
     *EQUIVALENT,
 ]
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, compress, starmap
+from itertools import accumulate, compress
 from operator import attrgetter
-from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,8 +28,6 @@ NON_SIGNALLING_TOL = 1e-10
 
 #: every pair of bits, in table order: the input cells (a, b), and the outputs (x, y) of a cell
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
-#: each pair's index in CELLS, 2a + b for an input cell and 2x + y for an output pair
-_CELL_INDEX = {cell: index for index, cell in enumerate(CELLS)}
 #: the PR-box rule as a mask, WINS[2a + b][2x + y]: whether output (x, y) wins input cell (a, b)
 WINS = tuple(tuple(x ^ y == a & b for x, y in CELLS) for a, b in CELLS)
 
@@ -63,13 +60,19 @@ class BoxBehavior:
             raise ValueError("behavior table is signalling")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-        # _thresholds[a][b]: input cell (a, b)'s running sums p0, p0 + p1, ..., each paired
-        # with its output pair, added once here instead of on every draw; entries down to
-        # -1e-12 pass the checks above, so the sums need not increase.  Dicts keyed by bit,
-        # not sequences, so an input outside {0, 1} raises KeyError
-        pairs = [tuple(zip(accumulate(cell), CELLS)) for cell in rows]
+        # each input cell's running sums p0, p0 + p1, ..., added once here instead of on
+        # every draw; entries down to -1e-12 pass the checks above, so the sums need not
+        # increase.  _thresholds[a][b] pairs cell (a, b)'s sums with its output pairs, in
+        # dicts keyed by bit, not sequences, so an input outside {0, 1} raises KeyError
+        sums = [list(accumulate(cell)) for cell in rows]
+        pairs = [tuple(zip(cell, CELLS)) for cell in sums]
         object.__setattr__(self, "_thresholds", {0: {0: pairs[0], 1: pairs[1]},
                                                  1: {0: pairs[2], 1: pairs[3]}})
+        # _scan[k][c]: input cell c's (k + 1)th running sum, for the first three; the
+        # fourth never decides, as a double past the third gives the last pair either way
+        scan = np.array(sums).T[:3]
+        scan.flags.writeable = False
+        object.__setattr__(self, "_scan", scan)
         # each cell's CHSH win, summed once here for scoring and the protocol's exact rates
         object.__setattr__(self, "wins", tuple(map(math.fsum, map(compress, rows, WINS))))
 
@@ -82,13 +85,23 @@ class BoxBehavior:
         return CELLS[-1]  # cumulative sum fell short of 1 by float dust
 
     def sample_cells(self, cells: np.ndarray, doubles: np.ndarray) -> np.ndarray:
-        """Each draw's output cell 2x + y, as uint8: one `sample` draw per input cell
-        c = 2a + b of `cells`, in order, each taking the next of `doubles` as the
-        `rng.random()` it would call."""
-        src = SimpleNamespace(random=iter(doubles.tolist()).__next__)
-        args = {2 * a + b: (a, b, src) for a, b in CELLS}  # keyed, so a cell -1 is refused
-        draws = starmap(self.sample, map(args.__getitem__, cells.tolist()))
-        return np.fromiter(map(_CELL_INDEX.__getitem__, draws), np.uint8, len(cells))
+        """Each draw's output cell 2x + y, as uint8: for each input cell c = 2a + b of
+        `cells`, the pair that `sample(a, b, rng)` gives when its `rng.random()` returns
+        the matching entry of `doubles`, NaN and values outside [0, 1) included.  No
+        `sample` call is made: the draws are one scan over the running sums, which counts
+        the sums each double has passed and stops at the first it has not."""
+        # checked before indexing, which would read cell -1 as cell 3
+        if cells.size and not (0 <= cells.min() and cells.max() <= 3):
+            raise KeyError(f"input cells must lie in 0..3, got {cells.min()}..{cells.max()}")
+        t = self._scan[:, cells]
+        # not r < t, as sample tests it: a NaN passes every sum, as it fails every r < t
+        past = ~(doubles < t[0])
+        out = past.view(np.uint8).copy()
+        past &= ~(doubles < t[1])
+        out += past
+        past &= ~(doubles < t[2])
+        out += past
+        return out
 
     def to_json_obj(self) -> dict:
         """Serialize as {"a,b": [{"x":..,"y":..,"p":..}, ...], ...}."""
@@ -189,7 +202,8 @@ def noisy_box(inner: BoxBehavior, p: float) -> BoxBehavior:
     Flipping only y is the minimal corruption that keeps the behavior
     non-signalling for any non-signalling inner box.
     """
-    if not 0.5 <= p <= 1.0:
+    # a bool compares as an int, and True would read as p = 1
+    if isinstance(p, (bool, np.bool_)) or not 0.5 <= p <= 1.0:
         raise ValueError(f"noise parameter must lie in [0.5, 1], got {p!r}")
     flipped = inner.probs[:, :, :, ::-1]
     return BoxBehavior(p * inner.probs + (1.0 - p) * flipped)

@@ -44,8 +44,9 @@ PERFECT_STRATEGIES = frozenset({"ideal", "quaternionic"})
 
 CELL_TOL = 1e-10
 ORTHO_TOL = 1e-12
-#: largest --samples accepted; a chsh round or a prbox draw costs 0.3 to 0.5 microsecond
-#: (prbox draws 4 per sample, one per cell), so a run takes at most about 2 seconds
+#: largest --samples accepted; in-process, a chsh round costs about 30 ns and a prbox draw
+#: about 25 ns (prbox draws 4 per sample, one per cell), so the largest run's draws take
+#: about 0.1 s on top of the interpreter's and numpy's start-up
 MAX_SAMPLES = 10**6
 #: longest truth-table file read, in characters: four times the hex digits of the widest table
 _MAX_TABLE_CHARS = 1 << VERIFY_SIZE_CAP

@@ -120,7 +120,14 @@ class _QuaternionArray:
     data: np.ndarray
 
     def __post_init__(self):
-        data = self.data if isinstance(self.data, np.ndarray) else _pack(self.data)
+        data = self.data
+        if not isinstance(data, np.ndarray):
+            data = tuple(data)
+            # _pack reads .w from each item: a float or a nested row has none
+            if not all(isinstance(q, Quaternion) for q in data):
+                raise ValueError(
+                    f"{type(self).__name__} data must be an array or a sequence of Quaternions")
+            data = _pack(data)
         data = np.asarray(data, dtype=float).view()
         if data.ndim != self.NDIM or data.shape[-1] != 4:
             raise ValueError(f"{type(self).__name__} data needs {self.NDIM} axes, the last of 4")

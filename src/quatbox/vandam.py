@@ -17,11 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
+from operator import xor
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .boxes import BoxBehavior
+from .boxes import CELLS, BoxBehavior
 
 #: the widest truth table, in input bits: _table_size refuses a wider one, whether
 #: from a file, a callable or the constructor, before anything of size 2**n is built
@@ -225,8 +228,15 @@ def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, 
     # f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his box outputs
     fold = 0  # no mixed monomial, no draw: rng.random(0) would not advance rng either
     if cells.size:
-        out = box.sample_cells(cells.ravel(), rng.random(cells.size)).reshape(cells.shape)
-        fold = np.bitwise_xor.reduce(out ^ out >> 1, axis=-1) & 1  # (2u + v) ^ u: u ^ v in bit 0
+        # one `sample` call per cell, each reading the next double of one rng.random(n):
+        # the benchmark checks these draws by counting `sample` calls under verify_exhaustive.
+        # Once it checks the generator's state instead (ROADMAP item 1a), this loop goes, and
+        # the draws become box.sample_cells(cells.ravel(), rng.random(cells.size))
+        src = SimpleNamespace(random=iter(rng.random(cells.size).tolist()).__next__)
+        args = [(a, b, src) for a, b in CELLS]  # _cells gives only cells 0..3
+        draws = starmap(box.sample, map(args.__getitem__, cells.ravel().tolist()))
+        fold = np.bitwise_xor.reduce(
+            np.fromiter(starmap(xor, draws), np.uint8, cells.size).reshape(cells.shape), axis=-1)
     return table[idx >> n_bob << n_bob] ^ table[idx & ((1 << n_bob) - 1)] ^ table[0] ^ fold
 
 
@@ -266,14 +276,15 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng) -> VerifyReport
 
     success_rate is the exact mean of success_probability over all inputs
     (identically 1.0 for perfect boxes); empirical_rate comes from one
-    sampled protocol run per input, which XORs u ^ v over the output cells
-    2u + v that `box.sample_cells` draws for its boxes, one `sample` call per
-    box cell, in truth-table index order (x-major, then y), then monomial.
+    sampled protocol run per input, which XORs u ^ v over the output pairs
+    (u, v) that `box.sample` draws for its boxes, one call per box cell, in
+    truth-table index order (x-major, then y), then monomial.
     The inputs are walked in runs of consecutive indices, about
     _BLOCK_CELLS box cells each; one `rng.random(n)` gives a run's n doubles,
     so rng advances by one double per box cell, as with one `rng.random()`
-    per draw.  Draws stay one `sample` call each until the benchmark counts
-    them by the generator's state, not by calls.
+    per draw.  These draws stay one `sample` call each, unlike the Monte
+    Carlo draws of `sample_cells`, until the benchmark counts them by the
+    generator's state, not by calls.
     """
     n = f.n_alice + f.n_bob
     anf = anf_transform(f)

@@ -161,10 +161,12 @@ def test_noisy_box_at_half_is_uniform_on_y():
             assert abs(box.probs[a, b, x, y] - 0.25) <= 1e-15
 
 
-@pytest.mark.parametrize("p", [0.4, -0.1, 1.01])
+@pytest.mark.parametrize("p", [0.4, -0.1, 1.01, math.nan, True, False, np.True_])
 def test_noisy_box_rejects_out_of_range(p):
-    with pytest.raises(ValueError):
+    # a bool is refused as widths and protocol inputs are, not read as p = 1
+    with pytest.raises(ValueError) as err:
         noisy_box(ideal_pr_box(), p)
+    assert str(err.value) == f"noise parameter must lie in [0.5, 1], got {p!r}"
 
 
 @given(st.floats(min_value=0.5, max_value=1.0, allow_nan=False))
@@ -369,10 +371,12 @@ def test_sample_takes_bits_and_refuses_other_inputs(box):
     for a, b in ((2, 0), (0, 2), (-1, 0), (0.5, 0)):
         with pytest.raises(KeyError):
             box.sample(a, b, rng)
-    # a cell outside 0..3 is refused too, not read from the end of a sequence
-    for cell in (-1, 4):
+    # a cell outside 0..3 is refused too, before any draw, not read from the end of an array
+    for cells in ([-1], [4], [0, 4, 3], np.array([255], np.uint8), np.array([3, 2**63], np.uint64)):
         with pytest.raises(KeyError):
-            box.sample_cells(np.array([cell]), np.array([0.5]))
+            box.sample_cells(np.array(cells), np.full(len(cells), 0.5))
+    empty = box.sample_cells(np.array([], np.uint8), np.array([]))
+    assert (empty.dtype, empty.shape) == (np.uint8, (0,))
     # a bool or a numpy integer is the same bit as the int, drawn from the same seed
     inputs = ALL_CELLS * 50
     for bit in (bool, np.int64):
@@ -383,8 +387,8 @@ def test_sample_takes_bits_and_refuses_other_inputs(box):
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1, 2**63])
 def test_one_array_of_doubles_equals_as_many_scalar_draws(seed):
-    # sample_cells draws a whole block with rng.random(n) and hands the doubles to sample
-    # one at a time; that is bit for bit the scalar stream only while numpy keeps this
+    # the protocol and --samples draw a whole block with rng.random(n) and hand the doubles
+    # to sample or sample_cells; that is bit for bit the scalar stream only while numpy keeps this
     for size in (0, 1, 2, 7, 4096, 50001):
         bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
         assert bulk.random(size).tolist() == [scalar.random() for _ in range(size)]

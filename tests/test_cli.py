@@ -143,6 +143,22 @@ def test_prbox_samples_hold_one_chunk_of_doubles_at_a_time(capsys):
     assert peak < 5 << 20  # all 200000 doubles of a cell as floats would take 9 MiB
 
 
+#: SHA-256 of the stdout of the two largest --samples runs, whose draws cross every chunk
+#: boundary; a change meant to alter either output must say so and update its digest
+MILLION_SAMPLE_DIGESTS = {
+    "chsh": "35866e48fe79df26e55940036c718d30b888edb79e156b07cde1e85fd73e6886",
+    "prbox": "b44af53d79c1432784d062ffd9fd358f09fadec0801ae5b49d71782e8ea5f2a9",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh", "--strategy", "noisy:0.9"], ["prbox", "--strategy", "noisy:0.75"],
+], ids=lambda argv: argv[0])
+def test_a_million_samples_print_the_pinned_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, argv + ["--samples", str(cli.MAX_SAMPLES), "--format", "json"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, MILLION_SAMPLE_DIGESTS[argv[0]])
+
+
 def per_round_win(box, rounds, seed):
     """chsh's empirical_win from two rng.integers(2) calls, then one box.sample, per round."""
     rng = np.random.default_rng(seed)

@@ -443,6 +443,16 @@ def test_rotation_refuses_a_non_finite_angle():
             assert str(err.value) == f"rotation angle must be finite, got {theta!r}"
 
 
+@pytest.mark.parametrize("make, data", [
+    (QVector, [1.0, 0.0]), (QVector, (ONE, 1.0)), (QMatrix, ((1,),)), (QMatrix, [[ONE]]),
+])
+def test_quaternion_arrays_refuse_items_that_are_not_quaternions(make, data):
+    # floats or nested rows, each without the .w a Quaternion has
+    with pytest.raises(ValueError) as err:
+        make(data)
+    assert str(err.value) == f"{make.__name__} data must be an array or a sequence of Quaternions"
+
+
 def test_subfield_detection_on_matrices():
     assert hadamard().is_real
     assert not phase_gate(I).is_real

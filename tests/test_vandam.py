@@ -7,10 +7,11 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quatbox.chsh
@@ -247,11 +248,14 @@ def test_each_piece_of_protocol_work_is_done_once(monkeypatch):
 
 
 def test_functions_without_mixed_monomials_draw_nothing(monkeypatch):
-    draws = count_calls(monkeypatch, BoxBehavior, "sample_cells")
+    # the protocol draws through `sample` today, and through `sample_cells` once the
+    # benchmark checks draws by the generator's state (ROADMAP item 1a): both are counted
+    draws = count_calls(monkeypatch, BoxBehavior, "sample")
+    scans = count_calls(monkeypatch, BoxBehavior, "sample_cells")
     rng = np.random.default_rng(7)
     report = verify_exhaustive(builtin_function("XOR"), quaternionic_box(), rng)
     assert (report.boxes_used, report.success_rate, report.empirical_rate) == (0, 1.0, 1.0)
-    assert draws[0] == 0
+    assert (draws[0], scans[0]) == (0, 0)
     assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
 
 
@@ -546,26 +550,87 @@ def test_verify_engine_matches_the_per_input_loop(f, box_name, seed):
         assert success_probability(f, x, y, box) == rate
 
 
+#: cell dtypes: uint8 as _cells and the chsh decode give cells, the default int of np.full
+#: in prbox, and uint64, the raw words' dtype
+CELL_DTYPES = (np.uint8, np.int_, np.uint64)
+
+
 @pytest.mark.parametrize("box_name", sorted(ENGINE_BOXES))
 def test_sample_cells_is_one_sample_call_per_cell_in_order(monkeypatch, box_name):
+    """`sample_cells` gives what one `sample` call per cell, in order, gives, and makes
+    no `sample` call itself."""
     box = ENGINE_BOXES[box_name]
     draws = count_calls(monkeypatch, BoxBehavior, "sample")
     cell_rng = np.random.default_rng(12)
-    # uint8 as _cells and the chsh decode give cells, the default int of np.full in prbox,
-    # and uint64, the raw words' dtype
-    for cell_dtype, length in itertools.product((np.uint8, np.int_, np.uint64), (0, 1, 2, 7, 300)):
+    for cell_dtype, length in itertools.product(CELL_DTYPES, (0, 1, 2, 7, 300)):
         cells = cell_rng.integers(0, 4, length).astype(cell_dtype)
         for make_rng in (np.random.default_rng, lambda s: EdgeRandom(box, s)):
             rng1, rng2 = make_rng(length), make_rng(length)
             before = draws[0]
             got = box.sample_cells(cells, rng1.random(length))
-            assert draws[0] - before == length
+            assert draws[0] == before  # a scan, not a `sample` call per cell
             want = [box.sample(*CELLS[c], rng2) for c in cells.tolist()]
             assert got.dtype == np.uint8
             assert got.tolist() == [2 * x + y for x, y in want]
             if isinstance(rng1, np.random.Generator):
                 assert rng1.bit_generator.state == rng2.bit_generator.state
             assert rng1.random() == rng2.random()  # and no draw besides them
+
+
+@st.composite
+def behaviors(draw):
+    """Non-signalling tables from each party's marginal P(0) and each cell's P(0, 0), with
+    entries lowered by 1e-12 (a zero to -1e-12) or 2e-11, so that running sums need not
+    increase and may fall short of 1."""
+    probability = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1 / 3]) | st.floats(0.0, 1.0)
+    alice, bob = draw(st.tuples(probability, probability)), draw(st.tuples(probability, probability))
+    rows = []
+    for a, b in CELLS:
+        low, high = max(0.0, alice[a] + bob[b] - 1.0), min(alice[a], bob[b])
+        q = draw(st.sampled_from([low, high]) | st.floats(low, high)) if low < high else low
+        rows.append([q, alice[a] - q, bob[b] - q, 1.0 - alice[a] - bob[b] + q])
+    nudges = draw(st.lists(st.sampled_from([0.0, -1e-12, -2e-11]), min_size=16, max_size=16))
+    try:
+        return BoxBehavior(np.reshape(np.add(rows, np.reshape(nudges, (4, 4))), (2, 2, 2, 2)))
+    except ValueError:  # a nudged table outside the tolerances
+        assume(False)
+
+
+SPECIAL_DOUBLES = [0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), 1.5, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def scan_cases(draw):
+    """A box, input cells and one double per cell: often a running sum of that cell or a
+    float neighbour of one, where a `<=`, a `>=` or a dropped step picks another output."""
+    box = draw(behaviors() | st.sampled_from(list(ENGINE_BOXES.values())))
+    edges = [[v for t in itertools.accumulate(cell)
+              for v in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+             for cell in box.probs.reshape(4, 4).tolist()]
+    cells = draw(st.lists(st.integers(0, 3), max_size=40))
+    other = st.sampled_from(SPECIAL_DOUBLES) | st.floats(0.0, 1.0, exclude_max=True) | st.floats()
+    doubles = [draw(st.sampled_from(edges[c]) | other) for c in cells]
+    return box, np.array(cells, draw(st.sampled_from(CELL_DTYPES))), np.array(doubles, float)
+
+
+#: a third entry of -1e-12 in every cell: the third running sum falls below the second
+THIRD_SUM_DIPS = BoxBehavior(np.tile([0.25, 0.25, -1e-12, 0.5 + 1e-12], 4).reshape(2, 2, 2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scan_cases())
+@example(case=(THIRD_SUM_DIPS, np.arange(4, dtype=np.uint8),
+               np.array([math.nextafter(0.5 - 1e-12, 1.0), 0.5 - 1e-12, 0.5, math.nan])))
+def test_sample_cells_equals_the_per_draw_sample(case):
+    box, cells, doubles = case
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, BoxBehavior, "sample")
+        got = box.sample_cells(cells, doubles)
+    assert calls[0] == 0
+    want = [box.sample(*CELLS[c], SimpleNamespace(random=lambda r=r: r))
+            for c, r in zip(cells.tolist(), doubles.tolist())]
+    assert got.dtype == np.uint8
+    assert got.tolist() == [2 * x + y for x, y in want]
 
 
 # ------------------------------------------------ exact rates as fractions
