@@ -51,14 +51,19 @@ MUTANTS = [
     # the time-order key: the tags' order ignored, and one readout for every cell
     ("boxes.py", "for op in sorted(ops, key=attrgetter(\"time\"))", "for op in ops"),
     ("boxes.py", "if order not in readouts:", "if not readouts:"),
-    # the draw: a running sum that r equals, cells crossed, the float-dust fallback, each
-    # sum paired with the next output pair, and sequences that take -1 as an index
-    ("boxes.py", "if r < threshold:", "if r <= threshold:"),
+    # the draw: a running sum that r equals at each compare, cells crossed, a wrong
+    # fallback pair, the sums shifted by one, sequences that take -1 as an index, and the
+    # double drawn before a bad bit is refused
+    ("boxes.py", "if r < t[0] else", "if r <= t[0] else"),
+    ("boxes.py", "if r < t[1] else", "if r <= t[1] else"),
+    ("boxes.py", "if r < t[2] else", "if r <= t[2] else"),
     ("boxes.py", "self._thresholds[a][b]", "self._thresholds[b][a]"),
-    ("boxes.py", "return CELLS[-1]", "return CELLS[0]"),
-    ("boxes.py", "tuple(zip(cell, CELLS))", "tuple(zip(cell, CELLS[1:] + CELLS[:1]))"),
-    ("boxes.py", "{0: {0: pairs[0], 1: pairs[1]},\n" + " " * 49 + "1: {0: pairs[2], 1: pairs[3]}}",
-     "[[pairs[0], pairs[1]], [pairs[2], pairs[3]]]"),
+    ("boxes.py", "r < t[2] else (1, 1)", "r < t[2] else (1, 0)"),
+    ("boxes.py", "tuple(accumulate(cell))[:3]", "tuple(accumulate(cell))[1:]"),
+    ("boxes.py", "{0: {0: sums[0], 1: sums[1]},\n" + " " * 49 + "1: {0: sums[2], 1: sums[3]}}",
+     "[[sums[0], sums[1]], [sums[2], sums[3]]]"),
+    ("boxes.py", "t = self._thresholds[a][b]\n        r = rng.random()",
+     "r = rng.random()\n        t = self._thresholds[a][b]"),
     # the scan: a running sum that a double equals, a NaN taken as below every sum, a step's
     # `&=` dropped or made `=`, threshold rows swapped or shifted, and each bound of the
     # cell range check moved by one, or the empty case sent to min()
@@ -69,7 +74,7 @@ MUTANTS = [
     ("boxes.py", "past &= ~(doubles < t[2])", "past = ~(doubles < t[2])"),
     ("boxes.py", "past &= ~(doubles < t[1])\n        out += past\n        past &= ~(doubles < t[2])",
      "past &= ~(doubles < t[2])\n        out += past\n        past &= ~(doubles < t[1])"),
-    ("boxes.py", "np.array(sums).T[:3]", "np.array(sums).T[1:]"),
+    ("boxes.py", "scan = np.array(sums).T", "scan = np.roll(np.array(sums).T, 1, axis=0)"),
     ("boxes.py", "0 <= cells.min()", "-1 <= cells.min()"),
     ("boxes.py", "0 <= cells.min()", "1 <= cells.min()"),
     ("boxes.py", "cells.max() <= 3", "cells.max() <= 4"),
@@ -149,8 +154,12 @@ MUTANTS = [
     ("vandam.py", "isinstance(value, bool) or ", ""),
     ("vandam.py", "not isinstance(value, (int, np.integer))", "False"),
     ("vandam.py", "return int(x), int(y)", "return x, y"),
-    # the protocol's per-draw loop: each cell's bits crossed, and the pair's xor taken as u
-    ("vandam.py", "args = [(a, b, src) for a, b in CELLS]", "args = [(b, a, src) for a, b in CELLS]"),
+    # a truth-table file that is not an object, or lacks a key, let through
+    ("vandam.py", "if not isinstance(obj, dict):", "if False:"),
+    ("vandam.py", "if key not in obj:", "if False:"),
+    # the protocol's per-draw loop: Alice's and Bob's bits crossed, and the pair's xor taken as u
+    ("vandam.py", "(flat >> 1).tolist(), (flat & 1).tolist()",
+     "(flat & 1).tolist(), (flat >> 1).tolist()"),
     ("vandam.py", "starmap(xor, draws)", "(u for u, v in draws)"),
     *EQUIVALENT,
 ]

@@ -60,29 +60,27 @@ class BoxBehavior:
             raise ValueError("behavior table is signalling")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-        # each input cell's running sums p0, p0 + p1, ..., added once here instead of on
-        # every draw; entries down to -1e-12 pass the checks above, so the sums need not
-        # increase.  _thresholds[a][b] pairs cell (a, b)'s sums with its output pairs, in
-        # dicts keyed by bit, not sequences, so an input outside {0, 1} raises KeyError
-        sums = [list(accumulate(cell)) for cell in rows]
-        pairs = [tuple(zip(cell, CELLS)) for cell in sums]
-        object.__setattr__(self, "_thresholds", {0: {0: pairs[0], 1: pairs[1]},
-                                                 1: {0: pairs[2], 1: pairs[3]}})
-        # _scan[k][c]: input cell c's (k + 1)th running sum, for the first three; the
-        # fourth never decides, as a double past the third gives the last pair either way
-        scan = np.array(sums).T[:3]
+        # each input cell's first three running sums, added once here, not on every draw; the
+        # fourth never decides, as a double past the third gives (1, 1) either way.  Entries
+        # down to -1e-12 pass the checks above, so the sums need not increase.  _thresholds[a][b]
+        # holds cell (a, b)'s in dicts keyed by bit, so an input outside {0, 1} raises KeyError
+        sums = [tuple(accumulate(cell))[:3] for cell in rows]
+        object.__setattr__(self, "_thresholds", {0: {0: sums[0], 1: sums[1]},
+                                                 1: {0: sums[2], 1: sums[3]}})
+        # _scan[k][c]: input cell c's (k + 1)th running sum, the same numbers as an array
+        scan = np.array(sums).T
         scan.flags.writeable = False
         object.__setattr__(self, "_scan", scan)
         # each cell's CHSH win, summed once here for scoring and the protocol's exact rates
         object.__setattr__(self, "wins", tuple(map(math.fsum, map(compress, rows, WINS))))
 
     def sample(self, a: int, b: int, rng) -> tuple[int, int]:
-        """Draw one output pair for inputs (a, b); deterministic under a seeded rng."""
+        """The output pair of the first running sum of cell (a, b) above one `rng.random()`,
+        else (1, 1), NaN included; a bit outside {0, 1} raises KeyError before the draw."""
+        t = self._thresholds[a][b]
         r = rng.random()
-        for threshold, cell in self._thresholds[a][b]:
-            if r < threshold:  # the first one above r, not a bisection
-                return cell
-        return CELLS[-1]  # cumulative sum fell short of 1 by float dust
+        # the first sum above r, in order, not a bisection: the sums need not increase
+        return (0, 0) if r < t[0] else (0, 1) if r < t[1] else (1, 0) if r < t[2] else (1, 1)
 
     def sample_cells(self, cells: np.ndarray, doubles: np.ndarray) -> np.ndarray:
         """Each draw's output cell 2x + y, as uint8: for each input cell c = 2a + b of

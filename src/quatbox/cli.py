@@ -85,7 +85,7 @@ def load_function(selector: str) -> BooleanFunction:
             if len(text) > _MAX_TABLE_CHARS:
                 raise ValueError(f"larger than {_MAX_TABLE_CHARS} characters")
             return BooleanFunction.from_json_obj(json.loads(text))
-        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"bad truth-table file {selector!r}: {exc}") from exc
     raise ValueError(
         f"unknown function {selector!r}: not a built-in ({sorted(BUILTIN_FUNCTIONS)}) "

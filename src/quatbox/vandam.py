@@ -17,21 +17,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
+from itertools import repeat, starmap
 from operator import xor
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .boxes import CELLS, BoxBehavior
+from .boxes import BoxBehavior
 
 #: the widest truth table, in input bits: _table_size refuses a wider one, whether
 #: from a file, a callable or the constructor, before anything of size 2**n is built
 VERIFY_SIZE_CAP = 20
 
 #: refuse exhaustive verification beyond this many (input, mixed monomial) box
-#: cells, one draw each; at about 0.45 microseconds per cell a run takes about a second
+#: cells, one draw each; at about 0.35 microseconds per cell a run takes about 0.75 s
 VERIFY_CELL_BUDGET = 1 << 21
 
 #: box cells per block of verify_exhaustive's walk over inputs (one input's cells at least)
@@ -101,7 +101,12 @@ class BooleanFunction:
         return {"n_alice": self.n_alice, "n_bob": self.n_bob, "table": f"{packed:0{digits}x}"}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> BooleanFunction:
+    def from_json_obj(cls, obj: object) -> BooleanFunction:
+        if not isinstance(obj, dict):
+            raise ValueError(f"a truth table must be a JSON object, got {type(obj).__name__}")
+        for key in ("n_alice", "n_bob", "table"):
+            if key not in obj:
+                raise ValueError(f"missing key {key!r}")
         n_alice, n_bob = obj["n_alice"], obj["n_bob"]
         size = _table_size(n_alice, n_bob)  # a file is judged by its widths first
         if not isinstance(obj["table"], str):
@@ -228,13 +233,11 @@ def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, 
     # f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his box outputs
     fold = 0  # no mixed monomial, no draw: rng.random(0) would not advance rng either
     if cells.size:
-        # one `sample` call per cell, each reading the next double of one rng.random(n):
-        # the benchmark checks these draws by counting `sample` calls under verify_exhaustive.
-        # Once it checks the generator's state instead (ROADMAP item 1a), this loop goes, and
-        # the draws become box.sample_cells(cells.ravel(), rng.random(cells.size))
+        # one `sample(a, b, src)` call per cell 2a + b, each reading the next double of one
+        # rng.random(n), not one `sample_cells` scan, so that the benchmark can count the draws
         src = SimpleNamespace(random=iter(rng.random(cells.size).tolist()).__next__)
-        args = [(a, b, src) for a, b in CELLS]  # _cells gives only cells 0..3
-        draws = starmap(box.sample, map(args.__getitem__, cells.ravel().tolist()))
+        flat = cells.ravel()
+        draws = map(box.sample, (flat >> 1).tolist(), (flat & 1).tolist(), repeat(src))
         fold = np.bitwise_xor.reduce(
             np.fromiter(starmap(xor, draws), np.uint8, cells.size).reshape(cells.shape), axis=-1)
     return table[idx >> n_bob << n_bob] ^ table[idx & ((1 << n_bob) - 1)] ^ table[0] ^ fold
@@ -282,9 +285,8 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng) -> VerifyReport
     The inputs are walked in runs of consecutive indices, about
     _BLOCK_CELLS box cells each; one `rng.random(n)` gives a run's n doubles,
     so rng advances by one double per box cell, as with one `rng.random()`
-    per draw.  These draws stay one `sample` call each, unlike the Monte
-    Carlo draws of `sample_cells`, until the benchmark counts them by the
-    generator's state, not by calls.
+    per draw.  Each draw is one `sample` call, which perfbench counts; the
+    Monte Carlo draws of `sample_cells` make none.
     """
     n = f.n_alice + f.n_bob
     anf = anf_transform(f)

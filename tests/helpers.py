@@ -1,10 +1,11 @@
 """Shared random generators for property tests, all taking an explicit rng, one
 hand-built box, a reference dagger and scalar fold, scalar views of the package's
-conjugation and left action, reference unitarity and behavior-table checks, and a
-call counter."""
+conjugation and left action, reference unitarity and behavior-table checks, a
+reference per-draw sample, and a call counter."""
 
 import math
 from dataclasses import astuple
+from itertools import accumulate
 from operator import add
 
 import numpy as np
@@ -24,7 +25,7 @@ from quatbox import (
     qmat,
     rotation,
 )
-from quatbox.boxes import NON_SIGNALLING_TOL, BoxBehavior, classical_box, ideal_pr_box
+from quatbox.boxes import CELLS, NON_SIGNALLING_TOL, BoxBehavior, classical_box, ideal_pr_box
 from quatbox.qlinalg import SUBFIELD_TOL, UNITARY_TOL, norm_sq
 
 #: the eight unit elements {+-1, +-i, +-j, +-k}; exhaustive algebra checks run over these
@@ -97,6 +98,16 @@ def reference_behavior_error(probs: np.ndarray) -> str | None:
     if not reference_is_non_signalling(arr):
         return "behavior table is signalling"
     return None
+
+
+def reference_sample(box: BoxBehavior, a: int, b: int, r: float) -> tuple[int, int]:
+    """The output pair `box.sample(a, b, rng)` must give when `rng.random()` returns r:
+    the pair of the first of all four running sums of cell (a, b), added left to right
+    from the table, that r is below, else the last pair of CELLS."""
+    for total, pair in zip(accumulate(box.probs[a, b].ravel().tolist()), CELLS):
+        if r < total:
+            return pair
+    return CELLS[-1]
 
 
 def random_quaternion(rng, scale=2.0) -> Quaternion:

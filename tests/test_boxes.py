@@ -369,8 +369,10 @@ def test_sample_gives_the_last_pair_when_the_sums_fall_short():
 def test_sample_takes_bits_and_refuses_other_inputs(box):
     rng = np.random.default_rng(8)
     for a, b in ((2, 0), (0, 2), (-1, 0), (0.5, 0)):
+        before = rng.bit_generator.state
         with pytest.raises(KeyError):
             box.sample(a, b, rng)
+        assert rng.bit_generator.state == before  # refused before the draw
     # a cell outside 0..3 is refused too, before any draw, not read from the end of an array
     for cells in ([-1], [4], [0, 4, 3], np.array([255], np.uint8), np.array([3, 2**63], np.uint64)):
         with pytest.raises(KeyError):

@@ -349,10 +349,18 @@ def test_vandam_directory_as_function_exits_two(capsys, tmp_path):
         ('{"n_alice": 1, "n_bob": 1, "table": "\\uff18"}', "table must be a non-negative hex"),
         ('{"n_alice": 2, "n_bob": 2, "table": "f_f"}', "table must be a non-negative hex"),
         ('{"n_alice": 1, "n_bob": 1, "table": ""}', "table must be a non-negative hex"),
+        # anything but an object, and an object without one of the three keys
+        ("[1, 2]", "a truth table must be a JSON object, got list"),
+        ('"table"', "a truth table must be a JSON object, got str"),
+        ("8", "a truth table must be a JSON object, got int"),
+        ('{"n_bob": 1, "table": "8"}', "missing key 'n_alice'"),
+        ('{"n_alice": 1, "table": "8"}', "missing key 'n_bob'"),
+        ('{"n_alice": 1, "n_bob": 1}', "missing key 'table'"),
     ],
     ids=["infinite-width", "deeply-nested", "negative-table", "float-width", "bool-width",
          "string-width", "integer-table", "hex-prefix", "plus-sign", "whitespace",
-         "arabic-indic-digit", "fullwidth-digit", "underscore", "empty-table"],
+         "arabic-indic-digit", "fullwidth-digit", "underscore", "empty-table",
+         "list", "string", "number", "no-n_alice", "no-n_bob", "no-table"],
 )
 def test_vandam_malformed_function_file_exits_two(capsys, tmp_path, text, reason):
     path = tmp_path / "f.json"

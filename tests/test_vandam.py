@@ -36,7 +36,7 @@ from quatbox.vandam import (
     verify_exhaustive,
 )
 
-from helpers import count_calls, negative_entry_box
+from helpers import count_calls, negative_entry_box, reference_sample
 
 
 def random_function(rng, n_alice, n_bob):
@@ -631,6 +631,22 @@ def test_sample_cells_equals_the_per_draw_sample(case):
             for c, r in zip(cells.tolist(), doubles.tolist())]
     assert got.dtype == np.uint8
     assert got.tolist() == [2 * x + y for x, y in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(box=behaviors() | st.sampled_from(list(ENGINE_BOXES.values())),
+       drawn=st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.floats(), max_size=8))
+@example(box=THIRD_SUM_DIPS, drawn=[])
+def test_sample_equals_the_reference_draw(box, drawn):
+    """`sample` gives the pair of the per-draw reference, which reads all four running
+    sums of the table, in every input cell: at each running sum of the box and its float
+    neighbours, at the special doubles, and at generated ones."""
+    edges = [v for cell in box.probs.reshape(4, 4).tolist() for t in itertools.accumulate(cell)
+             for v in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+    for r in edges + SPECIAL_DOUBLES + drawn:
+        rng = SimpleNamespace(random=lambda r=r: r)
+        assert [box.sample(a, b, rng) for a, b in CELLS] == [
+            reference_sample(box, a, b, r) for a, b in CELLS], r
 
 
 # ------------------------------------------------ exact rates as fractions
