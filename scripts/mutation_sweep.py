@@ -3,9 +3,11 @@
 
 Each mutant is a (file, old, new) triple: `old` must occur exactly once in
 the file, and is replaced by `new` in a temporary copy of the checkout.  The
-copy then runs `python -m pytest -x -q` with its own src/ on PYTHONPATH.  A
-mutant is killed when the suite fails, and survives when it passes.  Some
-mutants cannot change any output; EQUIVALENT names them with the reason.
+copy then runs `python -m pytest -x -q` with its own src/ on PYTHONPATH,
+leaving out tests/test_mutation_anchors.py, which checks every `old` against
+the unmutated source within the tier-1 tests.  A mutant is killed when the
+suite fails, and survives when it passes.  Some mutants cannot change any
+output; EQUIVALENT names them with the reason.
 
     python3 scripts/mutation_sweep.py            # every mutant, about 15 minutes
     python3 scripts/mutation_sweep.py boxes.py   # only mutants of files matching a name
@@ -47,7 +49,8 @@ MUTANTS = [
     ("boxes.py", "((0, 2), (1, 3)))", "((0, 3), (1, 2)))"),
     ("boxes.py", "rows[c][i] + rows[c][j] - (rows[d][i] + rows[d][j])",
      "rows[c][i] - rows[d][i]"),
-    ("boxes.py", "(rows[d][i] + rows[d][j])) <= tol", "(rows[d][i] + rows[d][j])) < tol"),
+    ("boxes.py", "(rows[d][i] + rows[d][j])) <= NON_SIGNALLING_TOL",
+     "(rows[d][i] + rows[d][j])) < NON_SIGNALLING_TOL"),
     # the time-order key: the tags' order ignored, and one readout for every cell
     ("boxes.py", "for op in sorted(ops, key=attrgetter(\"time\"))", "for op in ops"),
     ("boxes.py", "if order not in readouts:", "if not readouts:"),
@@ -80,8 +83,9 @@ MUTANTS = [
     ("boxes.py", "cells.max() <= 3", "cells.max() <= 4"),
     ("boxes.py", "cells.max() <= 3", "cells.max() <= 2"),
     ("boxes.py", "if cells.size and not", "if not"),
-    # the noise parameter: a bool taken as p = 1
-    ("boxes.py", "isinstance(p, (bool, np.bool_)) or ", ""),
+    # the noise parameter: a bool taken as p = 1, a string let through to the range compare
+    ("boxes.py", "isinstance(p, bool) or ", ""),
+    ("boxes.py", "(p, (int, float, numbers.Real))", "(p, (numbers.Real, object))"),
     ("qlinalg.py", "SUBFIELD_TOL = 1e-14", "SUBFIELD_TOL = 1e-12"),
     ("qlinalg.py", "<= SUBFIELD_TOL", "< SUBFIELD_TOL"),
     ("qlinalg.py", "<= UNITARY_TOL", "< UNITARY_TOL"),
@@ -96,7 +100,8 @@ MUTANTS = [
     ("qlinalg.py", "conjugates = (m.data * _CONJUGATE).tolist()", "conjugates = m.data.tolist()"),
     ("qlinalg.py", "w -= r == c", "w -= 1"),
     ("qlinalg.py", "if np.count_nonzero(np.isfinite(m.data)) != m.data.size:", "if False:"),
-    ("qlinalg.py", "if not math.isfinite(theta):", "if False:"),
+    ("qlinalg.py", " or not math.isfinite(theta)", ""),
+    ("qlinalg.py", "(theta, (int, float, numbers.Real))", "(theta, (numbers.Real, object))"),
     ("qlinalg.py", "data[..., 0] = rows", "data[..., 0] = np.transpose(rows)"),
     # a float or a nested row in place of a Quaternion, let through to _pack
     ("qlinalg.py", "if not all(isinstance(q, Quaternion) for q in data):", "if False:"),
@@ -104,6 +109,8 @@ MUTANTS = [
     ("qlinalg.py", "return diag(1.0, q)", "return diag(q, 1.0)"),
     ("qlinalg.py", "data[i, i] = _COMPONENTS(as_quaternion(value))",
      "data[i, i] = np.add(_COMPONENTS(as_quaternion(value)), 0.0)"),
+    # a bool taken as the real phase 1 or 0
+    ("quaternion.py", " and not isinstance(value, bool)", ""),
     # the gate step: a w-only gate sent to the kernel, or a near-real one taken as real
     ("register.py", "if reduced and op.gate.planes == (0,):", "if False:"),
     ("register.py", "if reduced and op.gate.planes == (0,):", "if reduced and op.gate.is_real:"),
@@ -135,7 +142,10 @@ MUTANTS = [
     ("register.py", "if not all(isinstance(op, ScheduledOp) for op in ordered):", "if False:"),
     ("register.py", "if largest > 1.0:", "if largest >= 1.0:"),
     ("register.py", "if largest > 1.0:", "if largest > 1.0 + 1e-15:"),
-    ("register.py", "return list(_labels(n_parties))", "return _labels(n_parties)"),
+    ("register.py", '"labels": list(_labels(reg.n_parties))', '"labels": _labels(reg.n_parties)'),
+    # arguments with no length, or not iterable, let through to len() and list()
+    ("register.py", "(basis_changes, Sized)", "(basis_changes, (Sized, object))"),
+    ("register.py", "(ops, Iterable)", "(ops, (Iterable, object))"),
     ("qlinalg.py", "q.norm() - 1.0) <= 1e-12", "q.norm() - 1.0) <= 1e-9"),
     ("register.py", "q.norm() - 1.0) <= 1e-12", "q.norm() - 1.0) <= 1e-9"),
     ("cli.py", "<= CELL_TOL", "< CELL_TOL"),
@@ -184,7 +194,9 @@ def run_mutant(copy: Path, file: str, old: str, new: str) -> str:
     path.write_text(original.replace(old, new), encoding="utf-8")
     try:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        # the anchor check reads the mutated file, so it would kill every mutant
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--ignore", "tests/test_mutation_anchors.py"]
         result = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
     finally:
         path.write_text(original, encoding="utf-8")

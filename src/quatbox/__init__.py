@@ -26,7 +26,6 @@ from .register import (
     Register,
     ScheduledOp,
     apply_local,
-    basis_labels,
     bell_state,
     measure_product_basis,
     run_schedule,
@@ -37,7 +36,6 @@ from .boxes import (
     classical_box,
     complex_quantum_box,
     ideal_pr_box,
-    is_non_signalling,
     noisy_box,
     quaternionic_box,
 )

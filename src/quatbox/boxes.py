@@ -12,6 +12,7 @@ Measurement-backed boxes use the output convention + -> 0, - -> 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import attrgetter
@@ -34,7 +35,8 @@ WINS = tuple(tuple(x ^ y == a & b for x, y in CELLS) for a, b in CELLS)
 
 @dataclass(frozen=True, eq=False)
 class BoxBehavior:
-    """Conditional output table, indexed probs[a, b, x, y].
+    """Conditional output table, indexed probs[a, b, x, y], non-signalling: the constructor's
+    check at NON_SIGNALLING_TOL is the package's only non-signalling check.
 
     `wins` lists Pr[x ^ y = a*b] for each input cell (a, b) in CELLS order.
     """
@@ -56,7 +58,7 @@ class BoxBehavior:
         # added left to right, as numpy adds a cell's four contiguous entries
         if any(abs(p0 + p1 + p2 + p3 - 1.0) > NON_SIGNALLING_TOL for p0, p1, p2, p3 in rows):
             raise ValueError("each input cell must sum to 1")
-        if not _non_signalling(rows, NON_SIGNALLING_TOL):
+        if not _non_signalling(rows):
             raise ValueError("behavior table is signalling")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
@@ -109,21 +111,17 @@ class BoxBehavior:
         }
 
 
-def is_non_signalling(box: BoxBehavior, tol: float = NON_SIGNALLING_TOL) -> bool:
-    """Check that each party's output marginal ignores the other party's input."""
-    return _non_signalling(box.probs.reshape(4, 4).tolist(), tol)
-
-
 #: index pairs 2u + v that differ only in v, then only in u.  Alice's marginal P(x) adds
 #: outputs 2x + y over y, and must agree across cells 2a + b that differ only in b; Bob's
 #: adds over x, across cells that differ only in a
 _PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)))
 
 
-def _non_signalling(rows: list[list[float]], tol: float) -> bool:
-    """Every output marginal of each party, from table rows in CELLS order, within tol
-    in the two input cells that differ only in the other party's input (NaN fails)."""
-    return all(abs(rows[c][i] + rows[c][j] - (rows[d][i] + rows[d][j])) <= tol
+def _non_signalling(rows: list[list[float]]) -> bool:
+    """Every output marginal of each party, from table rows in CELLS order, within
+    NON_SIGNALLING_TOL in the two input cells that differ only in the other party's
+    input (NaN fails)."""
+    return all(abs(rows[c][i] + rows[c][j] - (rows[d][i] + rows[d][j])) <= NON_SIGNALLING_TOL
                for pairs in _PAIRS for c, d in pairs for i, j in pairs)
 
 
@@ -200,8 +198,8 @@ def noisy_box(inner: BoxBehavior, p: float) -> BoxBehavior:
     Flipping only y is the minimal corruption that keeps the behavior
     non-signalling for any non-signalling inner box.
     """
-    # a bool compares as an int, and True would read as p = 1
-    if isinstance(p, (bool, np.bool_)) or not 0.5 <= p <= 1.0:
+    # a bool is a Real, and True would read as p = 1; a string would raise at the compare
+    if isinstance(p, bool) or not isinstance(p, (int, float, numbers.Real)) or not 0.5 <= p <= 1.0:
         raise ValueError(f"noise parameter must lie in [0.5, 1], got {p!r}")
     flipped = inner.probs[:, :, :, ::-1]
     return BoxBehavior(p * inner.probs + (1.0 - p) * flipped)

@@ -9,9 +9,9 @@ changes answers.  Under this convention the *later* of two operations
 contributes the left factor of an accumulated phase.
 
 The gate step on 2^n amplitudes goes through one kernel, `hamilton`, which
-reads the left factors from a `signed_table` (built once per `QMatrix`, as
-`QMatrix.table`) and adds a product's four terms k by k in the order
-`Quaternion.__mul__` does, so array results match the scalar ones bit for bit.
+reads the left factors from `QMatrix.table` (built once per matrix) and adds
+a product's four terms k by k in the order `Quaternion.__mul__` does, so
+array results match the scalar ones bit for bit.
 Its caller names the planes k to add (`QMatrix.planes`, the components that
 are not exactly zero somewhere in the matrix); a left-out term is a signed
 zero, which changes no nonzero sum.  `matmul`, `inner` and `is_unitary` are one
@@ -21,6 +21,7 @@ scalar fold, `_fold`, of the same terms in the same order over Python floats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
@@ -50,18 +51,9 @@ _SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0,
 _READS = (np.s_[:], np.s_[:, ::-1], np.s_[::-1], np.s_[::-1, ::-1])
 
 
-def signed_table(m: np.ndarray) -> np.ndarray:
-    """m[r][col][k] * _SIGN[k][c] of a (rows, cols, 4) matrix, as a contiguous
-    (k, rows, c0, c1, cols, 1) array with c = 2 c0 + c1: the left factors of
-    `hamilton`'s term k in one block, shaped to broadcast against the quaternions."""
-    rows, cols = m.shape[:2]
-    table = np.ascontiguousarray((m[..., None] * _SIGN).transpose(2, 0, 3, 1))
-    return table.reshape(4, rows, 2, 2, cols, 1)
-
-
 def hamilton(table: np.ndarray, v: np.ndarray, planes: Sequence[int],
              out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """m[r][col] * v[col] for the `signed_table` of a (rows, cols, 4) matrix m and
+    """m[r][col] * v[col] for the `QMatrix.table` of a (rows, cols, 4) matrix m and
     component-major (4, cols, ...) quaternions v, as (rows, 4, cols, ...): the
     caller adds columns.
 
@@ -184,8 +176,12 @@ class QMatrix(_QuaternionArray):
 
     @cached_property
     def table(self) -> np.ndarray:
-        """`signed_table(self.data)`, built once per matrix."""
-        return signed_table(self.data)
+        """m[r][col][k] * _SIGN[k][c] of the entries m, built once per matrix, as a contiguous
+        (k, rows, c0, c1, cols, 1) array with c = 2 c0 + c1: the left factors of `hamilton`'s
+        term k in one block, shaped to broadcast against the quaternions."""
+        rows, cols = self.shape
+        table = np.ascontiguousarray((self.data[..., None] * _SIGN).transpose(2, 0, 3, 1))
+        return table.reshape(4, rows, 2, 2, cols, 1)
 
     @cached_property
     def is_real(self) -> bool:
@@ -279,7 +275,8 @@ def phase_gate(phase) -> QMatrix:
 def rotation(theta: float) -> QMatrix:
     """Real rotation [[cos t, sin t], [-sin t, cos t]]; a basis change by angle t, which
     must be finite."""
-    if not math.isfinite(theta):
+    # a string or None would raise TypeError in math.isfinite
+    if not isinstance(theta, (int, float, numbers.Real)) or not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return _real_2x2([[c, s], [-s, c]])

@@ -67,6 +67,7 @@ def as_quaternion(value) -> Quaternion:
     """Coerce a real number (or pass a quaternion through) to Quaternion."""
     if isinstance(value, Quaternion):
         return value
-    if isinstance(value, (int, float)):
+    # a bool is an int to Python, and True would read as the phase 1
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return Quaternion(float(value))
     raise TypeError(f"cannot interpret {type(value).__name__} as a quaternion")

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable, Sequence, Sized
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,12 +40,8 @@ from .quaternion import Quaternion, ZERO, as_quaternion
 
 @cache
 def _labels(n_parties: int) -> tuple[str, ...]:
+    """'00...0' to '11...1' in index order."""
     return tuple(map("".join, product("01", repeat=n_parties)))
-
-
-def basis_labels(n_parties: int) -> list[str]:
-    """'00...0' to '11...1' in index order, as a new list on each call."""
-    return list(_labels(n_parties))
 
 
 @dataclass(frozen=True)
@@ -188,6 +184,8 @@ def run_schedule(reg: Register, ops: Iterable[ScheduledOp]) -> Register:
     result genuinely depends on the order, and this module refuses to guess
     simultaneity semantics.  An empty schedule returns the register itself.
     """
+    if not isinstance(ops, Iterable):
+        raise ValueError("a schedule must hold ScheduledOps only")
     ordered = list(ops)
     if not all(isinstance(op, ScheduledOp) for op in ordered):
         raise ValueError("a schedule must hold ScheduledOps only")
@@ -211,7 +209,7 @@ def measure_product_basis(
     explicit time order (use run_schedule for that).  Each change is checked
     as a gate is, and all take the gate step in party order, with no zero guard.
     """
-    if len(basis_changes) != reg.n_parties:
+    if not isinstance(basis_changes, Sized) or len(basis_changes) != reg.n_parties:
         raise ValueError("need exactly one basis change per party")
     ops = [ScheduledOp(p, p, m) for p, m in enumerate(basis_changes)]
     nonreal = [op.party for op in ops if not op.gate.is_real]
@@ -227,6 +225,6 @@ def measure_product_basis(
 def state_dump(reg: Register) -> dict:
     """JSON-friendly dump: basis labels plus [w, x, y, z] amplitude quadruples."""
     return {
-        "labels": basis_labels(reg.n_parties),
+        "labels": list(_labels(reg.n_parties)),
         "amplitudes": reg.state.data.tolist(),
     }

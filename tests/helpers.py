@@ -76,7 +76,7 @@ def reference_is_unitary(m: QMatrix) -> bool:
 
 def reference_is_non_signalling(probs: np.ndarray, tol: float = NON_SIGNALLING_TOL) -> bool:
     """Each party's output marginal ignores the other party's input, worked out with numpy
-    array reductions: the check `is_non_signalling` must agree with on every table."""
+    array reductions: the verdict the constructor's `boxes._non_signalling` must give."""
     mx = probs.sum(axis=3)  # [a, b, x]
     my = probs.sum(axis=2)  # [a, b, y]
     x_leak = np.max(np.abs(mx[:, 0, :] - mx[:, 1, :]))

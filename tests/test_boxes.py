@@ -11,22 +11,16 @@ import quatbox.boxes
 from quatbox.boxes import (
     CELLS,
     BoxBehavior,
+    _non_signalling,
     classical_box,
     complex_quantum_box,
     ideal_pr_box,
-    is_non_signalling,
     noisy_box,
     quaternionic_box,
 )
 from quatbox.qlinalg import hadamard, phase_gate
 from quatbox.quaternion import I, J, K
-from quatbox.register import (
-    ScheduledOp,
-    basis_labels,
-    bell_state,
-    measure_product_basis,
-    run_schedule,
-)
+from quatbox.register import ScheduledOp, bell_state, measure_product_basis, run_schedule
 
 from helpers import count_calls, reference_behavior_error, reference_is_non_signalling
 
@@ -117,10 +111,18 @@ def test_classical_boxes_win_probabilities():
     assert win_probability_oracle(classical_box(f_alice, f_bob)) == expected
 
 
+def non_signalling_at(probs: np.ndarray, tol: float) -> bool:
+    """The constructor's non-signalling verdict on a table, with NON_SIGNALLING_TOL set to
+    tol; a context, not the fixture, since Hypothesis refuses function-scoped fixtures."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quatbox.boxes, "NON_SIGNALLING_TOL", tol)
+        return _non_signalling(np.reshape(probs, (4, 4)).tolist())
+
+
 def test_every_deterministic_box_is_non_signalling():
     for f_alice in itertools.product(BITS, repeat=2):
         for f_bob in itertools.product(BITS, repeat=2):
-            assert is_non_signalling(classical_box(f_alice, f_bob), tol=0.0)
+            assert non_signalling_at(classical_box(f_alice, f_bob).probs, 0.0)
 
 
 def test_complex_quantum_box_hits_tsirelson():
@@ -161,9 +163,10 @@ def test_noisy_box_at_half_is_uniform_on_y():
             assert abs(box.probs[a, b, x, y] - 0.25) <= 1e-15
 
 
-@pytest.mark.parametrize("p", [0.4, -0.1, 1.01, math.nan, True, False, np.True_])
+@pytest.mark.parametrize("p", [0.4, -0.1, 1.01, math.nan, True, False, np.True_, "0.9", None])
 def test_noisy_box_rejects_out_of_range(p):
-    # a bool is refused as widths and protocol inputs are, not read as p = 1
+    # a bool is refused as widths and protocol inputs are, not read as p = 1, and a
+    # non-number with the same message, not a TypeError from the range comparison
     with pytest.raises(ValueError) as err:
         noisy_box(ideal_pr_box(), p)
     assert str(err.value) == f"noise parameter must lie in [0.5, 1], got {p!r}"
@@ -172,7 +175,7 @@ def test_noisy_box_rejects_out_of_range(p):
 @given(st.floats(min_value=0.5, max_value=1.0, allow_nan=False))
 @settings(max_examples=40)
 def test_noisy_box_stays_non_signalling(p):
-    assert is_non_signalling(noisy_box(ideal_pr_box(), p))
+    assert reference_is_non_signalling(noisy_box(ideal_pr_box(), p).probs)
 
 
 def test_all_constructed_boxes_non_signalling():
@@ -184,7 +187,7 @@ def test_all_constructed_boxes_non_signalling():
         classical_box((0, 1), (1, 0)),
     ]
     for box in boxes:
-        assert is_non_signalling(box, tol=1e-10)
+        assert reference_is_non_signalling(box.probs, 1e-10)
 
 
 def test_behavior_validation_rejects_bad_tables():
@@ -289,7 +292,7 @@ def test_table_checks_match_the_numpy_reference(base, edits, tol):
         else:
             got_error = None
         assert got_error == want_error
-        assert is_non_signalling(SimpleNamespace(probs=arr), tol) is want_non_signalling
+        assert non_signalling_at(arr, tol) is want_non_signalling
 
 
 def test_table_checks_match_the_numpy_reference_at_each_edge():
@@ -309,14 +312,15 @@ def test_table_checks_match_the_numpy_reference_at_each_edge():
             got_error = None
         except ValueError as err:
             got_error = str(err)
-        assert (got_error, is_non_signalling(SimpleNamespace(probs=arr), 0.0)) == want
+        assert (got_error, non_signalling_at(arr, 0.0)) == want
         errors.add(got_error)
     assert len(errors) == 5  # every check decides some table, and some tables pass
 
 
 def test_cell_order_matches_the_readout_labels():
     # measured boxes read measure_product_basis(...).values() as P(x, y) in CELLS order
-    assert [f"{x}{y}" for x, y in CELLS] == basis_labels(2)
+    labels = measure_product_basis(bell_state(1.0), [hadamard()] * 2)
+    assert [f"{x}{y}" for x, y in CELLS] == list(labels)
 
 
 def test_behavior_marginals():

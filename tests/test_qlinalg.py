@@ -23,7 +23,6 @@ from quatbox.qlinalg import (
     phase_gate,
     qmat,
     rotation,
-    signed_table,
 )
 from quatbox.quaternion import I, J, K, ONE, ZERO, Quaternion
 from quatbox.register import apply_local, bell_state
@@ -91,7 +90,7 @@ def test_hamilton_matches_scalar_product_bit_for_bit():
     want = np.array([[[(p * q).w, (p * q).x, (p * q).y, (p * q).z] for q in qs] for p in qs])
     # tobytes tells -0.0 from 0.0, which == does not
     out = np.empty((len(qs), 2, 2, 1, len(qs))), np.empty((len(qs), 2, 2, 1, len(qs)))
-    got = hamilton(signed_table(arr[:, None]), arr.T[:, None], (0, 1, 2, 3), out)
+    got = hamilton(QMatrix(arr[:, None]).table, arr.T[:, None], (0, 1, 2, 3), out)
     got = got.transpose(0, 2, 3, 1)[:, 0]
     assert got.tobytes() == want.tobytes()
 
@@ -437,10 +436,27 @@ def test_phase_gates_and_diagonals_are_the_bytes_qmat_builds():
 def test_rotation_refuses_a_non_finite_angle():
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        for theta in (float("nan"), float("inf"), float("-inf")):
+        # a string, None or a complex number too, not with math.isfinite's TypeError
+        for theta in (float("nan"), float("inf"), float("-inf"), "a", None, 1j):
             with pytest.raises(ValueError) as err:
                 rotation(theta)
             assert str(err.value) == f"rotation angle must be finite, got {theta!r}"
+
+
+@pytest.mark.parametrize("make, shape", [
+    (QVector, (4,)), (QVector, (2, 3)), (QMatrix, (2, 2)), (QMatrix, (2, 2, 3)),
+])
+def test_quaternion_arrays_refuse_a_wrong_shape(make, shape):
+    with pytest.raises(ValueError) as err:
+        make(np.zeros(shape))
+    assert str(err.value) == f"{make.__name__} data needs {make.NDIM} axes, the last of 4"
+
+
+def test_quaternion_types_give_way_to_other_operands():
+    # __eq__ and __mul__ return NotImplemented, so Python decides: unequal, and no product
+    assert not QVector(np.zeros((2, 4))) == "x"
+    with pytest.raises(TypeError):
+        Quaternion(1.0) * "x"
 
 
 @pytest.mark.parametrize("make, data", [

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatbox.qlinalg import QVector, diag, inner
+from quatbox.qlinalg import QVector, diag, inner, phase_gate
 from quatbox.quaternion import I, J, K, ONE, ZERO, Quaternion, as_quaternion
+from quatbox.register import bell_state
 
 from helpers import UNIT_GROUP, conj, random_quaternion
 
@@ -126,3 +127,10 @@ def test_as_quaternion():
     assert as_quaternion(I) is I
     with pytest.raises(TypeError):
         as_quaternion("1+i")
+    # a bool is an int to Python, but True is not the phase 1: phase_gate(True) would be
+    # the identity gate and bell_state(True) |Phi+>, where widths and parties refuse bools
+    for make in (as_quaternion, phase_gate, bell_state, diag):
+        for flag in (True, False):
+            with pytest.raises(TypeError) as err:
+                make(flag)
+            assert str(err.value) == "cannot interpret bool as a quaternion"

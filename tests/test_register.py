@@ -14,7 +14,6 @@ from quatbox.register import (
     Register,
     ScheduledOp,
     apply_local,
-    basis_labels,
     bell_state,
     measure_product_basis,
     run_schedule,
@@ -24,6 +23,8 @@ from quatbox.register import (
 from helpers import count_calls, random_complex_unitary, random_register, random_unitary
 
 S = INV_SQRT2
+#: a two-party readout's labels, party 0 first
+LABELS = ["00", "01", "10", "11"]
 R_I = phase_gate(I)
 R_J = phase_gate(J)
 
@@ -332,6 +333,9 @@ def test_gate_path_refuses_bad_input_where_it_enters(monkeypatch):
         # a schedule hands its ops on unchecked, so it takes nothing but ScheduledOps
         (lambda: run_schedule(reg, [unchecked]), "a schedule must hold ScheduledOps only"),
         (lambda: run_schedule(reg, [(0, R_I)]), "a schedule must hold ScheduledOps only"),
+        # and a schedule that is not iterable, a lone op included, gets the same error
+        (lambda: run_schedule(reg, None), "a schedule must hold ScheduledOps only"),
+        (lambda: run_schedule(reg, ScheduledOp(1.0, 0, R_I)), "must hold ScheduledOps only"),
     ]
     for refused, message in refusals:
         with np.errstate(all="raise"), pytest.raises(ValueError, match=message) as err:
@@ -534,7 +538,7 @@ def test_measure_matches_numpy_kron_oracle():
             for t in (theta0, theta1)
         ]
         expected = kron_probs(raw, mat_lists)
-        for idx, label in enumerate(basis_labels(2)):
+        for idx, label in enumerate(LABELS):
             assert abs(got[label] - expected[idx]) <= 1e-12
 
 
@@ -556,7 +560,7 @@ def test_measure_subfield_tolerance_edge():
     # an i component of 1e-14, SUBFIELD_TOL, still counts as real, so two such gates commute
     reg = bell_state(K)
     gate = phase_gate(Quaternion(1.0, 1e-14))
-    assert measure_product_basis(reg, [gate, gate]).keys() == set(basis_labels(2))
+    assert list(measure_product_basis(reg, [gate, gate])) == LABELS
     gate = phase_gate(Quaternion(1.0, math.nextafter(1e-14, 1.0)))
     with pytest.raises(ValueError, match="do not commute"):
         measure_product_basis(reg, [gate, gate])
@@ -566,13 +570,19 @@ def test_measure_allows_single_nonreal_basis_change():
     reg = bell_state(K)
     got = measure_product_basis(reg, [R_I, diag(1, 1)])
     direct = apply_local(reg, 0, R_I)
-    for label, amp in zip(basis_labels(2), direct.state.amps):
+    for label, amp in zip(LABELS, direct.state.amps):
         assert abs(got[label] - amp.norm_sq()) <= 1e-15
 
 
-def test_measure_requires_one_basis_change_per_party():
-    with pytest.raises(ValueError):
-        measure_product_basis(bell_state(K), [hadamard()])
+def test_measure_requires_one_basis_change_per_party(monkeypatch):
+    # a lone gate, an iterator and None have no length: the same one-line error, not
+    # len()'s TypeError, before the gate step builds an array
+    steps = count_calls(monkeypatch, register, "_run")
+    for changes in ([hadamard()], hadamard(), iter([hadamard()] * 2), None):
+        with pytest.raises(ValueError) as err:
+            measure_product_basis(bell_state(K), changes)
+        assert str(err.value) == "need exactly one basis change per party"
+    assert steps == [0]
 
 
 def test_register_validation():
@@ -610,22 +620,26 @@ def test_register_refuses_a_component_outside_the_unit_interval():
     assert Register._evolved(1, QVector(np.full((2, 4), 2.0))).state.dim == 2
 
 
-def test_basis_labels_list_indices_in_binary():
+def test_readout_and_dump_labels_list_indices_in_binary():
     for n in range(1, 13):
-        assert basis_labels(n) == [format(i, f"0{n}b") for i in range(2**n)]
+        amps = np.zeros((2**n, 4))
+        amps[0, 0] = 1.0
+        reg = Register(n, QVector(amps))
+        want = [format(i, f"0{n}b") for i in range(2**n)]
+        assert state_dump(reg)["labels"] == want
+        assert list(measure_product_basis(reg, [hadamard()] * n)) == want
 
 
-def test_basis_labels_are_a_new_list_on_each_call():
-    want = ["00", "01", "10", "11"]
-    labels = basis_labels(2)
-    assert basis_labels(2) is not labels
+def test_dump_labels_are_a_new_list_on_each_call():
+    reg = bell_state(K)
+    labels = state_dump(reg)["labels"]
+    assert state_dump(reg)["labels"] is not labels
     labels[0] = "mutated"
     labels.append("extra")
-    assert basis_labels(2) == want
-    reg = bell_state(K)
+    assert state_dump(reg)["labels"] == LABELS
     state_dump(reg)["labels"].clear()
-    assert state_dump(reg)["labels"] == want
-    assert list(measure_product_basis(reg, [hadamard()] * 2)) == want
+    assert state_dump(reg)["labels"] == LABELS
+    assert list(measure_product_basis(reg, [hadamard()] * 2)) == LABELS
 
 
 def test_computational_state_and_dump():
@@ -633,6 +647,6 @@ def test_computational_state_and_dump():
     assert reg.state.amps[0b10] == Quaternion(1.0)
     assert state_dump(reg)["amplitudes"][0b10] == [1.0, 0.0, 0.0, 0.0]
     dump = state_dump(bell_state(K))
-    assert dump["labels"] == ["00", "01", "10", "11"]
+    assert dump["labels"] == LABELS
     assert dump["amplitudes"][3] == [0.0, 0.0, 0.0, S]
     assert dump["amplitudes"][0] == [S, 0.0, 0.0, 0.0]
