@@ -3,7 +3,8 @@
 Subcommands: prbox, chsh, vandam, order-demo.  Exact distributions are the
 default everywhere; --samples adds seeded Monte Carlo cross-checks.  Exit
 codes: 0 pass, 1 a checked expectation failed, 2 bad input (a one-line
-error on stderr).  Identical arguments and seed produce byte-identical output.
+error on stderr), 141 stdout closed before the output was written.
+Identical arguments and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -365,5 +366,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(payload, args.fmt))
+    try:
+        print(render(payload, args.fmt))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: devnull takes the interpreter's flush at exit, and the
+        # status is the one a shell reports for a filter killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code

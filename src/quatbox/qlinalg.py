@@ -38,9 +38,6 @@ UNITARY_TOL = 1e-10
 #: tolerance on the sum of squared amplitude norms of a normalized vector
 NORM_TOL = 1e-10
 
-#: component tolerance below which an entry counts as real
-SUBFIELD_TOL = 1e-14
-
 INV_SQRT2 = math.sqrt(0.5)
 
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
@@ -131,7 +128,7 @@ class _QuaternionArray:
             return NotImplemented
         return self.data.shape == other.data.shape and bool((self.data == other.data).all())
 
-    def approx_eq(self, other, tol: float = 1e-12) -> bool:
+    def approx_eq(self, other, tol: float) -> bool:
         return self.data.shape == other.data.shape and bool(
             (np.abs(self.data - other.data) <= tol).all()
         )
@@ -184,16 +181,11 @@ class QMatrix(_QuaternionArray):
         return table.reshape(4, rows, 2, 2, cols, 1)
 
     @cached_property
-    def is_real(self) -> bool:
-        """Every imaginary component within SUBFIELD_TOL of 0, worked out once per matrix."""
-        return bool((np.abs(self.data[..., 1:]) <= SUBFIELD_TOL).all())
-
-    @cached_property
     def planes(self) -> tuple[int, ...]:
         """0, then each k in 1..3 whose component is not exactly 0 somewhere in the matrix
         (NaN counts, -0.0 does not), worked out once per matrix: the Hamilton terms a
-        product with it needs, since every other term is a signed zero.  Unlike `is_real`
-        this has no tolerance: a 1e-15 term can change a sum's bytes."""
+        product with it needs, since every other term is a signed zero.  `(0,)` is the
+        package's one test of a real matrix."""
         nonzero = self.data.any(axis=(0, 1)).tolist()
         return (0, *(k for k in (1, 2, 3) if nonzero[k]))
 
@@ -268,15 +260,16 @@ def phase_gate(phase) -> QMatrix:
     """diag(1, q) for a unit-norm quaternion q."""
     q = as_quaternion(phase)
     if not abs(q.norm() - 1.0) <= 1e-12:  # NaN fails too
-        raise ValueError(f"phase must have unit norm, got |q| = {q.norm()!r}")
+        raise ValueError(f"relative phase must have unit norm, got |q| = {q.norm()!r}")
     return diag(1.0, q)
 
 
 def rotation(theta: float) -> QMatrix:
     """Real rotation [[cos t, sin t], [-sin t, cos t]]; a basis change by angle t, which
     must be finite."""
-    # a string or None would raise TypeError in math.isfinite
-    if not isinstance(theta, (int, float, numbers.Real)) or not math.isfinite(theta):
+    # a string or None would raise TypeError in math.isfinite; a bool is an int to Python
+    if (not isinstance(theta, (int, float, numbers.Real)) or isinstance(theta, bool)
+            or not math.isfinite(theta)):
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return _real_2x2([[c, s], [-s, c]])

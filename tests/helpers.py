@@ -26,13 +26,13 @@ from quatbox import (
     rotation,
 )
 from quatbox.boxes import CELLS, NON_SIGNALLING_TOL, BoxBehavior, classical_box, ideal_pr_box
-from quatbox.qlinalg import SUBFIELD_TOL, UNITARY_TOL, norm_sq
+from quatbox.qlinalg import UNITARY_TOL, norm_sq
 
 #: the eight unit elements {+-1, +-i, +-j, +-k}; exhaustive algebra checks run over these
 UNIT_GROUP = (ONE, -ONE, I, -I, J, -J, K, -K)
 
 
-def approx_eq(p: Quaternion, q: Quaternion, tol: float = 1e-12) -> bool:
+def approx_eq(p: Quaternion, q: Quaternion, tol: float) -> bool:
     """Every component of p within tol of q's."""
     return all(abs(a - b) <= tol for a, b in zip((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
 
@@ -142,7 +142,8 @@ def random_complex_unitary(rng) -> QMatrix:
     u = _phase_diag(random_unit_complex(rng), random_unit_complex(rng))
     v = _phase_diag(random_unit_complex(rng), random_unit_complex(rng))
     m = matmul(matmul(u, rotation(rng.uniform(0.0, 2.0 * math.pi))), v)
-    assert is_unitary(m) and (np.abs(m.data[..., 2:]) <= SUBFIELD_TOL).all()
+    # no j or k component: exact zeros, not merely small ones
+    assert is_unitary(m) and 2 not in m.planes and 3 not in m.planes
     return m
 
 

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import runpy
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -22,6 +24,7 @@ with open(SCHEMA_PATH, encoding="utf-8") as fh:
     SCHEMA = json.load(fh)
 
 REPRODUCE_PATH = os.path.join(os.path.dirname(__file__), "..", "scripts", "reproduce_results.py")
+SRC_PATH = os.path.join(os.path.dirname(__file__), "..", "src")
 #: SHA-256 of everything scripts/reproduce_results.py prints; a change meant to alter
 #: that output must say so and update the digest
 REPRODUCE_DIGEST = "7f0720c0f1820ce0fbe611dac7864741384a2f18a205b6e902e045e131a604f0"
@@ -627,3 +630,19 @@ def test_reproduce_results_prints_the_pinned_bytes(capsys):
     code = runpy.run_path(REPRODUCE_PATH)["main"]()
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, REPRODUCE_DIGEST)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh"], ["vandam", "--function", "IP4", "--format", "json"], ["order-demo", "--format", "json"],
+])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    # the pipe's read end is closed before the spawn, so the first write fails: no race
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC_PATH))
+    try:
+        result = subprocess.run([sys.executable, "-m", "quatbox", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")

@@ -245,7 +245,7 @@ def near_unitaries(rng, count):
             data += rng.normal(size=data.shape) * 10.0 ** rng.uniform(-12, -9)
         else:
             data[..., 0] += rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-12, -9)
-            if i % 3 == 1:  # near-real: imaginary parts far inside SUBFIELD_TOL
+            if i % 3 == 1:  # near-real: imaginary parts of 1e-18 to 1e-15
                 data[..., 1:] = rng.normal(size=(n, n, 3)) * 10.0 ** rng.uniform(-18, -15)
         yield QMatrix(data)
 
@@ -389,6 +389,12 @@ def test_phase_gate_requires_unit_phase():
             phase_gate(nan)
 
 
+def test_phase_gate_names_the_relative_phase_and_its_norm():
+    with pytest.raises(ValueError) as err:
+        phase_gate(Quaternion(0, 2))
+    assert str(err.value) == "relative phase must have unit norm, got |q| = 2.0"
+
+
 def test_phase_gate_unit_tolerance_edge():
     # |q| within 1e-12 of 1 is a unit phase, and 2e-12 away is not, on either side
     for unit in (ONE, K):
@@ -402,7 +408,7 @@ def test_phase_gate_unit_tolerance_edge():
 
 def test_rotation_is_real_and_unitary():
     m = rotation(0.7)
-    assert m.is_real
+    assert m.planes == (0,)
     assert is_unitary(m)
     assert rotation(0.0) == diag(1, 1)
 
@@ -443,6 +449,16 @@ def test_rotation_refuses_a_non_finite_angle():
             assert str(err.value) == f"rotation angle must be finite, got {theta!r}"
 
 
+def test_rotation_refuses_a_bool_angle():
+    # a bool is an int to Python, and True would be a rotation by 1 radian
+    for flag in (True, False):
+        with pytest.raises(ValueError) as err:
+            rotation(flag)
+        assert str(err.value) == f"rotation angle must be finite, got {flag!r}"
+    for theta in (np.int64(1), np.float64(1.0), np.float32(1.0)):
+        assert rotation(theta) == rotation(1.0)
+
+
 @pytest.mark.parametrize("make, shape", [
     (QVector, (4,)), (QVector, (2, 3)), (QMatrix, (2, 2)), (QMatrix, (2, 2, 3)),
 ])
@@ -470,8 +486,8 @@ def test_quaternion_arrays_refuse_items_that_are_not_quaternions(make, data):
 
 
 def test_subfield_detection_on_matrices():
-    assert hadamard().is_real
-    assert not phase_gate(I).is_real
+    assert hadamard().planes == (0,)
+    assert phase_gate(I).planes == (0, 1)
 
 
 def test_vector_norm_and_normalization():

@@ -31,6 +31,15 @@ def test_multiplication_table():
     assert I * J * K == -ONE
 
 
+def test_a_bool_is_not_a_scalar_factor():
+    # a bool is an int to Python, and I * True would be i; it is refused as I * "x" is
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            I * flag
+    assert I * np.float64(0.5) == Quaternion(0.0, 0.5)
+    assert I * 2 == Quaternion(0.0, 2.0)
+
+
 def test_one_is_the_unit_element():
     q = Quaternion(1.5, -2.0, 3.25, 0.5)
     assert ONE * q == q
@@ -103,8 +112,8 @@ def test_associativity(p, q, r):
 
 def test_subfield_predicates():
     # the predicate lives on QMatrix; a 1x1 matrix classifies a single scalar
-    assert diag(Quaternion(2.0)).is_real
-    assert not diag(I).is_real
+    assert diag(Quaternion(2.0)).planes == (0,)
+    assert diag(I).planes != (0,)
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,13 @@ def test_bell_state_rejects_non_unit_phase():
             bell_state(nan)
 
 
+def test_bell_state_is_the_bytes_of_its_quaternion_amplitudes():
+    # written into an array, q * INV_SQRT2 keeps each part's bytes, a -0.0 included
+    for q in (ONE, -ONE, K, Quaternion(-0.0, -0.0, -0.0, -1.0), Quaternion(0.6, -0.0, 0.8)):
+        want = QVector((Quaternion(S), ZERO, ZERO, q * S)).data.tobytes()
+        assert bell_state(q).state.data.tobytes() == want
+
+
 def test_bell_state_unit_tolerance_edge():
     # |q| within 1e-12 of 1 is a unit phase, and 2e-12 away is not, on either side
     for unit in (ONE, K):
@@ -155,10 +162,10 @@ def test_readout_matches_norm_sq_after_apply_local_bit_for_bit(n):
     # the sign of a zero amplitude but never a probability's bytes
     rng = np.random.default_rng(60 + n)
     real = [rotation(0.0), hadamard(), rotation(rng.uniform(0.0, 2.0 * math.pi))]
-    # within SUBFIELD_TOL, so it counts as real, but its 1e-15 terms are not zeros
+    # its 1e-15 term is not a zero, so the change is not real: the gate step adds its i plane
     near_real = qmat([[S, Quaternion(S, 1e-15)], [S, -S]])
     bases = [real[party % 3] for party in range(n)]
-    cases = [bases, [near_real] * n]
+    cases = [bases, [near_real] + bases[1:]]
     # the one non-real change at every party up to 6, past that the first, middle and last
     for party in range(n) if n <= 6 else sorted({0, n // 2, n - 1}):
         cases.append(bases[:party] + [random_unitary(rng)] + bases[party + 1:])
@@ -173,6 +180,9 @@ def test_readout_matches_norm_sq_after_apply_local_bit_for_bit(n):
                     out = apply_local(out, party, basis)
                 probs = np.array(list(measure_product_basis(reg, case).values()))
                 assert probs.tobytes() == qlinalg.norm_sq(out.state.data).tobytes()
+    if n > 1:  # and two such changes do not commute
+        with pytest.raises(ValueError, match="do not commute"):
+            measure_product_basis(start, [near_real, near_real] + bases[2:])
 
 
 def spy_planes(monkeypatch) -> list[tuple[int, ...]]:
@@ -467,6 +477,16 @@ def test_non_finite_time_tags_rejected(tags):
             run_schedule(bell_state(K), [ScheduledOp(first, 0, R_I), ScheduledOp(second, 1, R_J)])
 
 
+def test_scheduled_op_refuses_a_bool_time_tag():
+    # a bool is an int to Python, but True is no time; numpy numbers are still tags
+    for flag in (True, False):
+        with pytest.raises(ValueError) as err:
+            ScheduledOp(flag, 0, hadamard())
+        assert str(err.value) == f"time tag must be a finite real number, got {flag!r}"
+    for tag in (np.int64(2), np.float64(0.5), np.float32(1.5)):
+        assert ScheduledOp(tag, 0, hadamard()).time == tag
+
+
 def test_scheduled_op_validates_gate():
     from quatbox.qlinalg import diag
 
@@ -557,13 +577,19 @@ def test_measure_rejects_two_nonreal_basis_changes():
 
 
 def test_measure_subfield_tolerance_edge():
-    # an i component of 1e-14, SUBFIELD_TOL, still counts as real, so two such gates commute
+    # realness is exact, as the gate step reads it: imaginary parts of +0.0 or -0.0 are
+    # real, so two such gates commute, and the smallest subnormal in any plane is not
     reg = bell_state(K)
-    gate = phase_gate(Quaternion(1.0, 1e-14))
-    assert list(measure_product_basis(reg, [gate, gate])) == LABELS
-    gate = phase_gate(Quaternion(1.0, math.nextafter(1e-14, 1.0)))
-    with pytest.raises(ValueError, match="do not commute"):
-        measure_product_basis(reg, [gate, gate])
+    for zero in (0.0, -0.0):
+        gate = phase_gate(Quaternion(1.0, zero, zero, zero))
+        assert list(measure_product_basis(reg, [gate, gate])) == LABELS
+    tiny = math.nextafter(0.0, 1.0)
+    for plane in (1, 2, 3):
+        parts = [1.0, 0.0, 0.0, 0.0]
+        parts[plane] = tiny
+        gate = phase_gate(Quaternion(*parts))
+        with pytest.raises(ValueError, match="do not commute"):
+            measure_product_basis(reg, [gate, gate])
 
 
 def test_measure_allows_single_nonreal_basis_change():
