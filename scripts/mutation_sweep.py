@@ -83,9 +83,8 @@ MUTANTS = [
     ("boxes.py", "cells.max() <= 3", "cells.max() <= 4"),
     ("boxes.py", "cells.max() <= 3", "cells.max() <= 2"),
     ("boxes.py", "if cells.size and not", "if not"),
-    # the noise parameter: a bool taken as p = 1, a string let through to the range compare
-    ("boxes.py", "isinstance(p, bool) or ", ""),
-    ("boxes.py", "(p, (int, float, numbers.Real))", "(p, (numbers.Real, object))"),
+    # the noise parameter let through unchecked to the range compare
+    ("boxes.py", "not is_real_number(p) or ", ""),
     ("qlinalg.py", "<= UNITARY_TOL", "< UNITARY_TOL"),
     ("qlinalg.py", "np.s_[:, ::-1], np.s_[::-1],", "np.s_[::-1], np.s_[:, ::-1],"),
     ("qlinalg.py", "for k in planes[1:]:", "for k in planes[:0:-1]:"),  # two kept planes swapped
@@ -99,8 +98,7 @@ MUTANTS = [
     ("qlinalg.py", "w -= r == c", "w -= 1"),
     ("qlinalg.py", "if np.count_nonzero(np.isfinite(m.data)) != m.data.size:", "if False:"),
     ("qlinalg.py", " or not math.isfinite(theta)", ""),
-    ("qlinalg.py", " or isinstance(theta, bool)", ""),  # True taken as 1 radian
-    ("qlinalg.py", "(theta, (int, float, numbers.Real))", "(theta, (numbers.Real, object))"),
+    ("qlinalg.py", "not is_real_number(theta) or ", ""),  # True taken as 1 radian
     ("qlinalg.py", "data[..., 0] = rows", "data[..., 0] = np.transpose(rows)"),
     # a float or a nested row in place of a Quaternion, let through to _pack
     ("qlinalg.py", "if not all(isinstance(q, Quaternion) for q in data):", "if False:"),
@@ -108,9 +106,19 @@ MUTANTS = [
     ("qlinalg.py", "return diag(1.0, q)", "return diag(q, 1.0)"),
     ("qlinalg.py", "data[i, i] = _COMPONENTS(as_quaternion(value))",
      "data[i, i] = np.add(_COMPONENTS(as_quaternion(value)), 0.0)"),
-    # a bool taken as the real phase 1 or 0, or as the scalar factor 1 or 0
-    ("quaternion.py", " and not isinstance(value, bool)", ""),
-    ("quaternion.py", " and not isinstance(other, bool)", ""),
+    # the two scalar checks: a bool taken as a count, index or width, or as a real; a float
+    # taken as an integer, or a string as a real
+    ("quaternion.py", "(value, (int, numbers.Integral)) and not isinstance(value, bool)",
+     "(value, (int, numbers.Integral))"),
+    ("quaternion.py", "(value, (int, float, numbers.Real)) and not isinstance(value, bool)",
+     "(value, (int, float, numbers.Real))"),
+    ("quaternion.py", "(value, (int, numbers.Integral))",
+     "(value, (int, numbers.Integral, float))"),
+    ("quaternion.py", "(value, (int, float, numbers.Real))", "(value, (numbers.Real, object))"),
+    # a scalar factor and a phase taken unchecked, and a factor's own type kept in the parts
+    ("quaternion.py", "if is_real_number(other):", "if True:"),
+    ("quaternion.py", "if is_real_number(value):", "if True:"),
+    ("quaternion.py", "other = float(other)", "other = other"),
     # the gate step: a w-only gate sent to the kernel, or a near-real one taken as real
     ("register.py", "if reduced and op.gate.planes == (0,):", "if False:"),
     ("register.py", "if reduced and op.gate.planes == (0,):",
@@ -132,17 +140,15 @@ MUTANTS = [
      "out=new[..., 1])\n            np.add(c * v0, d * v1, out=new[..., 0])"),
     ("register.py", "out=new.transpose(2, 0, 1)", "out=new[..., ::-1].transpose(2, 0, 1)"),
     # each gate, party and party count checked once, where it enters, and kept as an int
-    ("register.py", "isinstance(self.party, bool) or ", ""),
-    ("register.py", "isinstance(n, bool) or ", ""),
+    ("register.py", "party = int_or_none(self.party)", "party = self.party"),
+    ("register.py", "n = int_or_none(self.n_parties)", "n = self.n_parties"),
     ("register.py", "op.party >= n", "op.party > n"),
-    ("register.py", 'object.__setattr__(self, "party", int(self.party))', "None"),
-    ("register.py", "n = int(n)", "n = n"),
+    ("register.py", 'object.__setattr__(self, "party", party)', "None"),
     ("register.py", "if not isinstance(self.gate, QMatrix):", "if False:"),
     ("register.py", "if not isinstance(self.state, QVector):", "if False:"),
     ("register.py", "if self.gate.shape != (2, 2):", "if False:"),
     ("register.py", "if not self.gate.unitary:", "if False:"),
-    ("register.py", "not isinstance(self.time, (int, float, numbers.Real)) or ", ""),
-    ("register.py", " or isinstance(self.time, bool)", ""),
+    ("register.py", "not is_real_number(self.time) or ", ""),
     ("register.py", "if not all(isinstance(op, ScheduledOp) for op in ordered):", "if False:"),
     ("register.py", "if largest > 1.0:", "if largest >= 1.0:"),
     ("register.py", "if largest > 1.0:", "if largest > 1.0 + 1e-15:"),
@@ -158,15 +164,14 @@ MUTANTS = [
     ("vandam.py", "min(max(win, 0.0), 1.0)", "min(win, 1.0)"),
     ("vandam.py", "min(max(win, 0.0), 1.0)", "max(win, 0.0)"),
     ("vandam.py", "np.bitwise_count(idx >> width & idx)", "np.bitwise_count(idx >> width | idx)"),
-    # the widths, checked once in _table_size: a bool width, and numpy widths added, kept
+    # the widths, checked once in _table_size: taken unchecked, and numpy widths added, kept
     # and shifted as numpy
-    ("vandam.py", "isinstance(n, bool) or ", ""),
-    ("vandam.py", "width = int(n_alice) + int(n_bob)", "width = n_alice + n_bob"),
+    ("vandam.py", "widths = int_or_none(n_alice), int_or_none(n_bob)", "widths = n_alice, n_bob"),
+    ("vandam.py", "width = sum(widths)", "width = n_alice + n_bob"),
     ("vandam.py", 'object.__setattr__(self, "n_alice", int(self.n_alice))', "None"),
     ("vandam.py", "range(1 << int(n_alice))", "range(1 << n_alice)"),
-    # the protocol's inputs: a bool or float let through, and numpy inputs kept as numpy
-    ("vandam.py", "isinstance(value, bool) or ", ""),
-    ("vandam.py", "not isinstance(value, (int, np.integer))", "False"),
+    # the protocol's inputs: taken unchecked, and numpy inputs kept as numpy
+    ("vandam.py", "if int_or_none(value) is None:", "if False:"),
     ("vandam.py", "return int(x), int(y)", "return x, y"),
     # a truth-table file that is not an object, or lacks a key, let through
     ("vandam.py", "if not isinstance(obj, dict):", "if False:"),

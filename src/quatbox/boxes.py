@@ -12,7 +12,6 @@ Measurement-backed boxes use the output convention + -> 0, - -> 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import attrgetter
@@ -21,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .qlinalg import hadamard, phase_gate, rotation
-from .quaternion import I, J, K
+from .quaternion import I, J, K, is_real_number
 from .register import ScheduledOp, bell_state, measure_product_basis, run_schedule
 
 #: tolerance for cell normalization and for marginals matching across inputs
@@ -198,8 +197,8 @@ def noisy_box(inner: BoxBehavior, p: float) -> BoxBehavior:
     Flipping only y is the minimal corruption that keeps the behavior
     non-signalling for any non-signalling inner box.
     """
-    # a bool is a Real, and True would read as p = 1; a string would raise at the compare
-    if isinstance(p, bool) or not isinstance(p, (int, float, numbers.Real)) or not 0.5 <= p <= 1.0:
+    # a string would raise at the compare
+    if not is_real_number(p) or not 0.5 <= p <= 1.0:
         raise ValueError(f"noise parameter must lie in [0.5, 1], got {p!r}")
     flipped = inner.probs[:, :, :, ::-1]
     return BoxBehavior(p * inner.probs + (1.0 - p) * flipped)

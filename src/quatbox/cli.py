@@ -18,25 +18,13 @@ import sys
 
 import numpy as np
 
-from .boxes import (
-    WINS,
-    BoxBehavior,
-    classical_box,
-    complex_quantum_box,
-    ideal_pr_box,
-    noisy_box,
-    quaternionic_box,
-)
+from .boxes import (WINS, BoxBehavior, classical_box, complex_quantum_box, ideal_pr_box,
+                    noisy_box, quaternionic_box)
 from .chsh import chsh_value, lhv_optimum
 from .qlinalg import inner, phase_gate
 from .quaternion import I, J, Quaternion
 from .register import ScheduledOp, bell_state, run_schedule, state_dump
-from .vandam import (
-    BUILTIN_FUNCTIONS,
-    VERIFY_SIZE_CAP,
-    BooleanFunction,
-    verify_exhaustive,
-)
+from .vandam import BUILTIN_FUNCTIONS, VERIFY_SIZE_CAP, BooleanFunction, verify_exhaustive
 
 FORMATS = ("text", "json", "csv")
 
@@ -265,22 +253,18 @@ def _render_text(payload: dict) -> str:
                             ("party1_first", "party 1 gate first")):
             dump = payload[name]
             amps = ", ".join(
-                f"|{label}> {_quadruple_str(quad)}"
+                f"|{label}> {Quaternion(*quad)}"
                 for label, quad in zip(dump["labels"], dump["amplitudes"])
                 if any(quad)
             )
             lines.append(f"{title}: {amps}")
-        lines.append(f"inner product: {_quadruple_str(payload['inner_product'])}")
+        lines.append(f"inner product: {Quaternion(*payload['inner_product'])}")
         lines.append(f"orthogonal (tol {ORTHO_TOL:g}): "
                      + ("yes" if payload["orthogonal"] else "no"))
         lines.append("states identical: " + ("yes" if payload["states_identical"] else "no"))
     if "samples" in payload:
         lines.append(f"monte carlo: {json.dumps(payload['samples'], sort_keys=True)}")
     return "\n".join(lines)
-
-
-def _quadruple_str(quad) -> str:
-    return str(Quaternion(*quad))
 
 
 def _render_csv(payload: dict) -> str:
@@ -300,10 +284,16 @@ def render(payload: dict, fmt: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose syntax errors are one `error: ...` line and exit 2, like every bad input."""
+    """argparse whose syntax errors are one `error: ...` line and exit 2, like every bad input,
+    and whose help meets a closed stdout as command output does."""
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
+
+    def print_help(self, file=None):
+        file = file or sys.stdout  # argparse's own print_help drops the write's OSError
+        file.write(self.format_help())
+        file.flush()
 
 
 @functools.cache
@@ -353,20 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.fmt == "csv" and args.command != "prbox":
-            raise ValueError("csv output is only defined for the prbox behavior table")
-        samples = getattr(args, "samples", None)
-        if samples is not None and not 1 <= samples <= MAX_SAMPLES:
-            raise ValueError(f"--samples must lie in [1, {MAX_SAMPLES}]")
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        payload, code = _RUNNERS[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
+        try:
+            if args.fmt == "csv" and args.command != "prbox":
+                raise ValueError("csv output is only defined for the prbox behavior table")
+            samples = getattr(args, "samples", None)
+            if samples is not None and not 1 <= samples <= MAX_SAMPLES:
+                raise ValueError(f"--samples must lie in [1, {MAX_SAMPLES}]")
+            if getattr(args, "seed", 0) < 0:
+                raise ValueError(f"--seed must be non-negative, got {args.seed}")
+            payload, code = _RUNNERS[args.command](args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(render(payload, args.fmt))
         sys.stdout.flush()
     except BrokenPipeError:

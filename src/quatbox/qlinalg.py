@@ -21,7 +21,6 @@ scalar fold, `_fold`, of the same terms in the same order over Python floats.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
@@ -30,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quaternion import Quaternion, as_quaternion
+from .quaternion import Quaternion, as_quaternion, is_real_number
 
 #: entry-wise tolerance for accepting a matrix as unitary
 UNITARY_TOL = 1e-10
@@ -267,9 +266,8 @@ def phase_gate(phase) -> QMatrix:
 def rotation(theta: float) -> QMatrix:
     """Real rotation [[cos t, sin t], [-sin t, cos t]]; a basis change by angle t, which
     must be finite."""
-    # a string or None would raise TypeError in math.isfinite; a bool is an int to Python
-    if (not isinstance(theta, (int, float, numbers.Real)) or isinstance(theta, bool)
-            or not math.isfinite(theta)):
+    # a string or None would raise TypeError in math.isfinite
+    if not is_real_number(theta) or not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return _real_2x2([[c, s], [-s, c]])

@@ -9,7 +9,22 @@ so multiplication order is never normalized away here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+
+def int_or_none(value) -> int | None:
+    """`value` as a Python int if it is an int or a numpy integer, else None.  A bool is
+    refused: it is an int to Python, but True is not the count, index or width 1."""
+    if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool):
+        return int(value)
+    return None
+
+
+def is_real_number(value) -> bool:
+    """Whether `value` is any numbers.Real but a bool (True is not the angle or phase 1);
+    int and float are found first, without numbers.Real's slower check."""
+    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,8 +54,8 @@ class Quaternion:
                 p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
                 p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
             )
-        # a bool is an int to Python, and True would read as the scalar 1
-        if isinstance(other, (int, float)) and not isinstance(other, bool):
+        if is_real_number(other):
+            other = float(other)  # a numpy or Fraction factor would leave its type in the parts
             return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
         return NotImplemented
 
@@ -68,7 +83,6 @@ def as_quaternion(value) -> Quaternion:
     """Coerce a real number (or pass a quaternion through) to Quaternion."""
     if isinstance(value, Quaternion):
         return value
-    # a bool is an int to Python, and True would read as the phase 1
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_real_number(value):
         return Quaternion(float(value))
     raise TypeError(f"cannot interpret {type(value).__name__} as a quaternion")

@@ -26,7 +26,6 @@ two-party register lists amplitudes for 00, 01, 10, 11 in that order.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable, Sequence, Sized
 from dataclasses import dataclass
 from functools import cache
@@ -35,6 +34,7 @@ from itertools import product
 import numpy as np
 
 from .qlinalg import INV_SQRT2, QMatrix, QVector, hamilton, norm_sq, phase_gate
+from .quaternion import int_or_none, is_real_number
 
 
 @cache
@@ -54,10 +54,9 @@ class Register:
     def __post_init__(self):
         if not isinstance(self.state, QVector):
             raise ValueError(f"state must be a QVector, not {type(self.state).__name__}")
-        n = self.n_parties  # a bool is an int to Python; a float would fail only at 1 << n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n_parties must be an integer of at least 1, got {n!r}")
-        n = int(n)  # 2**n of a numpy count would be taken in its own, maybe narrow, type
+        n = int_or_none(self.n_parties)  # numpy would take 2**n in its own, maybe narrow, type
+        if n is None or n < 1:
+            raise ValueError(f"n_parties must be an integer of at least 1, got {self.n_parties!r}")
         object.__setattr__(self, "n_parties", n)
         if self.state.dim != 2**n:
             raise ValueError(f"state dimension {self.state.dim} does not match {n} parties")
@@ -87,17 +86,15 @@ class ScheduledOp:
     gate: QMatrix
 
     def __post_init__(self):
-        # NaN compares false with every tag, so it would leave the order to the list;
-        # int and float come first, found without numbers.Real's slower check
-        if (not isinstance(self.time, (int, float, numbers.Real)) or isinstance(self.time, bool)
-                or not math.isfinite(self.time)):
+        # NaN compares false with every tag, so it would leave the order to the list
+        if not is_real_number(self.time) or not math.isfinite(self.time):
             raise ValueError(f"time tag must be a finite real number, got {self.time!r}")
-        if isinstance(self.party, bool) or not isinstance(self.party, (int, np.integer)):
+        party = int_or_none(self.party)  # a numpy party would shift in its own, maybe narrow, type
+        if party is None:
             raise ValueError(f"party index must be an integer, not {type(self.party).__name__}")
-        if self.party < 0:
+        if party < 0:
             raise ValueError("party index must be non-negative")
-        # a numpy party would shift in its own, maybe narrow, type
-        object.__setattr__(self, "party", int(self.party))
+        object.__setattr__(self, "party", party)
         if not isinstance(self.gate, QMatrix):
             raise ValueError(f"a local gate must be a QMatrix, not {type(self.gate).__name__}")
         if self.gate.shape != (2, 2):

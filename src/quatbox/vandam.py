@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .boxes import BoxBehavior
+from .quaternion import int_or_none
 
 #: the widest truth table, in input bits: _table_size refuses a wider one, whether
 #: from a file, a callable or the constructor, before anything of size 2**n is built
@@ -42,13 +43,13 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def _table_size(n_alice: int, n_bob: int) -> int:
-    # bool is an int subclass; a width of true or 1.9 is malformed, not 1
-    for n in (n_alice, n_bob):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError("n_alice and n_bob must be integers")
-    if n_alice < 0 or n_bob < 0:
+    # a width of True or 1.9 is malformed, not 1, and a numpy one would add in its own type
+    widths = int_or_none(n_alice), int_or_none(n_bob)
+    if None in widths:
+        raise ValueError("n_alice and n_bob must be integers")
+    if min(widths) < 0:
         raise ValueError("bit widths must be non-negative")
-    width = int(n_alice) + int(n_bob)  # a numpy width would add and shift in its own type
+    width = sum(widths)
     if width > VERIFY_SIZE_CAP:
         raise ValueError(f"refusing a truth table over 2**{width} inputs")
     return 1 << width
@@ -78,7 +79,7 @@ class BooleanFunction:
     def _check_inputs(self, x: int, y: int) -> tuple[int, int]:
         for name, value, bits in (("x", x, self.n_alice), ("y", y, self.n_bob)):
             # as for widths: a bool or 0.5 is malformed, and numpy would shift in its own type
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if int_or_none(value) is None:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value < (1 << bits):
                 raise ValueError(f"{name} = {value} out of range for {bits} bits")

@@ -634,6 +634,7 @@ def test_reproduce_results_prints_the_pinned_bytes(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["chsh"], ["vandam", "--function", "IP4", "--format", "json"], ["order-demo", "--format", "json"],
+    ["--help"], ["prbox", "--help"],
 ])
 def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv):
     # the pipe's read end is closed before the spawn, so the first write fails: no race
