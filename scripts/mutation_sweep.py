@@ -115,6 +115,9 @@ MUTANTS = [
     ("quaternion.py", "(value, (int, numbers.Integral))",
      "(value, (int, numbers.Integral, float))"),
     ("quaternion.py", "(value, (int, float, numbers.Real))", "(value, (numbers.Real, object))"),
+    # a real that no float holds let through, to raise OverflowError at the site
+    ("quaternion.py",
+     "    try:\n        float(value)\n    except OverflowError:\n        return False\n", ""),
     # a scalar factor and a phase taken unchecked, and a factor's own type kept in the parts
     ("quaternion.py", "if is_real_number(other):", "if True:"),
     ("quaternion.py", "if is_real_number(value):", "if True:"),
@@ -161,6 +164,8 @@ MUTANTS = [
     ("cli.py", "ip.norm() <= ORTHO_TOL", "ip.norm() < ORTHO_TOL"),
     ("cli.py", "report.success_rate >= 1.0", "report.success_rate >= 1.0 - 1e-12"),
     ("cli.py", "return 141", "return 1"),
+    # a boxed command's echoed seed not the one that ran
+    ("cli.py", '"seed": args.seed}', '"seed": 0}'),
     ("vandam.py", "min(max(win, 0.0), 1.0)", "min(win, 1.0)"),
     ("vandam.py", "min(max(win, 0.0), 1.0)", "max(win, 0.0)"),
     ("vandam.py", "np.bitwise_count(idx >> width & idx)", "np.bitwise_count(idx >> width | idx)"),
@@ -170,9 +175,11 @@ MUTANTS = [
     ("vandam.py", "width = sum(widths)", "width = n_alice + n_bob"),
     ("vandam.py", 'object.__setattr__(self, "n_alice", int(self.n_alice))', "None"),
     ("vandam.py", "range(1 << int(n_alice))", "range(1 << n_alice)"),
-    # the protocol's inputs: taken unchecked, and numpy inputs kept as numpy
+    # the protocol's inputs: taken unchecked, numpy inputs kept as numpy, and x and y
+    # swapped in the index
     ("vandam.py", "if int_or_none(value) is None:", "if False:"),
-    ("vandam.py", "return int(x), int(y)", "return x, y"),
+    ("vandam.py", "(int(x) << f.n_bob) | int(y)", "(x << f.n_bob) | y"),
+    ("vandam.py", "(int(x) << f.n_bob) | int(y)", "(int(y) << f.n_bob) | int(x)"),
     # a truth-table file that is not an object, or lacks a key, let through
     ("vandam.py", "if not isinstance(obj, dict):", "if False:"),
     ("vandam.py", "if key not in obj:", "if False:"),

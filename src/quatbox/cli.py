@@ -87,17 +87,21 @@ def _cell_keys(per_cell: dict[tuple[int, int], float]) -> dict[str, float]:
     return {f"{a},{b}": value for (a, b), value in per_cell.items()}
 
 
-def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
+def _boxed(args: argparse.Namespace) -> tuple[BoxBehavior, bool, dict]:
+    # the box, whether it should win every CHSH cell, and the fields the payload echoes
     box = resolve_box(args.strategy)
+    echo = {"command": args.command, "strategy": args.strategy, "seed": args.seed}
+    return box, args.strategy in PERFECT_STRATEGIES, echo
+
+
+def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
+    box, expected_perfect, echo = _boxed(args)
     game = chsh_value(box)
     per_cell = _cell_keys(game.per_cell)
     cells_pass = {key: bool(abs(value - 1.0) <= CELL_TOL) for key, value in per_cell.items()}
     all_pass = all(cells_pass.values())
-    expected_perfect = args.strategy in PERFECT_STRATEGIES
     payload = {
-        "command": "prbox",
-        "strategy": args.strategy,
-        "seed": args.seed,
+        **echo,
         "behavior": box.to_json_obj(),
         "chsh": {
             "win_probability": game.win_probability,
@@ -123,12 +127,10 @@ def run_prbox(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def run_chsh(args: argparse.Namespace) -> tuple[dict, int]:
-    box = resolve_box(args.strategy)
+    box, _, echo = _boxed(args)
     game = chsh_value(box)
     payload = {
-        "command": "chsh",
-        "strategy": args.strategy,
-        "seed": args.seed,
+        **echo,
         "win_probability": game.win_probability,
         "per_cell": _cell_keys(game.per_cell),
     }
@@ -152,18 +154,15 @@ def run_chsh(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def run_vandam(args: argparse.Namespace) -> tuple[dict, int]:
-    func = load_function(args.function)
-    box = resolve_box(args.strategy)
+    func = load_function(args.function)  # a bad function is reported before a bad strategy
+    box, expected_perfect, echo = _boxed(args)
     report = verify_exhaustive(func, box, rng=np.random.default_rng(args.seed))
-    expected_perfect = args.strategy in PERFECT_STRATEGIES
     ok = not expected_perfect or report.success_rate >= 1.0
     payload = {
-        "command": "vandam",
-        "strategy": args.strategy,
+        **echo,
         "function": args.function,
         "n_alice": func.n_alice,
         "n_bob": func.n_bob,
-        "seed": args.seed,
         **vars(report),
         "pass": ok,
     }
@@ -290,6 +289,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"error: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse checks for a required command before it reports an unknown option, so
+        # the command is required here, once `quatbox --bogus` has named `--bogus`
+        parsed = super().parse_args(args, namespace)
+        if parsed.command is None:
+            self.error("the following arguments are required: command")
+        return parsed
+
     def print_help(self, file=None):
         file = file or sys.stdout  # argparse's own print_help drops the write's OSError
         file.write(self.format_help())
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     boxed.add_argument("--strategy", default="quaternionic",
                        help=" | ".join([*_BOXES, "noisy:p"]))
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("prbox", parents=[common, boxed],
                        help="behavior table and CHSH value of a box strategy")

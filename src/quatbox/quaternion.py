@@ -22,9 +22,16 @@ def int_or_none(value) -> int | None:
 
 
 def is_real_number(value) -> bool:
-    """Whether `value` is any numbers.Real but a bool (True is not the angle or phase 1);
-    int and float are found first, without numbers.Real's slower check."""
-    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
+    """Whether `value` is any numbers.Real but a bool (True is not the angle or phase 1)
+    that a float can hold; int and float are found first, without numbers.Real's slower
+    check.  10**400 is refused here, where each site gives its own error, not OverflowError."""
+    if not (isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,6 @@ class BooleanFunction:
             raise ValueError("table entries must be bits")
         object.__setattr__(self, "table", bits.astype(np.uint8).tobytes())
 
-    def _check_inputs(self, x: int, y: int) -> tuple[int, int]:
-        for name, value, bits in (("x", x, self.n_alice), ("y", y, self.n_bob)):
-            # as for widths: a bool or 0.5 is malformed, and numpy would shift in its own type
-            if int_or_none(value) is None:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= value < (1 << bits):
-                raise ValueError(f"{name} = {value} out of range for {bits} bits")
-        return int(x), int(y)
-
     @classmethod
     def from_callable(
         cls, n_alice: int, n_bob: int, fn: Callable[[int, int], int]
@@ -204,11 +195,22 @@ def vandam_protocol(f: BooleanFunction, x: int, y: int, box: BoxBehavior, rng) -
     """Run the one-bit protocol on inputs (x, y), drawing from `box` once per
     mixed monomial.  With perfect boxes the output equals f(x, y) for every
     input and rng; with imperfect boxes it is a random variable."""
-    x, y = f._check_inputs(x, y)
-    anf = anf_transform(f)
-    idx = np.array([(x << f.n_bob) | y])
-    output = _outputs(_table(f), f.n_bob, idx, _cells(anf, idx), box, rng)
+    anf, idx, cells = _input_cells(f, x, y)
+    output = _outputs(_table(f), f.n_bob, idx, cells, box, rng)
     return ProtocolRun(output=int(output[0]), **_cost(anf))
+
+
+def _input_cells(f: BooleanFunction, x: int, y: int) -> tuple[ANF, np.ndarray, np.ndarray]:
+    # f's ANF, and the one-entry truth-table index and box cells of the pair (x, y), checked
+    # as widths are: a bool or 0.5 is malformed, and numpy would shift in its own type
+    for name, value, bits in (("x", x, f.n_alice), ("y", y, f.n_bob)):
+        if int_or_none(value) is None:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= value < (1 << bits):
+            raise ValueError(f"{name} = {value} out of range for {bits} bits")
+    anf = anf_transform(f)
+    idx = np.array([(int(x) << f.n_bob) | int(y)])
+    return anf, idx, _cells(anf, idx)
 
 
 def _cost(anf: ANF) -> dict[str, int]:
@@ -247,9 +249,7 @@ def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, 
 def success_probability(f: BooleanFunction, x: int, y: int, box: BoxBehavior) -> float:
     """Exact probability that the protocol outputs f(x, y), averaging over
     the boxes' randomness (every mixed monomial drawing from `box`)."""
-    x, y = f._check_inputs(x, y)
-    cells = _cells(anf_transform(f), np.array([(x << f.n_bob) | y]))
-    return float(_success_rates(cells, _gains(box))[0])
+    return float(_success_rates(_input_cells(f, x, y)[2], _gains(box))[0])
 
 
 def _gains(box: BoxBehavior) -> np.ndarray:

@@ -537,6 +537,19 @@ def test_unknown_flag_exits_two(capsys):
         assert err_text.startswith("error: ") and len(err_text.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--bogus"], "error: unrecognized arguments: --bogus\n"),
+    (["--bogus", "prbox"], "error: unrecognized arguments: --bogus\n"),
+    # with no unknown option, a missing command is still the error
+    ([], "error: the following arguments are required: command\n"),
+], ids=["option-alone", "option-then-command", "nothing"])
+def test_an_unknown_option_before_the_command_is_named(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("command", ["prbox", "chsh"])
 def test_oversized_samples_refused_before_any_draw(capsys, monkeypatch, command):
     forbid_draws(monkeypatch)
@@ -618,6 +631,15 @@ def test_output_is_reproducible(capsys):
     _, first, _ = run_cli(capsys, argv_text)
     _, second, _ = run_cli(capsys, argv_text)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [["prbox"], ["chsh"], ["vandam", "--function", "AND"]],
+                         ids=lambda argv: argv[0])
+def test_each_boxed_command_echoes_the_request_that_ran(capsys, argv):
+    # the golden replays run with seed 0, so a payload's seed is checked here
+    _, payload = run_json(capsys, argv + ["--strategy", "noisy:0.9", "--seed", "7"])
+    echoed = payload["command"], payload["strategy"], payload["seed"]
+    assert echoed == (argv[0], "noisy:0.9", 7)
 
 
 def test_all_order_demo_formats_render(capsys):

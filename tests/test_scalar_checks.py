@@ -6,6 +6,7 @@ holds each site once, with the values that it refuses and the ones it accepts.
 """
 
 import math
+import reprlib
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -65,10 +66,12 @@ SITES = {
         lambda v: f"cannot interpret {type(v).__name__} as a quaternion"),
 }
 
+#: reals that no float holds, refused where they enter rather than raising OverflowError
+HUGE = (10**400, Fraction(10**400))
 REFUSED = {
     "integer": (True, False, np.True_, "1", None, 0.5, np.float64(1.0)),
-    "real": (True, False, np.True_, "1", None),
-    "finite": (True, False, np.True_, "1", None, math.nan, math.inf, -math.inf),
+    "real": (True, False, np.True_, "1", None, *HUGE),
+    "finite": (True, False, np.True_, "1", None, math.nan, math.inf, -math.inf, *HUGE),
 }
 ACCEPTED = {
     "integer": (np.int64(1),),
@@ -78,7 +81,8 @@ ACCEPTED = {
 
 
 def _cases(values):
-    return [pytest.param(site, value, id=f"{site}-{value!r}")
+    # reprlib shortens 10**400's 401 digits in the test id
+    return [pytest.param(site, value, id=f"{site}-{reprlib.repr(value)}")
             for site, (kind, *_) in SITES.items() for value in values[kind]]
 
 

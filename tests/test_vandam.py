@@ -238,7 +238,7 @@ def test_each_piece_of_protocol_work_is_done_once(monkeypatch):
     draws = count_calls(monkeypatch, BoxBehavior, "sample")
     # verify_exhaustive makes its inputs in range, so it neither re-checks them
     # nor builds a ProtocolRun per input to read its output
-    checks = count_calls(monkeypatch, BooleanFunction, "_check_inputs")
+    checks = count_calls(monkeypatch, quatbox.vandam, "_input_cells")
     runs = count_calls(monkeypatch, quatbox.vandam, "ProtocolRun")
     f = builtin_function("IP4")
     report = verify_exhaustive(f, box, np.random.default_rng(6))
