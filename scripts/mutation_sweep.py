@@ -122,6 +122,12 @@ MUTANTS = [
     ("quaternion.py", "if is_real_number(other):", "if True:"),
     ("quaternion.py", "if is_real_number(value):", "if True:"),
     ("quaternion.py", "other = float(other)", "other = other"),
+    # a quaternion's parts taken unchecked, a bool let through as a part, and a non-float
+    # last part let past the fast path
+    ("quaternion.py", "if not is_real_number(part):", "if False:"),
+    ("quaternion.py", "if not is_real_number(part):",
+     "if not (is_real_number(part) or isinstance(part, bool)):"),
+    ("quaternion.py", "type(self.y) is type(self.z) is float", "type(self.y) is float"),
     # the gate step: a w-only gate sent to the kernel, or a near-real one taken as real
     ("register.py", "if reduced and op.gate.planes == (0,):", "if False:"),
     ("register.py", "if reduced and op.gate.planes == (0,):",
@@ -169,12 +175,14 @@ MUTANTS = [
     ("vandam.py", "min(max(win, 0.0), 1.0)", "min(win, 1.0)"),
     ("vandam.py", "min(max(win, 0.0), 1.0)", "max(win, 0.0)"),
     ("vandam.py", "np.bitwise_count(idx >> width & idx)", "np.bitwise_count(idx >> width | idx)"),
-    # the widths, checked once in _table_size: taken unchecked, and numpy widths added, kept
-    # and shifted as numpy
+    # the widths, checked once in _table_size: taken unchecked, and numpy widths added and
+    # kept as numpy
     ("vandam.py", "widths = int_or_none(n_alice), int_or_none(n_bob)", "widths = n_alice, n_bob"),
     ("vandam.py", "width = sum(widths)", "width = n_alice + n_bob"),
     ("vandam.py", 'object.__setattr__(self, "n_alice", int(self.n_alice))', "None"),
-    ("vandam.py", "range(1 << int(n_alice))", "range(1 << n_alice)"),
+    # the built-in AND and XOR tables, each with one entry flipped
+    ("vandam.py", "BooleanFunction(1, 1, (0, 0, 0, 1))", "BooleanFunction(1, 1, (0, 0, 1, 1))"),
+    ("vandam.py", "BooleanFunction(1, 1, (0, 1, 1, 0))", "BooleanFunction(1, 1, (1, 1, 1, 0))"),
     # the protocol's inputs: taken unchecked, numpy inputs kept as numpy, and x and y
     # swapped in the index
     ("vandam.py", "if int_or_none(value) is None:", "if False:"),

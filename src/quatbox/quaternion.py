@@ -43,6 +43,15 @@ class Quaternion:
     y: float = 0.0
     z: float = 0.0
 
+    def __post_init__(self):
+        # each part meets the rule every real scalar entering the package meets; float
+        # parts, which every product and negation has, skip the slower check
+        if type(self.w) is type(self.x) is type(self.y) is type(self.z) is float:
+            return
+        for part in (self.w, self.x, self.y, self.z):
+            if not is_real_number(part):
+                raise TypeError(f"quaternion parts must be real numbers, got {part!r}")
+
     def norm_sq(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 

@@ -28,7 +28,7 @@ from .boxes import BoxBehavior
 from .quaternion import int_or_none
 
 #: the widest truth table, in input bits: _table_size refuses a wider one, whether
-#: from a file, a callable or the constructor, before anything of size 2**n is built
+#: from a file or the constructor, before anything of size 2**n is built
 VERIFY_SIZE_CAP = 20
 
 #: refuse exhaustive verification beyond this many (input, mixed monomial) box
@@ -76,15 +76,6 @@ class BooleanFunction:
             raise ValueError("table entries must be bits")
         object.__setattr__(self, "table", bits.astype(np.uint8).tobytes())
 
-    @classmethod
-    def from_callable(
-        cls, n_alice: int, n_bob: int, fn: Callable[[int, int], int]
-    ) -> BooleanFunction:
-        _table_size(n_alice, n_bob)  # the widths are refused before fn is called
-        xs, ys = range(1 << int(n_alice)), range(1 << int(n_bob))
-        table = bytes(fn(x, y) & 1 for x in xs for y in ys)
-        return cls(n_alice, n_bob, table)
-
     def to_json_obj(self) -> dict:
         """{"n_alice", "n_bob", "table"} with the table hex-packed little-endian:
         bit position idx of the integer holds table[idx]."""
@@ -121,8 +112,8 @@ def _inner_product(width: int) -> BooleanFunction:
 
 
 BUILTIN_FUNCTIONS: dict[str, Callable[[], BooleanFunction]] = {
-    "AND": lambda: BooleanFunction.from_callable(1, 1, lambda x, y: x & y),
-    "XOR": lambda: BooleanFunction.from_callable(1, 1, lambda x, y: x ^ y),
+    "AND": lambda: BooleanFunction(1, 1, (0, 0, 0, 1)),
+    "XOR": lambda: BooleanFunction(1, 1, (0, 1, 1, 0)),
     "IP2": lambda: _inner_product(2),
     "IP4": lambda: _inner_product(4),
 }
@@ -143,23 +134,15 @@ class ANF:
 
     Each monomial is an (alice_mask, bob_mask) pair of variable sets; the
     empty pair (0, 0) is the constant-1 monomial.  `coefficients` holds a byte
-    0 or 1 per monomial at index (alice_mask << n_bob) | bob_mask, so monomials
-    come in ascending (alice_mask, bob_mask) order and box use is reproducible.
+    0 or 1 per monomial at index m = (alice_mask << n_bob) | bob_mask, so the
+    monomial at m is divmod(m, 1 << n_bob), and it is mixed, drawing one box,
+    when both masks are non-zero.  Boxes are drawn in ascending m, which is
+    ascending (alice_mask, bob_mask) order, so box use is reproducible.
     """
 
     n_alice: int
     n_bob: int
     coefficients: bytes
-
-    @cached_property
-    def monomials(self) -> tuple[tuple[int, int], ...]:
-        present = np.flatnonzero(np.frombuffer(self.coefficients, np.uint8)).tolist()
-        return tuple(divmod(m, 1 << self.n_bob) for m in present)
-
-    @cached_property
-    def mixed(self) -> tuple[tuple[int, int], ...]:
-        """Monomials touching both parties; these each consume one box."""
-        return tuple(m for m in self.monomials if m[0] and m[1])
 
     @property
     def _mixed_grid(self) -> np.ndarray:

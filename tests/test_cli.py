@@ -436,19 +436,15 @@ def test_vandam_dense_twenty_bit_table_is_refused_before_any_monomial_tuple(
     capsys, monkeypatch, tmp_path
 ):
     # a random 10+10-bit table has about 2**19 mixed monomials: the budget needs only
-    # their count, so neither an (alice_mask, bob_mask) tuple nor the mask array is built
+    # their count, so the mask array is not built
     packed = int.from_bytes(np.random.default_rng(20).bytes(1 << 17), "little")
     path = tmp_path / "dense20.json"
     path.write_text(json.dumps({"n_alice": 10, "n_bob": 10, "table": f"{packed:x}"}),
                     encoding="utf-8")
 
-    def no_tuples(self):
-        raise AssertionError("monomial tuples were built")
-
     def no_masks(self):
         raise AssertionError("the monomial masks were built")
 
-    monkeypatch.setattr(ANF, "monomials", property(no_tuples))
     monkeypatch.setattr(ANF, "_masks", property(no_masks))
     tracemalloc.start()
     try:
@@ -458,7 +454,7 @@ def test_vandam_dense_twenty_bit_table_is_refused_before_any_monomial_tuple(
         tracemalloc.stop()
     assert (code, out) == (2, "")
     assert err.startswith("error: refusing exhaustive run over") and len(err.splitlines()) == 1
-    assert peak < 32 << 20  # building the monomial tuples took the peak to about 79 MiB
+    assert peak < 32 << 20  # the refusal peaks at about 4 MiB
 
 
 def test_vandam_twenty_bit_table_at_the_cell_budget(capsys, tmp_path):
@@ -467,11 +463,9 @@ def test_vandam_twenty_bit_table_at_the_cell_budget(capsys, tmp_path):
     # whose ANF is coef is the transform of coef
     coef = np.zeros(1 << 20, np.uint8)
     coef[[(1 << 10) | 1, (2 << 10) | 2, 4 << 10, 8, 0]] = 1
-    ones = anf_transform(BooleanFunction(10, 10, coef)).monomials
-    table = np.zeros(1 << 20, np.uint8)
-    table[[(a << 10) | b for a, b in ones]] = 1
-    f = BooleanFunction(10, 10, table)
-    assert len(anf_transform(f).mixed) << 20 == VERIFY_CELL_BUDGET
+    f = BooleanFunction(10, 10, anf_transform(BooleanFunction(10, 10, coef)).coefficients)
+    assert anf_transform(f).coefficients == coef.tobytes()
+    assert 2 << 20 == VERIFY_CELL_BUDGET
     path = tmp_path / "twenty.json"
     path.write_text(json.dumps(f.to_json_obj()), encoding="utf-8")
     argv = ["vandam", "--function", str(path), "--strategy", "quaternionic"]

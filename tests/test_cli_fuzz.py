@@ -48,10 +48,8 @@ def over_budget_tables(draw):
     coef = np.where(mixed, 0, rng.integers(0, 2, idx.size))
     coef[rng.choice(np.flatnonzero(mixed), n_mixed, replace=False)] = 1
     # the Moebius transform is an involution: the table whose ANF is coef
-    ones = anf_transform(BooleanFunction(n_alice, n_bob, tuple(coef.tolist()))).monomials
-    table = np.zeros(1 << n, dtype=int)
-    table[[(a << n_bob) | b for a, b in ones]] = 1
-    return json.dumps(BooleanFunction(n_alice, n_bob, tuple(table.tolist())).to_json_obj())
+    table = anf_transform(BooleanFunction(n_alice, n_bob, tuple(coef.tolist()))).coefficients
+    return json.dumps(BooleanFunction(n_alice, n_bob, table).to_json_obj())
 
 
 # integer widths stay in [-3, 3] or sum past VERIFY_SIZE_CAP, and the dense

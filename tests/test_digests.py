@@ -46,12 +46,11 @@ def test_protocol_digest():
             table = tuple(rng.integers(0, 2, 1 << n).tolist())
         else:  # a sparse ANF keeps n = 10 cheap; the Moebius transform is an involution
             coef = tuple((rng.random(1 << n) < 0.01).astype(int).tolist())
-            ones = anf_transform(BooleanFunction(n_alice, n - n_alice, coef)).monomials
-            ones = {(a << (n - n_alice)) | b for a, b in ones}
-            table = tuple(int(m in ones) for m in range(1 << n))
+            table = anf_transform(BooleanFunction(n_alice, n - n_alice, coef)).coefficients
         f = BooleanFunction(n_alice, n - n_alice, table)
-        mixed = anf_transform(f).mixed
-        if len(mixed) << n > 60000:
+        coefficients = np.frombuffer(anf_transform(f).coefficients, np.uint8)
+        mixed = np.count_nonzero(coefficients.reshape(1 << n_alice, -1)[1:, 1:])
+        if mixed << n > 60000:
             continue
         for box in boxes:
             seed = int(rng.integers(0, 2**31))

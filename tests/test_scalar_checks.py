@@ -35,6 +35,21 @@ def _times_i(value):
     return product
 
 
+def _in_each_part(value):
+    """The diagonal matrix of the four quaternions holding value in one part and 0.0 in
+    the others: a value is refused only if every part refuses it with one message."""
+    built, messages = [], set()
+    for k in range(4):
+        try:
+            built.append(Quaternion(*(value if j == k else 0.0 for j in range(4))))
+        except TypeError as err:
+            messages.add(str(err))
+    if messages:
+        assert (len(built), len(messages)) == (0, 1), (built, messages)
+        raise TypeError(messages.pop())
+    return diag(*built)
+
+
 #: site: (kind, call, exception type, message for a refused value); kind is "integer",
 #: "real", or "finite" for a real site that also refuses NaN and +-inf
 SITES = {
@@ -61,6 +76,9 @@ SITES = {
     "Quaternion.__mul__": (
         "real", _times_i, TypeError,
         lambda v: f"{type(v).__name__} is not a scalar factor"),
+    "Quaternion parts": (
+        "real", _in_each_part, TypeError,
+        lambda v: f"quaternion parts must be real numbers, got {v!r}"),
     "as_quaternion": (
         "real", as_quaternion, TypeError,
         lambda v: f"cannot interpret {type(v).__name__} as a quaternion"),

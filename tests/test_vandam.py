@@ -53,40 +53,44 @@ def all_functions(n_alice, n_bob):
 
 
 def evaluate_anf(anf, x, y):
-    """The XOR over anf's monomials of each one's value on (x, y)."""
+    """The XOR over anf's monomials of each one's value on (x, y), the monomial at
+    index m of `coefficients` being (alice_mask, bob_mask) = divmod(m, 1 << n_bob)."""
     acc = 0
-    for a_mask, b_mask in anf.monomials:
-        acc ^= (x & a_mask) == a_mask and (y & b_mask) == b_mask
+    for m, c in enumerate(anf.coefficients):
+        a_mask, b_mask = divmod(m, 1 << anf.n_bob)
+        acc ^= c and (x & a_mask) == a_mask and (y & b_mask) == b_mask
     return int(acc)
+
+
+def mixed_monomials(anf):
+    """anf's (alice_mask, bob_mask) monomials touching both parties, in index order."""
+    present = (divmod(m, 1 << anf.n_bob) for m, c in enumerate(anf.coefficients) if c)
+    return [(a_mask, b_mask) for a_mask, b_mask in present if a_mask and b_mask]
 
 
 # ---------------------------------------------------------------- ANF
 
 
 def test_anf_of_and():
-    anf = anf_transform(builtin_function("AND"))
-    assert anf.monomials == ((1, 1),)
-    assert anf.mixed == ((1, 1),)
+    assert anf_transform(builtin_function("AND")).coefficients == b"\x00\x00\x00\x01"
 
 
 def test_anf_of_xor():
-    anf = anf_transform(builtin_function("XOR"))
-    assert set(anf.monomials) == {(0, 1), (1, 0)}
-    assert anf.mixed == ()
+    assert anf_transform(builtin_function("XOR")).coefficients == b"\x00\x01\x01\x00"
 
 
 def test_anf_of_constants():
     zero = BooleanFunction(1, 1, (0, 0, 0, 0))
-    assert anf_transform(zero).monomials == ()
+    assert anf_transform(zero).coefficients == b"\x00\x00\x00\x00"
     one = BooleanFunction(1, 1, (1, 1, 1, 1))
-    assert anf_transform(one).monomials == ((0, 0),)
+    assert anf_transform(one).coefficients == b"\x01\x00\x00\x00"
 
 
 def test_anf_of_inner_product_two_bits():
     f = builtin_function("IP2")
     anf = anf_transform(f)
-    assert set(anf.monomials) == {(1, 1), (2, 2)}
-    assert len(anf.mixed) == 2
+    # x0 y0 and x1 y1, at indices (1 << 2) | 1 and (2 << 2) | 2
+    assert anf.coefficients == bytes(int(m in (5, 10)) for m in range(16))
     for x in range(4):
         for y in range(4):
             assert evaluate_anf(anf, x, y) == f.table[(x << f.n_bob) | y]
@@ -140,16 +144,16 @@ def scalar_moebius(table, n):
 @pytest.mark.parametrize("n_alice, n_bob", [(1, 1), (3, 2), (5, 5), (4, 7)])
 def test_anf_transform_matches_scalar_moebius(n_alice, n_bob):
     f = random_function(np.random.default_rng(n_alice * 16 + n_bob), n_alice, n_bob)
-    coef = scalar_moebius(f.table, n_alice + n_bob)
-    want = tuple((m >> n_bob, m & ((1 << n_bob) - 1)) for m, c in enumerate(coef) if c)
-    assert anf_transform(f).monomials == want
+    assert anf_transform(f).coefficients == bytes(scalar_moebius(f.table, n_alice + n_bob))
 
 
 def test_mixed_monomials_sorted_for_reproducibility():
     rng = np.random.default_rng(8)
     f = random_function(rng, 3, 3)
     anf = anf_transform(f)
-    assert list(anf.monomials) == sorted(anf.monomials)
+    # boxes are drawn in the order of the engine's masks: ascending (alice_mask, bob_mask)
+    masks = [tuple(row) for row in anf._masks.tolist()]
+    assert masks == sorted(masks) == [(a << 3, b) for a, b in mixed_monomials(anf)]
 
 
 # ---------------------------------------------------------------- protocol
@@ -223,7 +227,7 @@ def test_protocol_refuses_inputs_that_are_not_integers():
             success_probability(f, x, y, ideal_pr_box())
         assert str(err.value) == message
     # numpy integers are inputs too, shifted as Python ints: uint8 8 << 5 would wrap to 0
-    g = BooleanFunction.from_callable(4, 5, lambda x, y: x >> 3)
+    g = BooleanFunction(4, 5, np.arange(1 << 9) >> 8)  # x >> 3 at (x << 5) | y
     for x, y in ((np.uint8(8), np.uint8(0)), (np.int64(8), 0)):
         assert vandam_protocol(g, x, y, ideal_pr_box(), np.random.default_rng(5)).output == 1
         assert success_probability(g, x, y, ideal_pr_box()) == 1.0
@@ -265,7 +269,7 @@ def test_boxes_used_counts_mixed_monomials():
     for _ in range(10):
         f = random_function(rng, 2, 2)
         run = vandam_protocol(f, 1, 2, box, rng)
-        assert run.boxes_used == len(anf_transform(f).mixed)
+        assert run.boxes_used == len(mixed_monomials(anf_transform(f)))
 
 
 # ------------------------------------------------- exact success probability
@@ -276,7 +280,7 @@ def success_oracle(f, x, y, box):
     probability of every even-parity pattern."""
     anf = anf_transform(f)
     errors = []
-    for a_mask, b_mask in anf.mixed:
+    for a_mask, b_mask in mixed_monomials(anf):
         alpha = int((x & a_mask) == a_mask)
         beta = int((y & b_mask) == b_mask)
         win = sum(
@@ -368,30 +372,21 @@ def test_verify_success_monotone_in_noise():
 
 def test_verify_size_cap():
     # a table over the cap is refused where it is built, so it never reaches verify_exhaustive
-    def fn(x, y):
-        raise AssertionError("fn was called")
-
     with pytest.raises(ValueError, match="refusing a truth table over 2\\*\\*21 inputs"):
         BooleanFunction(11, 10, (0,) * (1 << 21))
-    with pytest.raises(ValueError, match="refusing a truth table over 2\\*\\*21 inputs"):
-        BooleanFunction.from_callable(11, 10, fn)
 
 
 def test_widths_are_checked_once_wherever_a_function_is_built():
-    def fn(x, y):
-        raise AssertionError("fn was called")
-
-    # a bool or a float width is refused by the constructor, from_callable and the file reader
+    # a bool or a float width is refused by the constructor and the file reader
     for n_alice, n_bob in ((True, 0), (0, True), (1.0, 0), (1, 0.5), ("1", 1)):
         builds = [lambda: BooleanFunction(n_alice, n_bob, b"\x00\x01"),
-                  lambda: BooleanFunction.from_callable(n_alice, n_bob, fn),
                   lambda: BooleanFunction.from_json_obj(
                       {"n_alice": n_alice, "n_bob": n_bob, "table": "2"})]
         for build in builds:
             with np.errstate(all="raise"), pytest.raises(ValueError, match="must be integers"):
                 build()
     # numpy integers are widths, added as Python ints: 200 + 100 does not wrap past the cap
-    want = BooleanFunction.from_callable(2, 1, lambda x, y: x & y)
+    want = BooleanFunction(2, 1, (0, 0, 0, 1, 0, 0, 0, 1))  # x & y at (x << 1) | y
     for width in (np.int64, np.uint8):
         f = BooleanFunction(width(2), width(1), want.table)
         assert f.table == want.table and anf_transform(f) == anf_transform(want)
@@ -407,8 +402,8 @@ def test_numpy_widths_and_party_counts_are_kept_as_ints():
         warnings.simplefilter("error")
         f = BooleanFunction(np.int64(1), np.int64(1), b"\x00\x00\x00\x01")
         assert json.dumps(f.to_json_obj()) == '{"n_alice": 1, "n_bob": 1, "table": "8"}'
-        g = BooleanFunction.from_callable(np.uint8(8), np.uint8(0), lambda x, y: x & 1)
-        assert g == BooleanFunction.from_callable(8, 0, lambda x, y: x & 1)
+        g = BooleanFunction(np.uint8(8), np.uint8(0), np.arange(256) & 1)
+        assert g == BooleanFunction(8, 0, np.arange(256) & 1)
         reg = Register(np.uint8(9), QVector(amps))
     assert [type(n) for n in (f.n_alice, f.n_bob, g.n_alice, g.n_bob, reg.n_parties)] == [int] * 5
 
@@ -431,7 +426,7 @@ def loop_sample(box, a, b, rng):
 def loop_run(f, anf, x, y, box, rng, gain):
     """One protocol run on (x, y) and its exact success probability, with
     Python ints and math.prod: the reference for the array engine."""
-    cells = [(int((x & a) == a), int((y & b) == b)) for a, b in anf.mixed]
+    cells = [(int((x & a) == a), int((y & b) == b)) for a, b in mixed_monomials(anf)]
     fold = 0
     for cell in cells:
         u, v = loop_sample(box, *cell, rng)
@@ -658,7 +653,8 @@ def exact_success(f, x, y, box):
     beta_k), added up where f(x, 0) + f(0, y) + f(0, 0) + the u_k + v_k is f(x, y).
     A probability is at most 1: the quaternionic box's float table wins each cell
     with 1 + 2**-51, an excess the engine clamps and so this does too."""
-    cells = [(int((x & a) == a), int((y & b) == b)) for a, b in anf_transform(f).mixed]
+    cells = [(int((x & a) == a), int((y & b) == b))
+             for a, b in mixed_monomials(anf_transform(f))]
     pure = f.table[x << f.n_bob] ^ f.table[y] ^ f.table[0]
     total = Fraction(0)
     for outcomes in itertools.product(CELLS, repeat=len(cells)):
@@ -687,7 +683,7 @@ def small_functions(draw):
 @example(f=from_monomials(2, 2, [(1, 1), (1, 2), (2, 3), (3, 3)]), box_name="negative entry")
 def test_exact_rates_match_fractions_over_joint_box_outcomes(f, box_name):
     box = ENGINE_BOXES[box_name]
-    m, n = len(anf_transform(f).mixed), f.n_alice + f.n_bob
+    m, n = len(mixed_monomials(anf_transform(f))), f.n_alice + f.n_bob
     ulp = Fraction(math.ulp(1.0))
     exact = []
     for x, y in itertools.product(range(1 << f.n_alice), range(1 << f.n_bob)):
@@ -716,7 +712,8 @@ def test_inner_product_tables_equal_the_callable_ones():
         return bin(x & y).count("1") & 1
 
     for width in range(1, 6):
-        want = BooleanFunction.from_callable(width, width, parity)
+        inputs = range(1 << width)
+        want = BooleanFunction(width, width, [parity(x, y) for x in inputs for y in inputs])
         got = quatbox.vandam._inner_product(width)
         assert (got.n_alice, got.n_bob, got.table) == (width, width, want.table)
 
