@@ -17,6 +17,7 @@ found exactly once.  The sweep is slow, so it is kept out of the tier-1 tests.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,6 +25,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: a failed or erroring test's whole id in pytest's short summary, brackets and spaces included
+SUMMARY = re.compile(r"(?:FAILED|ERROR) (\S+?(?:\[.*?\])?)(?: - |$)")
 
 #: mutants that cannot change any output, with the reason
 EQUIVALENT = {
@@ -54,22 +57,19 @@ MUTANTS = [
     # the time-order key: the tags' order ignored, and one readout for every cell
     ("boxes.py", "for op in sorted(ops, key=attrgetter(\"time\"))", "for op in ops"),
     ("boxes.py", "if order not in readouts:", "if not readouts:"),
-    # the draw: a running sum that r equals at each compare, cells crossed, a wrong
-    # fallback pair, the sums shifted by one, sequences that take -1 as an index, and the
-    # double drawn before a bad bit is refused
+    # the draw: a running sum that r equals at each compare, a wrong fallback cell, the sums
+    # shifted by one, a list that takes -1 as cell 3, and a float or a bool taken as a cell
     ("boxes.py", "if r < t[0] else", "if r <= t[0] else"),
     ("boxes.py", "if r < t[1] else", "if r <= t[1] else"),
     ("boxes.py", "if r < t[2] else", "if r <= t[2] else"),
-    ("boxes.py", "self._thresholds[a][b]", "self._thresholds[b][a]"),
-    ("boxes.py", "r < t[2] else (1, 1)", "r < t[2] else (1, 0)"),
+    ("boxes.py", "r < t[2] else 3", "r < t[2] else 2"),
     ("boxes.py", "tuple(accumulate(cell))[:3]", "tuple(accumulate(cell))[1:]"),
-    ("boxes.py", "{0: {0: sums[0], 1: sums[1]},\n" + " " * 49 + "1: {0: sums[2], 1: sums[3]}}",
-     "[[sums[0], sums[1]], [sums[2], sums[3]]]"),
-    ("boxes.py", "t = self._thresholds[a][b]\n        r = rng.random()",
-     "r = rng.random()\n        t = self._thresholds[a][b]"),
+    ("boxes.py", "dict(enumerate(sums))", "sums"),
+    ("boxes.py", "cell if type(cell) is int else int_or_none(cell)", "cell"),
     # the scan: a running sum that a double equals, a NaN taken as below every sum, a step's
-    # `&=` dropped or made `=`, threshold rows swapped or shifted, and each bound of the
-    # cell range check moved by one, or the empty case sent to min()
+    # `&=` dropped or made `=`, threshold rows swapped or shifted, each bound of the cell
+    # range check moved by one, the empty case sent to min(), cells that are not integers
+    # let through to indexing, and doubles of another shape let through to broadcasting
     ("boxes.py", "past &= ~(doubles < t[1])", "past &= ~(doubles <= t[1])"),
     ("boxes.py", "past = ~(doubles < t[0])", "past = ~(doubles <= t[0])"),
     ("boxes.py", "past = ~(doubles < t[0])", "past = doubles >= t[0]"),
@@ -83,6 +83,8 @@ MUTANTS = [
     ("boxes.py", "cells.max() <= 3", "cells.max() <= 4"),
     ("boxes.py", "cells.max() <= 3", "cells.max() <= 2"),
     ("boxes.py", "if cells.size and not", "if not"),
+    ("boxes.py", 'if cells.dtype.kind not in "iu":', "if False:"),
+    ("boxes.py", "if np.shape(doubles) != cells.shape:", "if False:"),
     # the noise parameter let through unchecked to the range compare
     ("boxes.py", "not is_real_number(p) or ", ""),
     ("qlinalg.py", "<= UNITARY_TOL", "< UNITARY_TOL"),
@@ -191,10 +193,11 @@ MUTANTS = [
     # a truth-table file that is not an object, or lacks a key, let through
     ("vandam.py", "if not isinstance(obj, dict):", "if False:"),
     ("vandam.py", "if key not in obj:", "if False:"),
-    # the protocol's per-draw loop: Alice's and Bob's bits crossed, and the pair's xor taken as u
-    ("vandam.py", "(flat >> 1).tolist(), (flat & 1).tolist()",
-     "(flat & 1).tolist(), (flat >> 1).tolist()"),
-    ("vandam.py", "starmap(xor, draws)", "(u for u, v in draws)"),
+    # the protocol's draws: u taken for u ^ v, bit 1 of the fold kept, and the cells drawn
+    # monomial-major instead of in x, y, monomial order
+    ("vandam.py", "out ^ out >> 1", "out >> 1"),
+    ("vandam.py", "axis=-1) & 1", "axis=-1)"),
+    ("vandam.py", "cells.ravel().tolist()", "cells.T.ravel().tolist()"),
     *EQUIVALENT,
 ]
 
@@ -226,8 +229,9 @@ def run_mutant(copy: Path, file: str, old: str, new: str) -> str:
         path.write_text(original, encoding="utf-8")
     if result.returncode == 0:
         return "survived"
-    failed = [line.split()[1] for line in result.stdout.splitlines()
-              if line.startswith(("FAILED", "ERROR"))]
+    # a summary line is "FAILED <id>" or "FAILED <id> - <message>", and a parametrized id
+    # may hold spaces and " - " within its brackets
+    failed = [m[1] for m in map(SUMMARY.match, result.stdout.splitlines()) if m]
     return "killed" + (f" by {failed[0]}" if failed else f", exit code {result.returncode}")
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .qlinalg import hadamard, phase_gate, rotation
-from .quaternion import I, J, K, is_real_number
+from .quaternion import I, J, K, int_or_none, is_real_number
 from .register import ScheduledOp, bell_state, measure_product_basis, run_schedule
 
 #: tolerance for cell normalization and for marginals matching across inputs
@@ -62,12 +62,11 @@ class BoxBehavior:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
         # each input cell's first three running sums, added once here, not on every draw; the
-        # fourth never decides, as a double past the third gives (1, 1) either way.  Entries
-        # down to -1e-12 pass the checks above, so the sums need not increase.  _thresholds[a][b]
-        # holds cell (a, b)'s in dicts keyed by bit, so an input outside {0, 1} raises KeyError
+        # fourth never decides, as a double past the third gives output cell 3 either way.
+        # Entries down to -1e-12 pass the checks above, so the sums need not increase.
+        # _thresholds is keyed by input cell, so a cell outside 0..3 raises KeyError
         sums = [tuple(accumulate(cell))[:3] for cell in rows]
-        object.__setattr__(self, "_thresholds", {0: {0: sums[0], 1: sums[1]},
-                                                 1: {0: sums[2], 1: sums[3]}})
+        object.__setattr__(self, "_thresholds", dict(enumerate(sums)))
         # _scan[k][c]: input cell c's (k + 1)th running sum, the same numbers as an array
         scan = np.array(sums).T
         scan.flags.writeable = False
@@ -75,23 +74,31 @@ class BoxBehavior:
         # each cell's CHSH win, summed once here for scoring and the protocol's exact rates
         object.__setattr__(self, "wins", tuple(map(math.fsum, map(compress, rows, WINS))))
 
-    def sample(self, a: int, b: int, rng) -> tuple[int, int]:
-        """The output pair of the first running sum of cell (a, b) above one `rng.random()`,
-        else (1, 1), NaN included; a bit outside {0, 1} raises KeyError before the draw."""
-        t = self._thresholds[a][b]
-        r = rng.random()
+    def sample(self, cell: int, r: float) -> int:
+        """The output cell 2x + y that input cell 2a + b gives for the double r: the scalar
+        case of `sample_cells`.  A cell that is not an integer in 0..3 raises KeyError."""
+        try:
+            # a float or a bool is not a cell, though 1.0 and True hash as the key 1
+            t = self._thresholds[cell if type(cell) is int else int_or_none(cell)]
+        except KeyError:
+            raise KeyError(f"input cell must be an integer in 0..3, got {cell!r}") from None
         # the first sum above r, in order, not a bisection: the sums need not increase
-        return (0, 0) if r < t[0] else (0, 1) if r < t[1] else (1, 0) if r < t[2] else (1, 1)
+        return 0 if r < t[0] else 1 if r < t[1] else 2 if r < t[2] else 3
 
     def sample_cells(self, cells: np.ndarray, doubles: np.ndarray) -> np.ndarray:
         """Each draw's output cell 2x + y, as uint8: for each input cell c = 2a + b of
-        `cells`, the pair that `sample(a, b, rng)` gives when its `rng.random()` returns
-        the matching entry of `doubles`, NaN and values outside [0, 1) included.  No
-        `sample` call is made: the draws are one scan over the running sums, which counts
-        the sums each double has passed and stops at the first it has not."""
-        # checked before indexing, which would read cell -1 as cell 3
+        `cells`, the output cell of the first of c's running sums above the matching entry
+        of `doubles`, else 3, NaN and values outside [0, 1) included.  The draws are one
+        scan over the running sums, which counts the sums each double has passed and stops
+        at the first it has not."""
+        # checked before indexing, which would read a bool array as a mask and cell -1 as 3
+        if cells.dtype.kind not in "iu":
+            raise KeyError(f"input cells must be integers in 0..3, got dtype {cells.dtype}")
         if cells.size and not (0 <= cells.min() and cells.max() <= 3):
             raise KeyError(f"input cells must lie in 0..3, got {cells.min()}..{cells.max()}")
+        # one double per cell: numpy would broadcast one double over every cell
+        if np.shape(doubles) != cells.shape:
+            raise ValueError(f"doubles must have shape {cells.shape}, got {np.shape(doubles)}")
         t = self._scan[:, cells]
         # not r < t, as sample tests it: a NaN passes every sum, as it fails every r < t
         past = ~(doubles < t[0])

@@ -17,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat, starmap
-from operator import xor
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -69,8 +66,12 @@ class BooleanFunction:
         # numpy widths would shift in their own, maybe narrow, type and not serialize
         object.__setattr__(self, "n_alice", int(self.n_alice))
         object.__setattr__(self, "n_bob", int(self.n_bob))
-        if len(self.table) != expected:
-            raise ValueError(f"table must have {expected} entries, got {len(self.table)}")
+        try:
+            entries = len(self.table)
+        except TypeError:  # an int, None or a 0-d array
+            raise ValueError(f"table must be a sequence of {expected} bits") from None
+        if entries != expected:
+            raise ValueError(f"table must have {expected} entries, got {entries}")
         bits = np.asarray(memoryview(self.table) if isinstance(self.table, bytes) else self.table)
         if bits.shape != (expected,) or not ((bits == 0) | (bits == 1)).all():
             raise ValueError("table entries must be bits")
@@ -215,17 +216,15 @@ def _cells(anf: ANF, idx: np.ndarray) -> np.ndarray:
 
 
 def _outputs(table: np.ndarray, n_bob: int, idx: np.ndarray, cells: np.ndarray, box, rng):
-    # Alice's outputs on inputs idx, drawing (u, v) from box once per cell of cells in C order:
-    # f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his box outputs
+    # Alice's outputs on inputs idx, drawing output cell 2u + v from box once per cell of
+    # cells in C order: f(x, 0) + her box outputs + Bob's bit f(0, y) + f(0, 0) + his outputs
     fold = 0  # no mixed monomial, no draw: rng.random(0) would not advance rng either
     if cells.size:
-        # one `sample(a, b, src)` call per cell 2a + b, each reading the next double of one
-        # rng.random(n), not one `sample_cells` scan, so that the benchmark can count the draws
-        src = SimpleNamespace(random=iter(rng.random(cells.size).tolist()).__next__)
-        flat = cells.ravel()
-        draws = map(box.sample, (flat >> 1).tolist(), (flat & 1).tolist(), repeat(src))
-        fold = np.bitwise_xor.reduce(
-            np.fromiter(starmap(xor, draws), np.uint8, cells.size).reshape(cells.shape), axis=-1)
+        # one `sample(cell, r)` call per cell, r the next double of one rng.random(n), not
+        # one `sample_cells` scan, so that the benchmark can count the draws
+        draws = map(box.sample, cells.ravel().tolist(), rng.random(cells.size).tolist())
+        out = np.fromiter(draws, np.uint8, cells.size).reshape(cells.shape)
+        fold = np.bitwise_xor.reduce(out ^ out >> 1, axis=-1) & 1  # u ^ v: bit 0 of out ^ u
     return table[idx >> n_bob << n_bob] ^ table[idx & ((1 << n_bob) - 1)] ^ table[0] ^ fold
 
 
@@ -263,14 +262,14 @@ def verify_exhaustive(f: BooleanFunction, box: BoxBehavior, rng) -> VerifyReport
 
     success_rate is the exact mean of success_probability over all inputs
     (identically 1.0 for perfect boxes); empirical_rate comes from one
-    sampled protocol run per input, which XORs u ^ v over the output pairs
-    (u, v) that `box.sample` draws for its boxes, one call per box cell, in
+    sampled protocol run per input, which XORs u ^ v over the output cells
+    2u + v that `box.sample` draws for its boxes, one call per box cell, in
     truth-table index order (x-major, then y), then monomial.
     The inputs are walked in runs of consecutive indices, about
     _BLOCK_CELLS box cells each; one `rng.random(n)` gives a run's n doubles,
-    so rng advances by one double per box cell, as with one `rng.random()`
-    per draw.  Each draw is one `sample` call, which perfbench counts; the
-    Monte Carlo draws of `sample_cells` make none.
+    so rng advances by exactly one double per box cell.  Each draw is one
+    `sample` call, which perfbench counts; the Monte Carlo draws of
+    `sample_cells` make none.
     """
     n = f.n_alice + f.n_bob
     anf = anf_transform(f)

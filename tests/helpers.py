@@ -25,7 +25,7 @@ from quatbox import (
     qmat,
     rotation,
 )
-from quatbox.boxes import CELLS, NON_SIGNALLING_TOL, BoxBehavior, classical_box, ideal_pr_box
+from quatbox.boxes import NON_SIGNALLING_TOL, BoxBehavior, classical_box, ideal_pr_box
 from quatbox.qlinalg import UNITARY_TOL, norm_sq
 
 #: the eight unit elements {+-1, +-i, +-j, +-k}; exhaustive algebra checks run over these
@@ -100,14 +100,14 @@ def reference_behavior_error(probs: np.ndarray) -> str | None:
     return None
 
 
-def reference_sample(box: BoxBehavior, a: int, b: int, r: float) -> tuple[int, int]:
-    """The output pair `box.sample(a, b, rng)` must give when `rng.random()` returns r:
-    the pair of the first of all four running sums of cell (a, b), added left to right
-    from the table, that r is below, else the last pair of CELLS."""
-    for total, pair in zip(accumulate(box.probs[a, b].ravel().tolist()), CELLS):
+def reference_sample(box: BoxBehavior, cell: int, r: float) -> int:
+    """The output cell `box.sample(cell, r)` must give: the output cell 2x + y of the
+    first of all four running sums of input cell `cell`, added left to right from the
+    table, that r is below, else 3."""
+    for out, total in enumerate(accumulate(box.probs.reshape(4, 4)[cell].tolist())):
         if r < total:
-            return pair
-    return CELLS[-1]
+            return out
+    return 3
 
 
 def random_quaternion(rng, scale=2.0) -> Quaternion:

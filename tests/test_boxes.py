@@ -1,6 +1,5 @@
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,7 +91,7 @@ def test_quaternionic_box_empirical_frequencies():
     for a, b in ALL_CELLS:
         counts = {pair: 0 for pair in ALL_CELLS}
         for _ in range(per_cell):
-            counts[box.sample(a, b, rng)] += 1
+            counts[divmod(box.sample(2 * a + b, rng.random()), 2)] += 1
         for (x, y), c in counts.items():
             assert abs(c / per_cell - box.probs[a, b, x, y]) <= 0.01
 
@@ -342,8 +341,8 @@ def test_behavior_json_roundtrip():
 
 def test_sampling_is_seed_deterministic():
     box = ideal_pr_box()
-    a = [box.sample(1, 1, np.random.default_rng(5)) for _ in range(5)]
-    b = [box.sample(1, 1, np.random.default_rng(5)) for _ in range(5)]
+    a = [box.sample(3, np.random.default_rng(5).random()) for _ in range(5)]
+    b = [box.sample(3, np.random.default_rng(5).random()) for _ in range(5)]
     assert a == b
 
 
@@ -352,43 +351,51 @@ def test_sample_respects_support():
     rng = np.random.default_rng(6)
     for a, b in ALL_CELLS:
         for _ in range(200):
-            x, y = box.sample(a, b, rng)
+            x, y = divmod(box.sample(2 * a + b, rng.random()), 2)
             assert x ^ y == (a & b)
 
 
 def test_sample_gives_the_last_pair_when_the_sums_fall_short():
     # every cell sums to 1 - 4e-11, inside the tolerance, with the shortfall on output
-    # (1, 1): a double at or past the last running sum is still (1, 1), not a first pair
+    # (1, 1): a double at or past the last running sum is still output cell 3, not cell 0
     box = BoxBehavior(np.full((2, 2, 2, 2), 0.25) - [[0.0, 0.0], [0.0, 4e-11]])
     last = box.probs.reshape(4, 4).cumsum(axis=1)[:, -1].tolist()
     for (a, b), total in zip(ALL_CELLS, last):
         assert total < 1.0
         for r in (math.nextafter(total, 0.0), total, 1.0 - 1e-11, math.nextafter(1.0, 0.0)):
-            assert box.sample(a, b, SimpleNamespace(random=lambda: r)) == (1, 1)
+            assert box.sample(2 * a + b, r) == 3
 
 
 @pytest.mark.parametrize("box", [ideal_pr_box(), quaternionic_box(), complex_quantum_box(),
                                  noisy_box(complex_quantum_box(), 0.8),
                                  classical_box((0, 1), (1, 0))])
 def test_sample_takes_bits_and_refuses_other_inputs(box):
-    rng = np.random.default_rng(8)
-    for a, b in ((2, 0), (0, 2), (-1, 0), (0.5, 0)):
-        before = rng.bit_generator.state
-        with pytest.raises(KeyError):
-            box.sample(a, b, rng)
-        assert rng.bit_generator.state == before  # refused before the draw
+    # an input cell that is not an integer in 0..3 is refused, by the value given: a float or
+    # a bool is not a cell, though 1.0 and True hash as the key 1
+    for cell in (-1, 4, 0.5, 1.0, np.float64(1), True, np.True_, "1", None):
+        with pytest.raises(KeyError) as refused:
+            box.sample(cell, 0.5)
+        assert refused.value.args == (f"input cell must be an integer in 0..3, got {cell!r}",)
     # a cell outside 0..3 is refused too, before any draw, not read from the end of an array
     for cells in ([-1], [4], [0, 4, 3], np.array([255], np.uint8), np.array([3, 2**63], np.uint64)):
         with pytest.raises(KeyError):
             box.sample_cells(np.array(cells), np.full(len(cells), 0.5))
+    # cells that are not integers, which indexing would read as a mask or refuse by its own
+    # error, and doubles that numpy would broadcast over the cells
+    for cells in (np.array([True] * 4), np.array([0.0, 1.0, 2.0, 3.0]), np.array(["1"])):
+        with pytest.raises(KeyError, match="input cells must be integers in 0..3"):
+            box.sample_cells(cells, np.full(len(cells), 0.3))
+    for doubles in (np.array([0.3]), 0.3, np.full((4, 1), 0.3), np.full(5, 0.3)):
+        with pytest.raises(ValueError, match=r"doubles must have shape \(4,\)"):
+            box.sample_cells(np.arange(4), doubles)
     empty = box.sample_cells(np.array([], np.uint8), np.array([]))
     assert (empty.dtype, empty.shape) == (np.uint8, (0,))
-    # a bool or a numpy integer is the same bit as the int, drawn from the same seed
-    inputs = ALL_CELLS * 50
-    for bit in (bool, np.int64):
-        int_rng, bit_rng = np.random.default_rng(9), np.random.default_rng(9)
-        want = [box.sample(a, b, int_rng) for a, b in inputs]
-        assert [box.sample(bit(a), bit(b), bit_rng) for a, b in inputs] == want
+    # a numpy integer is the same cell as the int
+    doubles = np.random.default_rng(9).random(200).tolist()
+    for cell in range(4):
+        want = [box.sample(cell, r) for r in doubles]
+        for kind in (np.int64, np.uint8):
+            assert [box.sample(kind(cell), r) for r in doubles] == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1, 2**63])

@@ -107,8 +107,8 @@ def per_draw_deviation(box, samples, seed):
     """prbox's max_abs_deviation from one box.sample, and so one scalar rng.random(),
     per draw: samples draws per input cell, the cells in CELLS order."""
     rng = np.random.default_rng(seed)
-    counts = [Counter(box.sample(a, b, rng) for _ in range(samples)) for a, b in CELLS]
-    return max(abs(counts[c][x, y] / samples - box.probs[a, b, x, y])
+    counts = [Counter(box.sample(c, rng.random()) for _ in range(samples)) for c in range(4)]
+    return max(abs(counts[c][2 * x + y] / samples - box.probs[a, b, x, y])
                for c, (a, b) in enumerate(CELLS) for x, y in CELLS)
 
 
@@ -168,7 +168,7 @@ def per_round_win(box, rounds, seed):
     wins = 0
     for _ in range(rounds):
         a, b = int(rng.integers(2)), int(rng.integers(2))
-        x, y = box.sample(a, b, rng)
+        x, y = divmod(box.sample(2 * a + b, rng.random()), 2)
         wins += (x ^ y) == (a & b)
     return wins / rounds
 

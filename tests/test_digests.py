@@ -83,7 +83,7 @@ def test_box_digest():
         h.update(repr(list(game.per_cell)).encode())
         rng = np.random.default_rng(i)
         for a, b in itertools.product(range(2), repeat=2):
-            h.update(bytes(v for _ in range(2000) for v in box.sample(a, b, rng)))
+            h.update(bytes(v for _ in range(2000) for v in divmod(box.sample(2 * a + b, rng.random()), 2)))
     best, pair = lhv_optimum()
     h.update(repr((best.win_probability, best.per_cell, pair)).encode())
     assert (len(boxes), h.hexdigest()) == (82, BOX_DIGEST)

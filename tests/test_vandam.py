@@ -7,7 +7,6 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -545,6 +544,26 @@ def test_verify_engine_matches_the_per_input_loop(f, box_name, seed):
         assert success_probability(f, x, y, box) == rate
 
 
+@pytest.mark.parametrize("box_name", sorted(ENGINE_BOXES))
+def test_the_protocol_moves_the_generator_one_double_per_box_cell(box_name):
+    """`sample` takes its double from the caller, so counting `sample` calls no longer shows
+    how far rng moved: pin it by the generator's state, that of a fresh generator of the
+    same seed after one `random(n)` of one double per (input, mixed monomial) box cell."""
+    box = ENGINE_BOXES[box_name]
+    functions = [builtin_function("IP2"), builtin_function("IP4"), SEVERAL_BLOCKS, SPLIT_ROWS,
+                 ROW_BOUNDARY, SHORT_LAST_BLOCK]
+    for seed, f in enumerate(functions):
+        rng, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+        report = verify_exhaustive(f, box, rng)
+        fresh.random(report.n_inputs * report.boxes_used)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        last = ((1 << f.n_alice) - 1, (1 << f.n_bob) - 1)
+        for x, y in ((0, 0), (last[0], 0), last):
+            run = vandam_protocol(f, x, y, box, rng)
+            fresh.random(run.boxes_used)
+            assert rng.bit_generator.state == fresh.bit_generator.state
+
+
 #: cell dtypes: uint8 as _cells and the chsh decode give cells, the default int of np.full
 #: in prbox, and uint64, the raw words' dtype
 CELL_DTYPES = (np.uint8, np.int_, np.uint64)
@@ -564,9 +583,9 @@ def test_sample_cells_is_one_sample_call_per_cell_in_order(monkeypatch, box_name
             before = draws[0]
             got = box.sample_cells(cells, rng1.random(length))
             assert draws[0] == before  # a scan, not a `sample` call per cell
-            want = [box.sample(*CELLS[c], rng2) for c in cells.tolist()]
+            want = [box.sample(c, rng2.random()) for c in cells.tolist()]
             assert got.dtype == np.uint8
-            assert got.tolist() == [2 * x + y for x, y in want]
+            assert got.tolist() == want
             if isinstance(rng1, np.random.Generator):
                 assert rng1.bit_generator.state == rng2.bit_generator.state
             assert rng1.random() == rng2.random()  # and no draw besides them
@@ -622,10 +641,9 @@ def test_sample_cells_equals_the_per_draw_sample(case):
         calls = count_calls(patch, BoxBehavior, "sample")
         got = box.sample_cells(cells, doubles)
     assert calls[0] == 0
-    want = [box.sample(*CELLS[c], SimpleNamespace(random=lambda r=r: r))
-            for c, r in zip(cells.tolist(), doubles.tolist())]
+    want = [box.sample(c, r) for c, r in zip(cells.tolist(), doubles.tolist())]
     assert got.dtype == np.uint8
-    assert got.tolist() == [2 * x + y for x, y in want]
+    assert got.tolist() == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -633,15 +651,17 @@ def test_sample_cells_equals_the_per_draw_sample(case):
        drawn=st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.floats(), max_size=8))
 @example(box=THIRD_SUM_DIPS, drawn=[])
 def test_sample_equals_the_reference_draw(box, drawn):
-    """`sample` gives the pair of the per-draw reference, which reads all four running
-    sums of the table, in every input cell: at each running sum of the box and its float
-    neighbours, at the special doubles, and at generated ones."""
+    """`sample` gives the output cell of the per-draw reference, which reads all four
+    running sums of the table, and of a one-cell `sample_cells`, in every input cell: at
+    each running sum of the box and its float neighbours, at the special doubles, and at
+    generated ones."""
     edges = [v for cell in box.probs.reshape(4, 4).tolist() for t in itertools.accumulate(cell)
              for v in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
     for r in edges + SPECIAL_DOUBLES + drawn:
-        rng = SimpleNamespace(random=lambda r=r: r)
-        assert [box.sample(a, b, rng) for a, b in CELLS] == [
-            reference_sample(box, a, b, r) for a, b in CELLS], r
+        got = [box.sample(cell, r) for cell in range(4)]
+        assert got == [reference_sample(box, cell, r) for cell in range(4)], r
+        assert got == [int(box.sample_cells(np.array([cell]), np.array([r]))[0])
+                       for cell in range(4)], r
 
 
 # ------------------------------------------------ exact rates as fractions
@@ -811,6 +831,10 @@ def test_boolean_function_validation():
         BooleanFunction(1, 1, (0, 1))
     with pytest.raises(ValueError):
         BooleanFunction(-1, 1, ())
+    # a table without a length is malformed, not a TypeError from len()
+    for table in (5, None, np.array(5)):
+        with pytest.raises(ValueError, match="table must be a sequence of 4 bits"):
+            BooleanFunction(1, 1, table)
 
 
 # ---------------------------------------------------------------- scripts
